@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -190,10 +191,20 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float],
 # parallel row execution
 
 
+def _pool_size(jobs: int, tasks: int, cpus: Optional[int]) -> int:
+    """Worker processes for a scan: no more than its rows or the cores.
+
+    A fork pool starts all of its workers at the first submit, so an
+    unclamped --jobs would fork that many processes.
+    """
+    return max(1, min(jobs, tasks, cpus or 1))
+
+
 def _run_rows(worker, tasks: Sequence, jobs: int) -> List:
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = _pool_size(jobs, len(tasks), os.cpu_count())
+    if workers == 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
 

@@ -12,16 +12,16 @@ Nothing here integrates over an unbounded region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import AccuracyError, PreconditionError, UsageError
 from .exponents import DerivedExponents, ExponentConfig, as_rational
-from .kernel import SINGULARITY_FLOOR, PointPair
+from .kernel import PointPair
 
 Bounds = Tuple[Tuple[float, float], ...]
 
@@ -36,6 +36,21 @@ MAX_GRID_NODES = 12_000_000
 MAX_MC_STRATA = 65_536
 
 _RELATIVE_FLOOR = 1e-300
+
+# Axis plans kept by _axis_plan. One inner pass needs a plan per axis and
+# rule order; an lq_mass box revisits each outer coordinate once per outer
+# node, so the cache must hold every plan of one sweep over the last axes.
+_AXIS_PLAN_CACHE = 256
+
+
+def _axis_views(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Per-axis 1-d arrays reshaped to broadcast over their tensor product."""
+    views = []
+    for i, a in enumerate(arrays):
+        shape = [1] * len(arrays)
+        shape[i] = -1
+        views.append(a.reshape(shape))
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -108,35 +123,56 @@ class TestFunction:
             pts.add(box[axis][1])
         return tuple(sorted(pts))
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"points must have {self.dim} columns")
+    def evaluate(
+        self,
+        points: Optional[np.ndarray] = None,
+        *,
+        axes: Optional[Sequence[np.ndarray]] = None,
+    ) -> np.ndarray:
+        """Payload values at points (N, dim), or on a tensor of per-axis nodes.
+
+        With axes (one 1-d node array per axis) the result holds one value
+        per node of their tensor product, flattened in C order. Both forms
+        run the same formulas: on a tensor each one-axis step runs on that
+        axis's nodes and is broadcast, so it costs one pass per axis.
+        """
+        if (points is None) == (axes is None):
+            raise ValueError("pass exactly one of points and axes")
+        if axes is None:
+            pts = np.atleast_2d(np.asarray(points, dtype=float))
+            if pts.shape[1] != self.dim:
+                raise ValueError(f"points must have {self.dim} columns")
+            coords = [pts[:, i] for i in range(self.dim)]
+        else:
+            if len(axes) != self.dim:
+                raise ValueError(f"need {self.dim} node arrays, one per axis")
+            coords = _axis_views([np.asarray(a, dtype=float) for a in axes])
+        return self._values(coords).ravel()
+
+    def _values(self, coords: List[np.ndarray]) -> np.ndarray:
+        # coords: one broadcastable coordinate array per axis
         if self.kind == "indicator-box":
-            mask = np.ones(pts.shape[0], dtype=bool)
-            for i, (lo, hi) in enumerate(self.support):
-                mask &= (pts[:, i] >= lo) & (pts[:, i] <= hi)
+            mask = True
+            for z, (lo, hi) in zip(coords, self.support):
+                mask = mask & (z >= lo) & (z <= hi)
             return np.where(mask, self.amplitude, 0.0)
         if self.kind == "smooth-bump":
-            out = np.full(pts.shape[0], self.amplitude, dtype=float)
-            inside = np.ones(pts.shape[0], dtype=bool)
-            arg = np.zeros(pts.shape[0], dtype=float)
-            for i in range(self.dim):
-                w = (pts[:, i] - self.center[i]) / self.radius[i]
+            inside = True
+            arg = 0.0
+            for z, c, r in zip(coords, self.center, self.radius):
+                w = (z - c) / r
                 w2 = w * w
-                inside &= w2 < 1.0
+                inside = inside & (w2 < 1.0)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     arg = arg + np.where(w2 < 1.0, 1.0 - 1.0 / (1.0 - w2), 0.0)
-            out = np.where(inside, self.amplitude * np.exp(arg), 0.0)
-            return out
+            return np.where(inside, self.amplitude * np.exp(arg), 0.0)
         # piecewise constant: half-open cells, closed against the support top
-        out = np.zeros(pts.shape[0], dtype=float)
+        out = np.zeros(np.broadcast_shapes(*(z.shape for z in coords)))
         for box, value in self.cells:
-            mask = np.ones(pts.shape[0], dtype=bool)
-            for i, (lo, hi) in enumerate(box):
-                z = pts[:, i]
-                upper = (z < hi) | ((hi == self.support[i][1]) & (z <= hi))
-                mask &= (z >= lo) & upper
+            mask = True
+            for z, (lo, hi), (_, top) in zip(coords, box, self.support):
+                upper = (z < hi) | ((hi == top) & (z <= hi))
+                mask = mask & (z >= lo) & upper
             out[mask] += value
         return out
 
@@ -375,7 +411,7 @@ def _split_wide_cells(
     return np.array(pts, dtype=float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _AxisPlan:
     breaks: np.ndarray    # cell boundaries, sorted
     nodes: np.ndarray     # Gauss nodes over all cells
@@ -387,6 +423,7 @@ class _AxisPlan:
         return len(self.breaks) - 1
 
 
+@lru_cache(maxsize=_AXIS_PLAN_CACHE)
 def _axis_plan(
     lo: float,
     hi: float,
@@ -411,6 +448,9 @@ def _axis_plan(
     cell_dist = np.maximum(np.maximum(a - center, center - b), 0.0)
     cell_core = cell_dist < finest * (1.0 - 1e-12)
     core = np.repeat(cell_core, g)
+    # plans are cached and shared, so no caller may write into them
+    for arr in (breaks, nodes, weights, core):
+        arr.flags.writeable = False
     return _AxisPlan(breaks=breaks, nodes=nodes, weights=weights, core=core)
 
 
@@ -458,18 +498,34 @@ class _KernelDesc:
     rho: float = 1.0
     v_singular: bool = False
 
-    def values(self, pt: np.ndarray, points: np.ndarray) -> np.ndarray:
-        s = pt[None, : self.n] - points[:, : self.n]
-        sn = np.sqrt(np.sum(s * s, axis=1))
+    def values(self, pt: np.ndarray, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """Kernel at pt - z, with z given as one coordinate array per axis.
+
+        coords are (N,) columns, or views broadcast over a node tensor (see
+        _axis_views). On a tensor, the factors of u alone and of v alone
+        are taken once per u-node and per v-node; only their combination
+        covers the whole tensor.
+        """
+        sn = _norm([pt[i] - coords[i] for i in range(self.n)])
+        su = sn ** (self.u_power - self.n)
         if self.kind == "riesz":
-            return sn ** (self.u_power - self.n)
-        t = pt[None, self.n:] - points[:, self.n:]
-        tn = np.sqrt(np.sum(t * t, axis=1))
+            return su
+        tn = _norm([pt[i] - coords[i] for i in range(self.n, self.n + self.m)])
         if self.kind == "flag":
-            return sn ** (self.u_power - self.n) * (
-                sn ** self.rho + tn
-            ) ** (self.v_power - self.m)
-        return sn ** (self.u_power - self.n) * tn ** (self.v_power - self.m)
+            return su * (sn ** self.rho + tn) ** (self.v_power - self.m)
+        return su * tn ** (self.v_power - self.m)
+
+
+def _norm(diffs: Sequence[np.ndarray]) -> np.ndarray:
+    """Euclidean norm of broadcastable per-axis differences.
+
+    Squares are added left to right, the order np.sum(s * s, axis=1) takes
+    on an (N, k) array, so both forms give the same bits.
+    """
+    sq = diffs[0] * diffs[0]
+    for d in diffs[1:]:
+        sq = sq + d * d
+    return np.sqrt(sq)
 
 
 def _flag_desc(cfg: ExponentConfig) -> _KernelDesc:
@@ -525,18 +581,6 @@ def _group_core(plans: List[_AxisPlan], axes: range, spec: QuadratureSpec,
     return _CoreInfo(active=True, eps=eps)
 
 
-def _tensor_mask(per_axis: List[np.ndarray], shape: Tuple[int, ...],
-                 axes: range) -> np.ndarray:
-    """AND of per-axis boolean arrays broadcast over the full tensor shape."""
-    out = None
-    for i in axes:
-        view_shape = [1] * len(shape)
-        view_shape[i] = shape[i]
-        arr = per_axis[i].reshape(view_shape)
-        out = arr if out is None else (out & arr)
-    return np.broadcast_to(out, shape)
-
-
 def _grid_conv_value(
     desc: _KernelDesc,
     f: TestFunction,
@@ -556,24 +600,21 @@ def _grid_conv_value(
     core_u = _group_core(plans, u_axes, spec, f)
     core_v = _group_core(plans, v_axes, spec, f) if desc.v_singular else _CoreInfo()
 
-    mesh = np.meshgrid(*[p.nodes for p in plans], indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    weights = reduce(np.multiply.outer, [p.weights for p in plans]).ravel()
-
-    keep = np.ones(shape, dtype=bool)
-    if core_u.active:
-        keep &= ~_tensor_mask([p.core for p in plans], shape, u_axes)
-    if core_v.active:
-        keep &= ~_tensor_mask([p.core for p in plans], shape, v_axes)
-    keep = keep.ravel()
-
-    fvals = f.evaluate(points)
-    live = keep & (fvals != 0.0)
+    nodes = [p.nodes for p in plans]
+    fvals = f.evaluate(axes=nodes)
+    live = (fvals != 0.0).reshape(shape)
+    cores = _axis_views([p.core for p in plans])
+    for core, axes in ((core_u, u_axes), (core_v, v_axes)):
+        if core.active:
+            live &= ~reduce(np.logical_and, [cores[i] for i in axes])
     idx = np.flatnonzero(live)
     if idx.size == 0:
         return 0.0, core_u, core_v
-    kvals = desc.values(pt, points[idx])
-    value = float(np.sum(weights[idx] * fvals[idx] * kvals))
+    weights = reduce(np.multiply.outer, [p.weights for p in plans]).ravel()
+    # the excluded core may overflow; only live nodes enter the sum
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kvals = desc.values(pt, _axis_views(nodes)).ravel()
+    value = float(np.sum(weights[idx] * fvals[idx] * kvals[idx]))
     return value, core_u, core_v
 
 
@@ -654,7 +695,7 @@ def _mc_conv_value(
         vals = np.zeros(per_stratum)
         live = keep & (fvals != 0.0)
         if np.any(live):
-            vals[live] = fvals[live] * desc.values(pt, pts[live])
+            vals[live] = fvals[live] * desc.values(pt, pts[live].T)
         estimates.append(vol * float(np.mean(vals)))
         variances.append(vol * vol * float(np.var(vals, ddof=1)) / per_stratum)
 
@@ -824,10 +865,11 @@ def _lq_mass_grid(
         v_hi = math.fsum(w * abs(v) ** q for w, (v, _) in zip(w_hi, inner))
         prop = math.fsum(w * _power_gap(v, e, q) for w, (v, e) in zip(w_hi, inner))
 
+        # the lower outer rule needs only the inner g-order value
         plans_lo = _outer_plans(box, f, spec.points_per_axis - 1)
         pts_lo, w_lo = _outer_tensor(plans_lo)
         v_lo = math.fsum(
-            w * abs(_apply_desc(desc, f, row, spec, check_target=False)[0]) ** q
+            w * abs(_grid_conv_value(desc, f, row, spec, spec.points_per_axis)[0]) ** q
             for w, row in zip(w_lo, pts_lo)
         )
         box_terms.append(sign * v_hi)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flagint import experiments
 from flagint import (
     ConfigIncompleteError,
     DecayFit,
@@ -326,3 +327,24 @@ def test_scans_are_deterministic(grid_spec):
     a.pop("timestamp")
     b.pop("timestamp")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# worker pool size
+
+
+@pytest.mark.parametrize(
+    "jobs, tasks, cpus, expected",
+    [
+        (10_000, 64, 2, 2),   # a huge --jobs never exceeds the cores
+        (10_000, 3, 64, 3),   # nor the rows
+        (2, 64, 2, 2),
+        (1, 64, 8, 1),
+        (4, 1, 8, 1),
+        (4, 0, 8, 1),         # no rows: one in-process worker, no pool
+        (4, 10, None, 1),     # core count unknown: run serially
+    ],
+)
+def test_pool_size_clamps_jobs(jobs, tasks, cpus, expected):
+    # the pure clamp only; no pool is started
+    assert experiments._pool_size(jobs, tasks, cpus) == expected

@@ -1,12 +1,14 @@
 """Integration engine: convolution values, norms, scaling identities."""
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from flagint import quadrature
 from flagint import (
     AccuracyError,
     ExponentConfig,
@@ -16,10 +18,12 @@ from flagint import (
     Window,
     apply_operator,
     apply_riesz_1d,
+    derive_ab,
     indicator_box,
     kernel_eval,
     lp_norm,
     lq_mass,
+    make_signum_atom,
     piecewise_constant,
     point_pair,
     smooth_bump,
@@ -330,3 +334,142 @@ def test_sufficient_inner_cutoff_bound_holds():
         e = sufficient_inner_cutoff(alpha, dim, target)
         core = dim * 2.0 ** dim * (2.0 ** e) ** alpha / alpha
         assert core <= target
+
+
+# ---------------------------------------------------------------------------
+# the factored grid pass against a brute-force reference
+
+
+def _reference_kernel(desc, pt, points):
+    # the kernel node by node, from the formulas of the paper
+    s = pt[None, : desc.n] - points[:, : desc.n]
+    sn = np.sqrt(np.sum(s * s, axis=1))
+    if desc.kind == "riesz":
+        return sn ** (desc.u_power - desc.n)
+    t = pt[None, desc.n:] - points[:, desc.n:]
+    tn = np.sqrt(np.sum(t * t, axis=1))
+    if desc.kind == "flag":
+        return sn ** (desc.u_power - desc.n) * (sn ** desc.rho + tn) ** (desc.v_power - desc.m)
+    return sn ** (desc.u_power - desc.n) * tn ** (desc.v_power - desc.m)
+
+
+def _reference_grid_value(desc, f, pt, spec, g):
+    # every tensor node as an explicit point; excluded cores masked node by node
+    plans = quadrature._build_conv_plans(f, pt, spec, g)
+    points = np.stack(
+        [c.ravel() for c in np.meshgrid(*[p.nodes for p in plans], indexing="ij")], axis=1
+    )
+    core = np.stack(
+        [c.ravel() for c in np.meshgrid(*[p.core for p in plans], indexing="ij")], axis=1
+    )
+    weights = functools.reduce(np.multiply.outer, [p.weights for p in plans]).ravel()
+    keep = np.ones(len(points), dtype=bool)
+    groups = [range(desc.n)] + ([range(desc.n, f.dim)] if desc.v_singular else [])
+    for axes in groups:
+        if all(plans[i].core.any() for i in axes):
+            keep &= ~np.all(core[:, list(axes)], axis=1)
+    fvals = f.evaluate(points)
+    idx = np.flatnonzero(keep & (fvals != 0.0))
+    if idx.size == 0:
+        return 0.0, points[idx]
+    kvals = _reference_kernel(desc, pt, points[idx])
+    return float(np.sum(weights[idx] * fvals[idx] * kvals)), points[idx]
+
+
+def _payloads(n, m):
+    dim = n + m
+    cube = tuple((-1.0, 1.0) for _ in range(dim))
+    half = tuple(((-1.0, 0.0),) + cube[1:])
+    other = tuple(((0.0, 1.0),) + cube[1:])
+    return {
+        "indicator-box": indicator_box(n, m, cube, value=1.5),
+        "smooth-bump": smooth_bump(n, m, radius=[1.0] + [0.75] * (dim - 1)),
+        "atom": make_signum_atom(n, m).payload,
+        "custom-sampled": piecewise_constant(n, m, [(half, -0.5), (other, 2.0)]),
+    }
+
+
+def _kernels(n, m):
+    cfg = ExponentConfig(n=n, m=m, alpha=F(n, 2), beta=F(m, 4), rho=F(2))
+    return {
+        "flag": quadrature._flag_desc(cfg),
+        "product": quadrature._product_desc(cfg, derive_ab(cfg)),
+    }
+
+
+_POINTS = {  # one u and one v coordinate, repeated over the axes
+    "exterior": (3.0, 0.5),
+    "near-line": (0.01, 0.3),
+    "interior": (0.4, 0.2),
+}
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("where", sorted(_POINTS))
+@pytest.mark.parametrize("payload", ["indicator-box", "smooth-bump", "atom", "custom-sampled"])
+def test_grid_pass_matches_pointwise_reference(n, m, where, payload):
+    # n+m = 3 needs a coarse cutoff to keep the reference tensor small
+    spec = QuadratureSpec(inner_cutoff=-20 if n + m == 2 else -6)
+    f = _payloads(n, m)[payload]
+    x, y = _POINTS[where]
+    pt = np.array([x] * n + [y] * m)
+    for kind, desc in _kernels(n, m).items():
+        for g in (spec.points_per_axis, spec.points_per_axis - 1):
+            got = quadrature._grid_conv_value(desc, f, pt, spec, g)[0]
+            want, live = _reference_grid_value(desc, f, pt, spec, g)
+            assert got == want, (kind, g)
+            # the pointwise form of the kernel, as Monte Carlo calls it
+            assert np.array_equal(desc.values(pt, live.T), _reference_kernel(desc, pt, live))
+
+
+@pytest.mark.parametrize("x", [2.0, 0.01, 0.5])
+def test_grid_pass_matches_reference_for_riesz(x):
+    spec = QuadratureSpec(inner_cutoff=-12)
+    desc = quadrature._riesz_desc(0.5)
+    for f in (indicator_box(1, 0, ((0.0, 1.0),)), smooth_bump(1, 0, [0.5], 0.5),
+              piecewise_constant(1, 0, [(((0.0, 0.25),), 1.0), (((0.25, 1.0),), -3.0)])):
+        pt = np.array([x])
+        got = quadrature._grid_conv_value(desc, f, pt, spec, 4)[0]
+        assert got == _reference_grid_value(desc, f, pt, spec, 4)[0]
+
+
+@pytest.mark.parametrize("payload", ["indicator-box", "smooth-bump", "atom", "custom-sampled"])
+def test_evaluate_tensor_form_matches_points_form(payload):
+    # nodes on cell edges and on the support boundary test the half-open cells
+    f = _payloads(1, 2)[payload]
+    axes = [np.array([-1.0, -0.5, 0.0, 0.3, 1.0, 1.2]),
+            np.array([-1.1, -1.0, 0.0, 0.999, 1.0]),
+            np.array([-0.75, 0.25, 1.0])]
+    points = np.stack(
+        [c.ravel() for c in np.meshgrid(*axes, indexing="ij")], axis=1
+    )
+    tensor = f.evaluate(axes=axes)
+    assert tensor.shape == (6 * 5 * 3,)
+    assert np.array_equal(tensor, f.evaluate(points))
+    # an independent statement of each payload on [-1, 1]^3
+    inside = np.all(np.abs(points) <= 1.0, axis=1)
+    if payload == "smooth-bump":
+        w2 = (points / np.array([1.0, 0.75, 0.75])) ** 2
+        with np.errstate(divide="ignore"):
+            bump = np.prod(np.where(w2 < 1.0, np.exp(1.0 - 1.0 / (1.0 - w2)), 0.0), axis=1)
+        assert np.allclose(tensor, bump, rtol=1e-14, atol=0.0)
+    else:
+        lower, upper = {"indicator-box": (1.5, 1.5), "atom": (-1.0, 1.0),
+                        "custom-sampled": (-0.5, 2.0)}[payload]
+        level = np.where(points[:, 0] < 0.0, lower, upper)
+        assert np.array_equal(tensor, np.where(inside, level, 0.0))
+    assert np.count_nonzero(tensor) > 0
+    with pytest.raises(ValueError):
+        f.evaluate(points, axes=axes)
+    with pytest.raises(ValueError):
+        f.evaluate(axes=axes[:2])
+
+
+def test_axis_plans_are_cached_and_read_only():
+    args = (-1.0, 1.0, 0.25, 2.0 ** -20, (-1.0, 0.0, 1.0), 4, 0.25)
+    plan = quadrature._axis_plan(*args)
+    assert quadrature._axis_plan(*args) is plan
+    for arr in (plan.breaks, plan.nodes, plan.weights, plan.core):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        plan.nodes[0] = 0.0
