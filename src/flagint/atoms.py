@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -68,11 +68,6 @@ class AtomReport:
 
 def _exact_mean_mass(payload: TestFunction) -> Fraction:
     """Signed integral of a piecewise-constant payload, exact over Q."""
-    if payload.kind == "indicator-box":
-        vol = Fraction(1)
-        for lo, hi in payload.support:
-            vol *= Fraction(hi) - Fraction(lo)
-        return Fraction(payload.amplitude) * vol
     total = Fraction(0)
     for box, value in payload.cells:
         vol = Fraction(1)
@@ -139,7 +134,7 @@ def signum_atom_at_scale(n: int, m: int, L: int) -> Atom:
         (((-h, 0.0),) + rest, -value),
         (((0.0, h),) + rest, value),
     )
-    payload = piecewise_constant(n, m, cells, kind="atom")
+    payload = piecewise_constant(n, m, cells)
     return Atom(cube=cube, L=L, payload=payload, normalization="relaxed")
 
 
@@ -174,7 +169,7 @@ def make_random_atom(cube: Cube, seed: int) -> Atom:
             else:
                 box.append((-quarter, 0.0))
         cells.append((tuple(box), float(raw[idx])))
-    payload = piecewise_constant(cube.n, cube.m, tuple(cells), kind="atom")
+    payload = piecewise_constant(cube.n, cube.m, tuple(cells))
     return Atom(cube=cube, L=cube.L, payload=payload, normalization="strict")
 
 
@@ -189,14 +184,9 @@ def noncancelling_counterpart(a: Atom) -> TestFunction:
 
 def atom_to_json(a: Atom) -> str:
     """Serialize as {n, m, L, cells: [{box, value}]}; floats round-trip exactly."""
-    payload = a.payload
-    if payload.kind == "indicator-box":
-        cells = [{"box": [list(iv) for iv in payload.support], "value": payload.amplitude}]
-    else:
-        cells = [
-            {"box": [list(iv) for iv in box], "value": value}
-            for box, value in payload.cells
-        ]
+    cells = [
+        {"box": [list(iv) for iv in box], "value": value} for box, value in a.payload.cells
+    ]
     doc = {"n": a.n, "m": a.m, "L": a.L, "cells": cells}
     return json.dumps(doc)
 
@@ -209,7 +199,7 @@ def atom_from_json(text: str) -> Atom:
         (tuple(tuple(iv) for iv in cell["box"]), float(cell["value"]))
         for cell in doc["cells"]
     )
-    payload = piecewise_constant(n, m, cells, kind="atom")
+    payload = piecewise_constant(n, m, cells)
     cube = Cube(n=n, m=m, L=L)
     slop = _EDGE_RTOL * cube.side
     strict_support = _support_within(payload, cube.half_side / 2.0, slop)

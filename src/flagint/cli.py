@@ -52,27 +52,59 @@ from .quadrature import (
     smooth_bump,
 )
 
-EXPERIMENTS = (
-    "check", "kernel", "apply", "atom-validate", "shells", "dilate",
-    "counterexample", "frontier", "hls",
-)
-
 _COMMON_KEYS = {
     "n", "m", "alpha", "beta", "rho", "p", "q",
     "method", "samples", "points_per_axis", "seed", "target_rel_error",
     "inner_cutoff", "out", "jobs",
 }
 
+# argparse options of the flags that several experiments share
+_XY = (("x", {"help": "comma-separated coordinates"}),
+       ("y", {"help": "comma-separated coordinates"}))
+_RADIUS = ("radius", {"type": float})
+_BOX = ("box", {"help": "per-axis lo:hi pairs, comma separated"})
+_L = ("L", {"type": int})
+_ATOM_SEED = ("atom_seed", {"type": int})
+
+# experiment -> (subcommand help, its own flags as (config key, argparse options));
+# each flag is --key with underscores as dashes
+_EXPERIMENT_FLAGS: Dict[str, Tuple[str, Tuple]] = {
+    "check": ("evaluate the exponent conditions", ()),
+    "kernel": ("evaluate the kernel at a point", _XY),
+    "apply": ("apply the operator at a point", (
+        *_XY, ("payload", {"choices": ("indicator", "bump", "signum", "random-atom")}),
+        _RADIUS, _BOX, _L, _ATOM_SEED,
+    )),
+    "atom-validate": ("validate an atom", (
+        ("atom", {"choices": ("signum", "random")}), _L, _ATOM_SEED,
+        ("atom_json", {"help": "load atom from JSON file"}),
+        ("normalization", {"choices": ("strict", "relaxed")}),
+    )),
+    "shells": ("shell-by-shell mass profile", (
+        ("k_max", {"type": int}), ("l_max", {"type": int}), ("burn_in", {"type": int}),
+        ("payload", {"choices": ("signum", "indicator", "bump")}), _L, _RADIUS,
+    )),
+    "dilate": ("dilation scaling scan", (
+        ("deltas", {"help": "comma-separated dilation factors"}),
+        ("lams", {"help": "comma-separated y-only factors"}),
+        ("payload", {"choices": ("bump", "indicator")}), _RADIUS, _BOX,
+    )),
+    "counterexample": ("truncated mass growth scan", (
+        ("radii", {"help": "comma-separated truncation radii"}),
+    )),
+    "frontier": ("theorem-vs-measurement map", (
+        ("alphas", {"help": "comma-separated rationals"}),
+        ("betas", {"help": "comma-separated rationals"}),
+    )),
+    "hls": ("product-kernel domination check", (
+        ("payload", {"choices": ("indicator", "bump")}), _RADIUS, _BOX,
+    )),
+}
+
+EXPERIMENTS = tuple(_EXPERIMENT_FLAGS)
+
 _EXTRA_KEYS: Dict[str, set] = {
-    "check": set(),
-    "kernel": {"x", "y"},
-    "apply": {"x", "y", "payload", "radius", "box", "L", "atom_seed"},
-    "atom-validate": {"atom", "L", "atom_seed", "atom_json", "normalization"},
-    "shells": {"k_max", "l_max", "burn_in", "payload", "L", "radius"},
-    "dilate": {"deltas", "lams", "payload", "radius", "box"},
-    "counterexample": {"radii"},
-    "frontier": {"alphas", "betas"},
-    "hls": {"payload", "radius", "box"},
+    name: {key for key, _ in flags} for name, (_, flags) in _EXPERIMENT_FLAGS.items()
 }
 
 _COMMON_DEFAULTS = {
@@ -152,65 +184,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flagint", description=__doc__)
     subs = parser.add_subparsers(dest="experiment", required=True)
-
-    sub = subs.add_parser("check", help="evaluate the exponent conditions")
-    _add_common(sub)
-
-    sub = subs.add_parser("kernel", help="evaluate the kernel at a point")
-    _add_common(sub)
-    sub.add_argument("--x", help="comma-separated coordinates")
-    sub.add_argument("--y", help="comma-separated coordinates")
-
-    sub = subs.add_parser("apply", help="apply the operator at a point")
-    _add_common(sub)
-    sub.add_argument("--x", help="comma-separated coordinates")
-    sub.add_argument("--y", help="comma-separated coordinates")
-    sub.add_argument("--payload", choices=("indicator", "bump", "signum", "random-atom"))
-    sub.add_argument("--radius", type=float)
-    sub.add_argument("--box", help="per-axis lo:hi pairs, comma separated")
-    sub.add_argument("--L", type=int, dest="L")
-    sub.add_argument("--atom-seed", dest="atom_seed", type=int)
-
-    sub = subs.add_parser("atom-validate", help="validate an atom")
-    _add_common(sub)
-    sub.add_argument("--atom", choices=("signum", "random"))
-    sub.add_argument("--L", type=int, dest="L")
-    sub.add_argument("--atom-seed", dest="atom_seed", type=int)
-    sub.add_argument("--atom-json", dest="atom_json", help="load atom from JSON file")
-    sub.add_argument("--normalization", choices=("strict", "relaxed"))
-
-    sub = subs.add_parser("shells", help="shell-by-shell mass profile")
-    _add_common(sub)
-    sub.add_argument("--k-max", dest="k_max", type=int)
-    sub.add_argument("--l-max", dest="l_max", type=int)
-    sub.add_argument("--burn-in", dest="burn_in", type=int)
-    sub.add_argument("--payload", choices=("signum", "indicator", "bump"))
-    sub.add_argument("--L", type=int, dest="L")
-    sub.add_argument("--radius", type=float)
-
-    sub = subs.add_parser("dilate", help="dilation scaling scan")
-    _add_common(sub)
-    sub.add_argument("--deltas", help="comma-separated dilation factors")
-    sub.add_argument("--lams", help="comma-separated y-only factors")
-    sub.add_argument("--payload", choices=("bump", "indicator"))
-    sub.add_argument("--radius", type=float)
-    sub.add_argument("--box", help="per-axis lo:hi pairs, comma separated")
-
-    sub = subs.add_parser("counterexample", help="truncated mass growth scan")
-    _add_common(sub)
-    sub.add_argument("--radii", help="comma-separated truncation radii")
-
-    sub = subs.add_parser("frontier", help="theorem-vs-measurement map")
-    _add_common(sub)
-    sub.add_argument("--alphas", help="comma-separated rationals")
-    sub.add_argument("--betas", help="comma-separated rationals")
-
-    sub = subs.add_parser("hls", help="product-kernel domination check")
-    _add_common(sub)
-    sub.add_argument("--payload", choices=("indicator", "bump"))
-    sub.add_argument("--radius", type=float)
-    sub.add_argument("--box", help="per-axis lo:hi pairs, comma separated")
-
+    for name, (help_text, flags) in _EXPERIMENT_FLAGS.items():
+        sub = subs.add_parser(name, help=help_text)
+        _add_common(sub)
+        for key, options in flags:
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, **options)
     return parser
 
 
@@ -268,25 +246,8 @@ def _merge_config(args: argparse.Namespace) -> Dict:
     return merged
 
 
-def _float_list(value, name: str) -> List[float]:
-    if value is None:
-        raise UsageError(f"missing list field {name!r}")
-    if isinstance(value, str):
-        tokens = [t.strip() for t in value.split(",") if t.strip()]
-    elif isinstance(value, (list, tuple)):
-        tokens = list(value)
-    else:
-        raise UsageError(f"{name!r} must be a comma string or a JSON array")
-    try:
-        out = [float(Fraction(str(t))) for t in tokens]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad value in {name!r}: {exc}") from exc
-    if not out:
-        raise UsageError(f"{name!r} is empty")
-    return out
-
-
-def _rational_list(value, name: str) -> List[Fraction]:
+def _list_tokens(value, name: str) -> list:
+    """The items of a comma string or a JSON array; neither may be empty."""
     if value is None:
         raise UsageError(f"missing list field {name!r}")
     if isinstance(value, str):
@@ -297,7 +258,19 @@ def _rational_list(value, name: str) -> List[Fraction]:
         raise UsageError(f"{name!r} must be a comma string or a JSON array")
     if not tokens:
         raise UsageError(f"{name!r} is empty")
-    return [as_rational(t, name) for t in tokens]
+    return tokens
+
+
+def _float_list(value, name: str) -> List[float]:
+    tokens = _list_tokens(value, name)
+    try:
+        return [float(Fraction(str(t))) for t in tokens]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad value in {name!r}: {exc}") from exc
+
+
+def _rational_list(value, name: str) -> List[Fraction]:
+    return [as_rational(t, name) for t in _list_tokens(value, name)]
 
 
 def _parse_box(value, dim: int, name: str = "box"):

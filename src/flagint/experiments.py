@@ -28,10 +28,10 @@ from .atoms import Atom
 from .domain import (
     CounterexampleRegion,
     GapRegion,
-    Shell,
     Window,
     centered_window,
     shell_case,
+    shell_family,
 )
 from .errors import (
     AccuracyError,
@@ -230,14 +230,32 @@ def _norm_from_mass(mass: float, err: float, q: float) -> Tuple[float, float]:
     return norm, (mass + err) ** (1.0 / q) - norm
 
 
+def _default_window(cfg: ExponentConfig, f: TestFunction) -> Window:
+    """The centered window twice as wide as supp f in each factor."""
+    x_half = 2.0 * max(max(abs(lo), abs(hi)) for lo, hi in f.support[: cfg.n])
+    y_half = 2.0 * max(max(abs(lo), abs(hi)) for lo, hi in f.support[cfg.n:])
+    return centered_window(cfg.n, cfg.m, x_half, y_half)
+
+
+def _dilated_norms(
+    cfg: ExponentConfig, f: TestFunction, window: Window, delta: float, lam: float,
+    p: Union[Fraction, float], spec: QuadratureSpec,
+) -> Tuple[float, float, float]:
+    """(|I f_dl|_q over the dilated window, its error, |f_dl|_p)."""
+    rho = float(cfg.rho)
+    fd = f.dilate(delta, lam, rho)
+    wd = window.dilated(delta, lam, rho)
+    mass, mass_err = lq_mass(cfg, fd, wd, cfg.q, spec)
+    qnorm, qnorm_err = _norm_from_mass(mass, mass_err, float(cfg.q))
+    return qnorm, qnorm_err, lp_norm(fd, p, spec)
+
+
 # ---------------------------------------------------------------------------
 # dilation scan
 
 
 def _dilation_row(task) -> Dict:
     cfg, f, window, delta, lam, spec = task
-    rho = float(cfg.rho)
-    q = float(cfg.q)
     if lam == 1.0 and delta == 1.0:
         case = "baseline"
     elif lam == 1.0:
@@ -246,12 +264,8 @@ def _dilation_row(task) -> Dict:
         case = "lambda"
     else:
         case = "mixed"
-    fd = f.dilate(delta, lam, rho)
-    wd = window.dilated(delta, lam, rho)
     try:
-        mass, mass_err = lq_mass(cfg, fd, wd, cfg.q, spec)
-        qnorm, qnorm_err = _norm_from_mass(mass, mass_err, q)
-        pnorm = lp_norm(fd, cfg.p, spec)
+        qnorm, qnorm_err, pnorm = _dilated_norms(cfg, f, window, delta, lam, cfg.p, spec)
     except AccuracyError as exc:
         return {
             "delta": delta, "lambda": lam, "qnorm": None, "qnorm_err": None,
@@ -296,9 +310,7 @@ def dilation_scan(
     if not f.is_nonnegative():
         raise PreconditionError("dilation_scan takes a nonnegative test function")
     if window is None:
-        x_half = 2.0 * max(max(abs(lo), abs(hi)) for lo, hi in f.support[: cfg.n])
-        y_half = 2.0 * max(max(abs(lo), abs(hi)) for lo, hi in f.support[cfg.n:])
-        window = centered_window(cfg.n, cfg.m, x_half, y_half)
+        window = _default_window(cfg, f)
 
     t0 = time.perf_counter()
     pairs = []
@@ -537,6 +549,16 @@ def _gap_row(task) -> Dict:
             "label": "gap", "case": ""}
 
 
+def _k_fit(mass_by_k: Dict[int, float], burn_in: int) -> DecayFit:
+    """log2(mass) regressed on k over the levels k >= burn_in with positive mass."""
+    ks = [k for k in sorted(mass_by_k) if k >= burn_in and mass_by_k[k] > 0.0]
+    if len(ks) < 4:
+        raise FitWindowError(f"only {len(ks)} usable k-levels beyond burn-in {burn_in}")
+    return _least_squares(
+        [float(k) for k in ks], [math.log2(mass_by_k[k]) for k in ks], (ks[0], ks[-1])
+    )
+
+
 def shell_decay_profile(
     cfg: ExponentConfig,
     atom: Union[Atom, TestFunction],
@@ -566,11 +588,7 @@ def shell_decay_profile(
         raise ValueError("payload dimensions must match the configuration")
 
     t0 = time.perf_counter()
-    shells = [
-        Shell(n=cfg.n, m=cfg.m, k=k, l=l, L=L)
-        for k in range(k_max + 1)
-        for l in range(l_max + 1)
-    ]
+    shells = shell_family(cfg.n, cfg.m, L, k_max, l_max)
     tasks = [(cfg, payload, s, cfg.q, spec) for s in shells]
     rows = _run_rows(_shell_row, tasks, jobs)
     rows.append(_gap_row((cfg, payload, GapRegion(cfg.n, cfg.m, L), cfg.q, spec)))
@@ -584,33 +602,18 @@ def shell_decay_profile(
 
     fit = None
     fit_error = None
-    fit_ks = [k for k in ks if k >= burn_in and agg[k] > 0.0]
     try:
-        if len(fit_ks) < 4:
-            raise FitWindowError(
-                f"only {len(fit_ks)} usable k-levels beyond burn-in {burn_in}"
-            )
-        fit = _least_squares(
-            [float(k) for k in fit_ks],
-            [math.log2(agg[k]) for k in fit_ks],
-            (fit_ks[0], fit_ks[-1]),
-        )
+        fit = _k_fit(agg, burn_in)
     except FitWindowError as exc:
         fit_error = str(exc)
 
     per_l_fits: Dict[str, Dict] = {}
     for l in range(l_max + 1):
-        series = {
-            r["k"]: r["value"] for r in rows
-            if r["label"] == "shell" and r["l"] == l and r["value"] > 0.0
-        }
-        ks_l = [k for k in sorted(series) if k >= burn_in]
-        if len(ks_l) >= 4:
-            per_l_fits[str(l)] = _least_squares(
-                [float(k) for k in ks_l],
-                [math.log2(series[k]) for k in ks_l],
-                (ks_l[0], ks_l[-1]),
-            ).as_dict()
+        series = {r["k"]: r["value"] for r in rows if r["label"] == "shell" and r["l"] == l}
+        try:
+            per_l_fits[str(l)] = _k_fit(series, burn_in).as_dict()
+        except FitWindowError:
+            pass
 
     # interior-shell aggregate (k > 0 paired with l > 0 only), fitted the
     # same way; this is the regime where payload cancellation matters
@@ -619,13 +622,10 @@ def shell_decay_profile(
         if r["label"] == "shell" and r["k"] is not None and r["k"] > 0 and r["l"] > 0:
             agg_case2[r["k"]] = agg_case2.get(r["k"], 0.0) + r["value"]
     case2_fit = None
-    ks_c2 = [k for k in sorted(agg_case2) if k >= burn_in and agg_case2[k] > 0.0]
-    if len(ks_c2) >= 4:
-        case2_fit = _least_squares(
-            [float(k) for k in ks_c2],
-            [math.log2(agg_case2[k]) for k in ks_c2],
-            (ks_c2[0], ks_c2[-1]),
-        ).as_dict()
+    try:
+        case2_fit = _k_fit(agg_case2, burn_in).as_dict()
+    except FitWindowError:
+        pass
 
     total = math.fsum(masses)
     tail_fraction = None
@@ -678,16 +678,10 @@ def _frontier_cell(task) -> Dict:
             n=n, m=m,
             box=tuple((2.0, 4.0) for _ in range(n)) + tuple((-4.0, 4.0) for _ in range(m)),
         )
-        rho_f = float(rho)
-        q_f = float(q)
         points = []
         try:
             for delta in (0.5, 2.0):
-                fd = f.dilate(delta, 1.0, rho_f)
-                wd = window.dilated(delta, 1.0, rho_f)
-                mass, mass_err = lq_mass(cfg, fd, wd, q, spec)
-                qnorm, qnorm_err = _norm_from_mass(mass, mass_err, q_f)
-                pnorm = lp_norm(fd, 1, spec)
+                qnorm, qnorm_err, pnorm = _dilated_norms(cfg, f, window, delta, 1.0, 1, spec)
                 points.append((delta, qnorm / pnorm, qnorm_err / pnorm))
         except AccuracyError as exc:
             return {
@@ -875,9 +869,7 @@ def hls_iteration_check(
         raise PreconditionError("domination needs a nonnegative test function")
     ab = derive_ab(cfg)
     if window is None:
-        x_half = 2.0 * max(max(abs(lo), abs(hi)) for lo, hi in f.support[: cfg.n])
-        y_half = 2.0 * max(max(abs(lo), abs(hi)) for lo, hi in f.support[cfg.n:])
-        window = centered_window(cfg.n, cfg.m, x_half, y_half)
+        window = _default_window(cfg, f)
     q = float(cfg.q)
     left_mass, left_mass_err = lq_mass(cfg, f, window, cfg.q, spec)
     right_mass, right_mass_err = lq_mass_dominating(cfg, ab, f, window, cfg.q, spec)

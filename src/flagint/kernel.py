@@ -3,7 +3,10 @@
 The kernel |x|^{-(n-alpha)} (|x|^rho + |y|)^{-(m-beta)} is smooth away
 from x = 0 and merely kinked on y = 0, so everything here is plain
 vectorized float arithmetic; the only care needed is near the singular
-set, where evaluation is refused instead of returning inf.
+set, where evaluation is refused instead of returning inf. Kernel holds the
+one formula for the flag kernel, the product kernel that dominates it and
+the one-variable Riesz kernel; the quadrature engine and the pointwise
+functions here all evaluate through it.
 """
 
 from __future__ import annotations
@@ -24,13 +27,6 @@ SINGULARITY_FLOOR = 1e-300
 FD_AGREEMENT_RTOL = 1e-4
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
-
-
-def _as_vector(value: ArrayLike, dim: int, name: str) -> np.ndarray:
-    vec = np.atleast_1d(np.asarray(value, dtype=float))
-    if vec.ndim != 1 or vec.size != dim:
-        raise ValueError(f"{name} must have {dim} coordinates, got shape {vec.shape}")
-    return vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +58,87 @@ def point_pair(x: ArrayLike, y: ArrayLike) -> PointPair:
 
 
 @dataclass(frozen=True)
+class Kernel:
+    """One convolution kernel, as the quadrature engine evaluates it.
+
+    kind is flag |u|^{alpha-n} (|u|^rho + |v|)^{beta-m}, product
+    |u|^{a-n} |v|^{b-m} (which dominates the flag kernel), or riesz
+    |u|^{alpha-1} in one variable (m = 0). u_power and v_power are the
+    radial integrability exponents of the two factors.
+    """
+
+    kind: str            # flag | product | riesz
+    n: int
+    m: int
+    u_power: float
+    v_power: float = 0.0
+    rho: float = 1.0
+
+    @property
+    def v_singular(self) -> bool:
+        """Whether the kernel blows up on v = 0 (only the product kernel does)."""
+        return self.kind == "product"
+
+    def of_norms(self, sn: np.ndarray, tn: Optional[np.ndarray] = None) -> np.ndarray:
+        """Kernel value from the factor norms |u| and |v|; both broadcast.
+
+        On a node tensor sn varies along the u axes only and tn along the v
+        axes only, so each factor of one variable is taken once per node of
+        its own axes and only the combination covers the whole tensor.
+        """
+        su = sn ** (self.u_power - self.n)
+        if self.kind == "riesz":
+            return su
+        if self.kind == "flag":
+            return su * (sn ** self.rho + tn) ** (self.v_power - self.m)
+        return su * tn ** (self.v_power - self.m)
+
+    def values(self, pt: np.ndarray, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """Kernel at pt - z, with z given as one coordinate array per axis.
+
+        coords are (N,) columns, or views broadcast over a node tensor.
+        """
+        sn = _norm([pt[i] - coords[i] for i in range(self.n)])
+        if not self.m:
+            return self.of_norms(sn)
+        tn = _norm([pt[i] - coords[i] for i in range(self.n, self.n + self.m)])
+        return self.of_norms(sn, tn)
+
+
+def _norm(diffs: Sequence[np.ndarray]) -> np.ndarray:
+    """Euclidean norm of broadcastable per-axis differences.
+
+    Squares are added left to right, the order np.sum(s * s, axis=1) takes
+    on an (N, k) array, so both forms give the same bits.
+    """
+    sq = diffs[0] * diffs[0]
+    for d in diffs[1:]:
+        sq = sq + d * d
+    return np.sqrt(sq)
+
+
+def _factor_norms(points: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """|x| and |y| for the rows of an (N, n+m) coordinate array."""
+    pts = np.asarray(points, dtype=float)
+    return _norm(list(pts[:, :n].T)), _norm(list(pts[:, n:].T))
+
+
+def flag_kernel(cfg: ExponentConfig) -> Kernel:
+    return Kernel(
+        kind="flag", n=cfg.n, m=cfg.m, u_power=float(cfg.alpha),
+        v_power=float(cfg.beta), rho=float(cfg.rho),
+    )
+
+
+def product_kernel(cfg: ExponentConfig, ab: DerivedExponents) -> Kernel:
+    return Kernel(kind="product", n=cfg.n, m=cfg.m, u_power=float(ab.a), v_power=float(ab.b))
+
+
+def riesz_kernel(alpha: float) -> Kernel:
+    return Kernel(kind="riesz", n=1, m=0, u_power=float(alpha))
+
+
+@dataclass(frozen=True)
 class FlagKernel:
     """Evaluator for the flag kernel attached to one exponent configuration."""
 
@@ -83,28 +160,19 @@ class FlagKernel:
 
     def eval_norms(self, x_norm: np.ndarray, y_norm: np.ndarray) -> np.ndarray:
         """Kernel value from the two factor norms; both arrays broadcast."""
-        cfg = self.cfg
         xn = np.asarray(x_norm, dtype=float)
         yn = np.asarray(y_norm, dtype=float)
         if np.any(xn < SINGULARITY_FLOOR):
             raise SingularityError("flag kernel evaluated at x = 0")
-        ax = float(cfg.alpha) - cfg.n
-        bx = float(cfg.beta) - cfg.m
-        rho = float(cfg.rho)
-        return xn ** ax * (xn ** rho + yn) ** bx
+        return flag_kernel(self.cfg).of_norms(xn, yn)
 
     def eval_points(self, points: np.ndarray) -> np.ndarray:
         """Kernel at rows of an (N, n+m) coordinate array."""
-        pts = np.asarray(points, dtype=float)
-        xs = pts[:, : self.n]
-        ys = pts[:, self.n:]
-        xn = np.sqrt(np.sum(xs * xs, axis=1))
-        yn = np.sqrt(np.sum(ys * ys, axis=1))
-        return self.eval_norms(xn, yn)
+        return self.eval_norms(*_factor_norms(points, self.n))
 
     def eval(self, pt: PointPair) -> float:
         self._check_dims(pt)
-        return float(self.eval_norms(np.array(pt.x_norm), np.array(pt.y_norm)))
+        return float(self.eval_points(pt.coords()[None, :])[0])
 
     def _check_dims(self, pt: PointPair) -> None:
         if pt.x.size != self.n or pt.y.size != self.m:
@@ -121,36 +189,27 @@ def kernel_eval(k: FlagKernel, pt: PointPair) -> float:
 def dominating_kernel_eval(k: FlagKernel, ab: DerivedExponents, pt: PointPair) -> float:
     """The product kernel |x|^{-(n-a)} |y|^{-(m-b)} that dominates the flag kernel."""
     k._check_dims(pt)
-    xn = pt.x_norm
-    yn = pt.y_norm
-    if xn < SINGULARITY_FLOOR or yn < SINGULARITY_FLOOR:
-        raise SingularityError("product kernel evaluated on a singular axis")
-    return xn ** (float(ab.a) - k.n) * yn ** (float(ab.b) - k.m)
+    return float(product_kernel_points(k, ab, pt.coords()[None, :])[0])
 
 
 def product_kernel_points(k: FlagKernel, ab: DerivedExponents, points: np.ndarray) -> np.ndarray:
     """Vectorized product-kernel values at rows of an (N, n+m) array."""
-    pts = np.asarray(points, dtype=float)
-    xs = pts[:, : k.n]
-    ys = pts[:, k.n:]
-    xn = np.sqrt(np.sum(xs * xs, axis=1))
-    yn = np.sqrt(np.sum(ys * ys, axis=1))
+    xn, yn = _factor_norms(points, k.n)
     if np.any(xn < SINGULARITY_FLOOR) or np.any(yn < SINGULARITY_FLOOR):
         raise SingularityError("product kernel evaluated on a singular axis")
-    return xn ** (float(ab.a) - k.n) * yn ** (float(ab.b) - k.m)
+    return product_kernel(k.cfg, ab).of_norms(xn, yn)
 
 
-def _fd_gradient_norm(k: FlagKernel, pt: PointPair, h: float) -> float:
-    """Central finite-difference |grad Omega| at pt with step h."""
+def _fd_gradient(k: FlagKernel, pt: PointPair, step: float) -> np.ndarray:
+    """Central finite-difference gradient of Omega at pt, one entry per coordinate."""
     dim = k.n + k.m
     base = pt.coords()
     shifted = np.repeat(base[None, :], 2 * dim, axis=0)
     for i in range(dim):
-        shifted[2 * i, i] += h
-        shifted[2 * i + 1, i] -= h
+        shifted[2 * i, i] += step
+        shifted[2 * i + 1, i] -= step
     vals = k.eval_points(shifted)
-    grads = (vals[0::2] - vals[1::2]) / (2.0 * h)
-    return float(np.linalg.norm(grads))
+    return (vals[0::2] - vals[1::2]) / (2.0 * step)
 
 
 def _bound_factor(k: FlagKernel, pt: PointPair) -> float:
@@ -177,8 +236,8 @@ def gradient_bound_ratio(k: FlagKernel, pt: PointPair, h: Optional[float] = None
         raise AccuracyError(f"step h={h} too large relative to |x|={xn}")
     omega = k.eval(pt)
     scale = omega * _bound_factor(k, pt)
-    g_h = _fd_gradient_norm(k, pt, h)
-    g_h2 = _fd_gradient_norm(k, pt, h / 2.0)
+    g_h = float(np.linalg.norm(_fd_gradient(k, pt, h)))
+    g_h2 = float(np.linalg.norm(_fd_gradient(k, pt, h / 2.0)))
     # Agreement is measured against the natural gradient scale so that an
     # exactly-zero difference (symmetry at y=0) still passes.
     disagreement = abs(g_h - g_h2)
@@ -209,14 +268,8 @@ def gradient_bound_ratios_split(
     omega = k.eval(pt)
     rho = float(k.cfg.rho)
     denom_mix = xn ** rho + yn
-    dim = k.n + k.m
-    base = pt.coords()
-    shifted = np.repeat(base[None, :], 2 * dim, axis=0)
-    for i in range(dim):
-        shifted[2 * i, i] += h / 2.0
-        shifted[2 * i + 1, i] -= h / 2.0
-    vals = k.eval_points(shifted)
-    grads = (vals[0::2] - vals[1::2]) / h
+    # the step-h/2 stencil; it divides by 2 * (h/2), which is h exactly
+    grads = _fd_gradient(k, pt, h / 2.0)
     gx = float(np.linalg.norm(grads[: k.n]))
     gy = float(np.linalg.norm(grads[k.n:]))
     factor_x = max(1.0 / xn, xn ** (rho - 1.0) / denom_mix)

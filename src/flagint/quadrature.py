@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AccuracyError, PreconditionError, UsageError
 from .exponents import DerivedExponents, ExponentConfig, as_rational
-from .kernel import PointPair
+from .kernel import Kernel, PointPair, flag_kernel, product_kernel, riesz_kernel
 
 Bounds = Tuple[Tuple[float, float], ...]
 
@@ -61,10 +61,11 @@ def _axis_views(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
 class TestFunction:
     """A bounded, compactly supported payload for the operator.
 
-    kind is one of indicator-box, smooth-bump, atom, custom-sampled.
-    Piecewise-constant kinds carry explicit cells (box, value); the smooth
-    bump is the usual exp(1 - 1/(1-z^2)) profile per axis. support is the
-    bounding box over all n+m axes (m = 0 is allowed for one-variable work).
+    kind is piecewise-constant or smooth-bump. A piecewise-constant payload
+    carries explicit cells (box, value) with disjoint interiors: indicators,
+    atoms and sampled payloads alike. The smooth bump is the usual
+    exp(1 - 1/(1-z^2)) profile per axis. support is the bounding box over
+    all n+m axes (m = 0 is allowed for one-variable work).
     """
 
     kind: str
@@ -78,7 +79,7 @@ class TestFunction:
     min_cells_hint: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("indicator-box", "smooth-bump", "atom", "custom-sampled"):
+        if self.kind not in ("piecewise-constant", "smooth-bump"):
             raise ValueError(f"unknown test-function kind {self.kind!r}")
         if self.n < 1 or self.m < 0:
             raise ValueError("need n >= 1 and m >= 0")
@@ -105,14 +106,10 @@ class TestFunction:
     def sup_bound(self) -> float:
         if self.kind == "smooth-bump":
             return abs(self.amplitude)
-        if self.kind == "indicator-box":
-            return abs(self.amplitude)
-        if not self.cells:
-            return 0.0
-        return max(abs(v) for _, v in self.cells)
+        return max((abs(v) for _, v in self.cells), default=0.0)
 
     def is_nonnegative(self) -> bool:
-        if self.kind in ("smooth-bump", "indicator-box"):
+        if self.kind == "smooth-bump":
             return self.amplitude >= 0.0
         return all(v >= 0.0 for _, v in self.cells)
 
@@ -151,11 +148,6 @@ class TestFunction:
 
     def _values(self, coords: List[np.ndarray]) -> np.ndarray:
         # coords: one broadcastable coordinate array per axis
-        if self.kind == "indicator-box":
-            mask = True
-            for z, (lo, hi) in zip(coords, self.support):
-                mask = mask & (z >= lo) & (z <= hi)
-            return np.where(mask, self.amplitude, 0.0)
         if self.kind == "smooth-bump":
             inside = True
             arg = 0.0
@@ -220,14 +212,9 @@ class TestFunction:
         )
 
     def exact_lp_mass(self, p: float) -> float:
-        """Integral of |f|^p, closed form; piecewise-constant kinds only."""
+        """Integral of |f|^p, closed form; piecewise-constant payloads only."""
         if self.kind == "smooth-bump":
             raise ValueError("no closed form for the smooth bump")
-        if self.kind == "indicator-box":
-            vol = 1.0
-            for lo, hi in self.support:
-                vol *= hi - lo
-            return abs(self.amplitude) ** p * vol
         total = 0.0
         for box, v in self.cells:
             vol = 1.0
@@ -238,10 +225,8 @@ class TestFunction:
 
 
 def indicator_box(n: int, m: int, box: Bounds, value: float = 1.0) -> TestFunction:
-    return TestFunction(
-        kind="indicator-box", n=n, m=m, support=tuple(tuple(b) for b in box),
-        amplitude=float(value),
-    )
+    """value on the closed box, 0 elsewhere: a piecewise-constant payload of one cell."""
+    return piecewise_constant(n, m, [(box, value)])
 
 
 def smooth_bump(
@@ -271,9 +256,7 @@ def _boxes_overlap(a: Bounds, b: Bounds) -> bool:
     return all(lo1 < hi2 and lo2 < hi1 for (lo1, hi1), (lo2, hi2) in zip(a, b))
 
 
-def piecewise_constant(
-    n: int, m: int, cells: Sequence[Tuple[Bounds, float]], kind: str = "custom-sampled"
-) -> TestFunction:
+def piecewise_constant(n: int, m: int, cells: Sequence[Tuple[Bounds, float]]) -> TestFunction:
     norm_cells = tuple((tuple(tuple(iv) for iv in box), float(v)) for box, v in cells)
     if not norm_cells:
         raise ValueError("need at least one cell")
@@ -289,7 +272,7 @@ def piecewise_constant(
         (min(box[i][0] for box, _ in norm_cells), max(box[i][1] for box, _ in norm_cells))
         for i in range(dim)
     )
-    return TestFunction(kind=kind, n=n, m=m, support=support, cells=norm_cells)
+    return TestFunction(kind="piecewise-constant", n=n, m=m, support=support, cells=norm_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -483,70 +466,6 @@ def _box_tail_bound(box: Bounds, point: np.ndarray, power: float, dim: int) -> f
 
 
 # ---------------------------------------------------------------------------
-# kernels seen by the engine
-
-
-@dataclass(frozen=True)
-class _KernelDesc:
-    """What the engine needs to know about one convolution kernel."""
-
-    kind: str            # flag | product | riesz
-    n: int
-    m: int
-    u_power: float       # radial integrability exponent of the x-factor
-    v_power: float = 0.0
-    rho: float = 1.0
-    v_singular: bool = False
-
-    def values(self, pt: np.ndarray, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """Kernel at pt - z, with z given as one coordinate array per axis.
-
-        coords are (N,) columns, or views broadcast over a node tensor (see
-        _axis_views). On a tensor, the factors of u alone and of v alone
-        are taken once per u-node and per v-node; only their combination
-        covers the whole tensor.
-        """
-        sn = _norm([pt[i] - coords[i] for i in range(self.n)])
-        su = sn ** (self.u_power - self.n)
-        if self.kind == "riesz":
-            return su
-        tn = _norm([pt[i] - coords[i] for i in range(self.n, self.n + self.m)])
-        if self.kind == "flag":
-            return su * (sn ** self.rho + tn) ** (self.v_power - self.m)
-        return su * tn ** (self.v_power - self.m)
-
-
-def _norm(diffs: Sequence[np.ndarray]) -> np.ndarray:
-    """Euclidean norm of broadcastable per-axis differences.
-
-    Squares are added left to right, the order np.sum(s * s, axis=1) takes
-    on an (N, k) array, so both forms give the same bits.
-    """
-    sq = diffs[0] * diffs[0]
-    for d in diffs[1:]:
-        sq = sq + d * d
-    return np.sqrt(sq)
-
-
-def _flag_desc(cfg: ExponentConfig) -> _KernelDesc:
-    return _KernelDesc(
-        kind="flag", n=cfg.n, m=cfg.m, u_power=float(cfg.alpha),
-        v_power=float(cfg.beta), rho=float(cfg.rho),
-    )
-
-
-def _product_desc(cfg: ExponentConfig, ab: DerivedExponents) -> _KernelDesc:
-    return _KernelDesc(
-        kind="product", n=cfg.n, m=cfg.m, u_power=float(ab.a),
-        v_power=float(ab.b), v_singular=True,
-    )
-
-
-def _riesz_desc(alpha: float) -> _KernelDesc:
-    return _KernelDesc(kind="riesz", n=1, m=0, u_power=float(alpha))
-
-
-# ---------------------------------------------------------------------------
 # the convolution engine
 
 
@@ -573,16 +492,28 @@ def _build_conv_plans(
     return plans
 
 
-def _group_core(plans: List[_AxisPlan], axes: range, spec: QuadratureSpec,
-                f: TestFunction) -> _CoreInfo:
-    if not all(plans[i].core.any() for i in axes):
-        return _CoreInfo(active=False)
-    eps = max(2.0 ** spec.inner_cutoff * (f.support[i][1] - f.support[i][0]) for i in axes)
-    return _CoreInfo(active=True, eps=eps)
+def _core_groups(
+    kernel: Kernel, plans: List[_AxisPlan], spec: QuadratureSpec, f: TestFunction
+) -> List[Tuple[_CoreInfo, range]]:
+    """The u axes and the v axes, each with the analytic core it excludes.
+
+    A group's core is active when every plan of the group has core cells;
+    only a kernel singular on v = 0 excludes a v core.
+    """
+    groups = []
+    for axes, singular in ((range(0, kernel.n), True),
+                           (range(kernel.n, kernel.n + kernel.m), kernel.v_singular)):
+        core = _CoreInfo()
+        if singular and all(plans[i].core.any() for i in axes):
+            eps = max(2.0 ** spec.inner_cutoff * (f.support[i][1] - f.support[i][0])
+                      for i in axes)
+            core = _CoreInfo(active=True, eps=eps)
+        groups.append((core, axes))
+    return groups
 
 
 def _grid_conv_value(
-    desc: _KernelDesc,
+    kernel: Kernel,
     f: TestFunction,
     pt: np.ndarray,
     spec: QuadratureSpec,
@@ -595,16 +526,14 @@ def _grid_conv_value(
         raise UsageError(
             f"grid tensor would need {total} nodes; use monte-carlo or a coarser cutoff"
         )
-    u_axes = range(0, desc.n)
-    v_axes = range(desc.n, desc.n + desc.m)
-    core_u = _group_core(plans, u_axes, spec, f)
-    core_v = _group_core(plans, v_axes, spec, f) if desc.v_singular else _CoreInfo()
+    groups = _core_groups(kernel, plans, spec, f)
+    (core_u, _), (core_v, _) = groups
 
     nodes = [p.nodes for p in plans]
     fvals = f.evaluate(axes=nodes)
     live = (fvals != 0.0).reshape(shape)
     cores = _axis_views([p.core for p in plans])
-    for core, axes in ((core_u, u_axes), (core_v, v_axes)):
+    for core, axes in groups:
         if core.active:
             live &= ~reduce(np.logical_and, [cores[i] for i in axes])
     idx = np.flatnonzero(live)
@@ -613,7 +542,7 @@ def _grid_conv_value(
     weights = reduce(np.multiply.outer, [p.weights for p in plans]).ravel()
     # the excluded core may overflow; only live nodes enter the sum
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        kvals = desc.values(pt, _axis_views(nodes)).ravel()
+        kvals = kernel.values(pt, _axis_views(nodes)).ravel()
     value = float(np.sum(weights[idx] * fvals[idx] * kvals[idx]))
     return value, core_u, core_v
 
@@ -640,17 +569,15 @@ def _merge_axis_cells(cell_lists: List[List[Tuple[float, float]]], cap: int) -> 
 
 
 def _mc_conv_value(
-    desc: _KernelDesc,
+    kernel: Kernel,
     f: TestFunction,
     pt: np.ndarray,
     spec: QuadratureSpec,
     salt: Tuple[int, ...],
 ) -> Tuple[float, float, _CoreInfo, _CoreInfo]:
     plans = _build_conv_plans(f, pt, spec, g=spec.points_per_axis)
-    u_axes = range(0, desc.n)
-    v_axes = range(desc.n, desc.n + desc.m)
-    core_u = _group_core(plans, u_axes, spec, f)
-    core_v = _group_core(plans, v_axes, spec, f) if desc.v_singular else _CoreInfo()
+    groups = _core_groups(kernel, plans, spec, f)
+    (core_u, _), (core_v, _) = groups
 
     cell_lists = [
         [(float(p.breaks[j]), float(p.breaks[j + 1])) for j in range(p.cell_count)]
@@ -680,22 +607,18 @@ def _mc_conv_value(
         vol = float(np.prod(his - los))
 
         keep = np.ones(per_stratum, dtype=bool)
-        if core_u.active:
-            in_core = np.ones(per_stratum, dtype=bool)
-            for i in u_axes:
-                in_core &= np.abs(pts[:, i] - pt[i]) < finest[i]
-            keep &= ~in_core
-        if core_v.active:
-            in_core = np.ones(per_stratum, dtype=bool)
-            for i in v_axes:
-                in_core &= np.abs(pts[:, i] - pt[i]) < finest[i]
-            keep &= ~in_core
+        for core, axes in groups:
+            if core.active:
+                in_core = np.ones(per_stratum, dtype=bool)
+                for i in axes:
+                    in_core &= np.abs(pts[:, i] - pt[i]) < finest[i]
+                keep &= ~in_core
 
         fvals = f.evaluate(pts)
         vals = np.zeros(per_stratum)
         live = keep & (fvals != 0.0)
         if np.any(live):
-            vals[live] = fvals[live] * desc.values(pt, pts[live].T)
+            vals[live] = fvals[live] * kernel.values(pt, pts[live].T)
         estimates.append(vol * float(np.mean(vals)))
         variances.append(vol * vol * float(np.var(vals, ddof=1)) / per_stratum)
 
@@ -705,7 +628,7 @@ def _mc_conv_value(
 
 
 def _core_error(
-    desc: _KernelDesc,
+    kernel: Kernel,
     f: TestFunction,
     pt: np.ndarray,
     core_u: _CoreInfo,
@@ -714,23 +637,23 @@ def _core_error(
     sup = f.sup_bound()
     err = 0.0
     if core_u.active:
-        s_mass = _power_mass_bound(desc.n, desc.u_power, core_u.eps)
-        if desc.m == 0:
+        s_mass = _power_mass_bound(kernel.n, kernel.u_power, core_u.eps)
+        if kernel.m == 0:
             tail = 1.0
         else:
-            v_box = f.support[desc.n:]
-            tail = _box_tail_bound(v_box, pt[desc.n:], desc.v_power, desc.m)
+            v_box = f.support[kernel.n:]
+            tail = _box_tail_bound(v_box, pt[kernel.n:], kernel.v_power, kernel.m)
         err += s_mass * sup * tail
     if core_v.active:
-        s_mass = _power_mass_bound(desc.m, desc.v_power, core_v.eps)
-        u_box = f.support[: desc.n]
-        tail = _box_tail_bound(u_box, pt[: desc.n], desc.u_power, desc.n)
+        s_mass = _power_mass_bound(kernel.m, kernel.v_power, core_v.eps)
+        u_box = f.support[: kernel.n]
+        tail = _box_tail_bound(u_box, pt[: kernel.n], kernel.u_power, kernel.n)
         err += s_mass * sup * tail
     return err
 
 
-def _apply_desc(
-    desc: _KernelDesc,
+def _apply_kernel(
+    kernel: Kernel,
     f: TestFunction,
     pt: np.ndarray,
     spec: QuadratureSpec,
@@ -742,13 +665,13 @@ def _apply_desc(
             raise UsageError(
                 f"grid quadrature supports n+m <= {MAX_GRID_DIMENSION}; use monte-carlo"
             )
-        v_hi, core_u, core_v = _grid_conv_value(desc, f, pt, spec, spec.points_per_axis)
-        v_lo, _, _ = _grid_conv_value(desc, f, pt, spec, spec.points_per_axis - 1)
+        v_hi, core_u, core_v = _grid_conv_value(kernel, f, pt, spec, spec.points_per_axis)
+        v_lo, _, _ = _grid_conv_value(kernel, f, pt, spec, spec.points_per_axis - 1)
         rule_err = abs(v_hi - v_lo)
         value = v_hi
     else:
-        value, rule_err, core_u, core_v = _mc_conv_value(desc, f, pt, spec, salt)
-    core_err = _core_error(desc, f, pt, core_u, core_v)
+        value, rule_err, core_u, core_v = _mc_conv_value(kernel, f, pt, spec, salt)
+    core_err = _core_error(kernel, f, pt, core_u, core_v)
     err = rule_err + core_err
     if (
         check_target
@@ -765,10 +688,10 @@ def _apply_desc(
     return value, err
 
 
-def _require_pair_dims(f: TestFunction, cfg: ExponentConfig) -> None:
-    if f.n != cfg.n or f.m != cfg.m:
+def _require_dims(f: TestFunction, kernel: Kernel) -> None:
+    if f.n != kernel.n or f.m != kernel.m:
         raise ValueError(
-            f"test function has dims ({f.n},{f.m}), config needs ({cfg.n},{cfg.m})"
+            f"test function has dims ({f.n},{f.m}), config needs ({kernel.n},{kernel.m})"
         )
 
 
@@ -785,21 +708,9 @@ def apply_operator(
     bound for the unresolved core exceeds target_rel_error relative to the
     computed value (the error carries the best estimate).
     """
-    _require_pair_dims(f, cfg)
-    coords = pt.coords()
-    return _apply_desc(_flag_desc(cfg), f, coords, spec)
-
-
-def apply_dominating_operator(
-    cfg: ExponentConfig,
-    ab: DerivedExponents,
-    f: TestFunction,
-    pt: PointPair,
-    spec: QuadratureSpec,
-) -> Tuple[float, float]:
-    """Convolution against the dominating product kernel |x|^{a-n}|y|^{b-m}."""
-    _require_pair_dims(f, cfg)
-    return _apply_desc(_product_desc(cfg, ab), f, pt.coords(), spec)
+    kernel = flag_kernel(cfg)
+    _require_dims(f, kernel)
+    return _apply_kernel(kernel, f, pt.coords(), spec)
 
 
 def apply_riesz_1d(
@@ -811,7 +722,7 @@ def apply_riesz_1d(
         raise PreconditionError("apply_riesz_1d needs 0 < alpha < 1")
     if f.n != 1 or f.m != 0:
         raise ValueError("apply_riesz_1d takes a one-variable test function (n=1, m=0)")
-    value, _ = _apply_desc(_riesz_desc(float(a)), f, np.array([float(x)]), spec)
+    value, _ = _apply_kernel(riesz_kernel(float(a)), f, np.array([float(x)]), spec)
     return value
 
 
@@ -845,7 +756,7 @@ def _power_gap(v: float, e: float, q: float) -> float:
 
 
 def _lq_mass_grid(
-    desc: _KernelDesc,
+    kernel: Kernel,
     f: TestFunction,
     region,
     q: float,
@@ -860,7 +771,7 @@ def _lq_mass_grid(
         inner: List[Tuple[float, float]] = []
         for row in pts_hi:
             inner.append(
-                _apply_desc(desc, f, row, spec, check_target=False)
+                _apply_kernel(kernel, f, row, spec, check_target=False)
             )
         v_hi = math.fsum(w * abs(v) ** q for w, (v, _) in zip(w_hi, inner))
         prop = math.fsum(w * _power_gap(v, e, q) for w, (v, e) in zip(w_hi, inner))
@@ -869,7 +780,7 @@ def _lq_mass_grid(
         plans_lo = _outer_plans(box, f, spec.points_per_axis - 1)
         pts_lo, w_lo = _outer_tensor(plans_lo)
         v_lo = math.fsum(
-            w * abs(_grid_conv_value(desc, f, row, spec, spec.points_per_axis)[0]) ** q
+            w * abs(_grid_conv_value(kernel, f, row, spec, spec.points_per_axis)[0]) ** q
             for w, row in zip(w_lo, pts_lo)
         )
         box_terms.append(sign * v_hi)
@@ -881,7 +792,7 @@ def _lq_mass_grid(
 
 
 def _lq_mass_mc(
-    desc: _KernelDesc,
+    kernel: Kernel,
     f: TestFunction,
     region,
     q: float,
@@ -897,13 +808,29 @@ def _lq_mass_mc(
     powers = np.empty(n_outer)
     gaps = np.empty(n_outer)
     for i, row in enumerate(pts):
-        v, e = _apply_desc(desc, f, row, inner_spec, salt=(12, i), check_target=False)
+        v, e = _apply_kernel(kernel, f, row, inner_spec, salt=(12, i), check_target=False)
         powers[i] = abs(v) ** q
         gaps[i] = _power_gap(v, e, q)
     value = vol * float(np.mean(powers))
     stat = 3.0 * vol * float(np.std(powers, ddof=1)) / math.sqrt(n_outer)
     err = stat + vol * float(np.mean(gaps))
     return value, err
+
+
+def _lq_mass(
+    kernel: Kernel,
+    f: TestFunction,
+    region,
+    q: Union[float, Fraction, str],
+    spec: QuadratureSpec,
+) -> Tuple[float, float]:
+    _require_dims(f, kernel)
+    qf = float(as_rational(q, "q"))
+    if not qf > 1:
+        raise PreconditionError("lq_mass needs q > 1")
+    if spec.method == "grid":
+        return _lq_mass_grid(kernel, f, region, qf, spec)
+    return _lq_mass_mc(kernel, f, region, qf, spec)
 
 
 def lq_mass(
@@ -919,14 +846,7 @@ def lq_mass(
     (monte-carlo): shells, cubes, windows, the counterexample region. Signed
     integrands enter through their modulus, never signed powers.
     """
-    _require_pair_dims(f, cfg)
-    qf = float(as_rational(q, "q"))
-    if not qf > 1:
-        raise PreconditionError("lq_mass needs q > 1")
-    desc = _flag_desc(cfg)
-    if spec.method == "grid":
-        return _lq_mass_grid(desc, f, region, qf, spec)
-    return _lq_mass_mc(desc, f, region, qf, spec)
+    return _lq_mass(flag_kernel(cfg), f, region, q, spec)
 
 
 def lq_mass_dominating(
@@ -938,14 +858,7 @@ def lq_mass_dominating(
     spec: QuadratureSpec,
 ) -> Tuple[float, float]:
     """lq_mass with the dominating product kernel in place of the flag kernel."""
-    _require_pair_dims(f, cfg)
-    qf = float(as_rational(q, "q"))
-    if not qf > 1:
-        raise PreconditionError("lq_mass needs q > 1")
-    desc = _product_desc(cfg, ab)
-    if spec.method == "grid":
-        return _lq_mass_grid(desc, f, region, qf, spec)
-    return _lq_mass_mc(desc, f, region, qf, spec)
+    return _lq_mass(product_kernel(cfg, ab), f, region, q, spec)
 
 
 def lp_norm(

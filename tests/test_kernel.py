@@ -20,6 +20,7 @@ from flagint import (
     point_pair,
     product_kernel_points,
 )
+from flagint.kernel import flag_kernel, product_kernel
 
 F = Fraction
 
@@ -142,6 +143,63 @@ def test_dominating_kernel_singular_on_y_axis():
     ab = derive_ab(cfg)
     with pytest.raises(SingularityError):
         dominating_kernel_eval(k, ab, point_pair(1.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# one formula: the public evaluators give the engine kernel's bits
+
+
+_DIMS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def _engine_config(n, m):
+    return ExponentConfig(n=n, m=m, alpha=F(n, 2), beta=F(m, 3), rho=F(3, 2))
+
+
+@pytest.mark.parametrize("n, m", _DIMS)
+def test_public_evaluators_match_the_engine_kernel(n, m):
+    cfg = _engine_config(n, m)
+    k = FlagKernel(cfg)
+    ab = derive_ab(cfg)
+    rng = np.random.default_rng(29 + 3 * n + m)
+    pts = rng.uniform(-3.0, 3.0, size=(300, n + m))
+    # the engine takes the kernel at pt - z: pt = 0 and z = -row is the row itself
+    origin = np.zeros(n + m)
+    cols = [-pts[:, i] for i in range(n + m)]
+    flag = flag_kernel(cfg).values(origin, cols)
+    prod = product_kernel(cfg, ab).values(origin, cols)
+
+    assert np.array_equal(k.eval_points(pts), flag)
+    assert np.array_equal(product_kernel_points(k, ab, pts), prod)
+    xn = np.sqrt(np.sum(pts[:, :n] * pts[:, :n], axis=1))
+    yn = np.sqrt(np.sum(pts[:, n:] * pts[:, n:], axis=1))
+    assert np.array_equal(k.eval_norms(xn, yn), flag)
+    for row, want_flag, want_prod in zip(pts, flag, prod):
+        pt = point_pair(row[:n], row[n:])
+        assert kernel_eval(k, pt) == want_flag
+        assert dominating_kernel_eval(k, ab, pt) == want_prod
+
+
+@pytest.mark.parametrize("n, m", _DIMS)
+def test_public_evaluators_refuse_the_singular_set(n, m):
+    cfg = _engine_config(n, m)
+    k = FlagKernel(cfg)
+    ab = derive_ab(cfg)
+    on_x_axis = np.array([[0.0] * n + [1.5] * m])   # x = 0: both kernels blow up
+    on_y_axis = np.array([[1.5] * n + [0.0] * m])   # y = 0: only the product kernel
+    with pytest.raises(SingularityError):
+        k.eval_points(on_x_axis)
+    with pytest.raises(SingularityError):
+        k.eval_norms(np.zeros(3), np.ones(3))
+    with pytest.raises(SingularityError):
+        kernel_eval(k, point_pair(on_x_axis[0, :n], on_x_axis[0, n:]))
+    for pts in (on_x_axis, on_y_axis):
+        with pytest.raises(SingularityError):
+            product_kernel_points(k, ab, pts)
+        with pytest.raises(SingularityError):
+            dominating_kernel_eval(k, ab, point_pair(pts[0, :n], pts[0, n:]))
+    assert k.eval_points(on_y_axis)[0] == flag_kernel(cfg).values(
+        np.zeros(n + m), [-on_y_axis[:, i] for i in range(n + m)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from flagint import quadrature
+from flagint.kernel import flag_kernel, product_kernel, riesz_kernel
 from flagint import (
     AccuracyError,
     ExponentConfig,
@@ -392,8 +393,8 @@ def _payloads(n, m):
 def _kernels(n, m):
     cfg = ExponentConfig(n=n, m=m, alpha=F(n, 2), beta=F(m, 4), rho=F(2))
     return {
-        "flag": quadrature._flag_desc(cfg),
-        "product": quadrature._product_desc(cfg, derive_ab(cfg)),
+        "flag": flag_kernel(cfg),
+        "product": product_kernel(cfg, derive_ab(cfg)),
     }
 
 
@@ -425,7 +426,7 @@ def test_grid_pass_matches_pointwise_reference(n, m, where, payload):
 @pytest.mark.parametrize("x", [2.0, 0.01, 0.5])
 def test_grid_pass_matches_reference_for_riesz(x):
     spec = QuadratureSpec(inner_cutoff=-12)
-    desc = quadrature._riesz_desc(0.5)
+    desc = riesz_kernel(0.5)
     for f in (indicator_box(1, 0, ((0.0, 1.0),)), smooth_bump(1, 0, [0.5], 0.5),
               piecewise_constant(1, 0, [(((0.0, 0.25),), 1.0), (((0.25, 1.0),), -3.0)])):
         pt = np.array([x])

@@ -1,0 +1,44 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+bench/tracing.py wraps functions and methods of the package by name to
+time each layer; a renamed or deleted name leaves that layer unmeasured.
+These tests let the unit suite catch that, not only the benchmark's own
+smoke tests (`PYTHONPATH=src python -m pytest -q bench`).
+"""
+
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+import flagint
+from flagint import ExponentConfig, QuadratureSpec, point_pair, smooth_bump
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("flagint_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_name_it_wraps():
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert tracer.missing == []
+    assert tracing.leftover_wrappers() == []
+
+
+def test_engine_calls_no_public_kernel_evaluator():
+    # the engine evaluates the kernel through flagint.kernel.Kernel only;
+    # the call goes through the module so that it reaches the wrapper
+    tracing = _tracing()
+    cfg = ExponentConfig(n=1, m=1, alpha=Fraction(1, 2), beta=Fraction(1, 2), rho=Fraction(2))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        flagint.apply_operator(cfg, smooth_bump(1, 1), point_pair(2.0, 0.5), QuadratureSpec())
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["quadrature.apply.calls"] == 1
+    assert metrics["kernel.calls"] == 0
