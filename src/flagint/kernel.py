@@ -93,16 +93,19 @@ class Kernel:
             return su * (sn ** self.rho + tn) ** (self.v_power - self.m)
         return su * tn ** (self.v_power - self.m)
 
+    def of_offsets(self, diffs: Sequence[np.ndarray]) -> np.ndarray:
+        """Kernel value from the offsets pt - z, one broadcastable array per axis."""
+        sn = _norm(diffs[: self.n])
+        if not self.m:
+            return self.of_norms(sn)
+        return self.of_norms(sn, _norm(diffs[self.n: self.n + self.m]))
+
     def values(self, pt: np.ndarray, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Kernel at pt - z, with z given as one coordinate array per axis.
 
         coords are (N,) columns, or views broadcast over a node tensor.
         """
-        sn = _norm([pt[i] - coords[i] for i in range(self.n)])
-        if not self.m:
-            return self.of_norms(sn)
-        tn = _norm([pt[i] - coords[i] for i in range(self.n, self.n + self.m)])
-        return self.of_norms(sn, tn)
+        return self.of_offsets([pt[i] - coords[i] for i in range(self.n + self.m)])
 
 
 def _norm(diffs: Sequence[np.ndarray]) -> np.ndarray:

@@ -11,6 +11,7 @@ Nothing here integrates over an unbounded region.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -29,17 +30,22 @@ Bounds = Tuple[Tuple[float, float], ...]
 # beyond it the cost is exponential and Monte Carlo is required.
 MAX_GRID_DIMENSION = 4
 
-# Hard cap on tensor nodes per pass, to fail loudly instead of swapping.
+# Hard cap on the inner tensor nodes of one outer node, to fail loudly
+# instead of swapping.
 MAX_GRID_NODES = 12_000_000
+
+# Inner tensor nodes evaluated together when a pass batches outer nodes.
+_BLOCK_NODES = 2 ** 14
 
 # Monte Carlo strata are merged (pairwise, per axis) down to this count.
 MAX_MC_STRATA = 65_536
 
 _RELATIVE_FLOOR = 1e-300
 
-# Axis plans kept by _axis_plan. One inner pass needs a plan per axis and
-# rule order; an lq_mass box revisits each outer coordinate once per outer
-# node, so the cache must hold every plan of one sweep over the last axes.
+# Axis plans kept by _axis_plan. One grid pass requests each inner plan
+# once per outer coordinate and axis; plans recur across lq_mass calls
+# whose boxes share a factor interval, as consecutive dyadic shells do, so
+# the cache must hold the plans of a few neighbouring boxes.
 _AXIS_PLAN_CACHE = 256
 
 
@@ -469,82 +475,168 @@ def _box_tail_bound(box: Bounds, point: np.ndarray, power: float, dim: int) -> f
 # the convolution engine
 
 
-@dataclass
-class _CoreInfo:
-    active: bool = False
-    eps: float = 0.0
-
-
-def _build_conv_plans(
-    f: TestFunction, pt: np.ndarray, spec: QuadratureSpec, g: int
-) -> List[_AxisPlan]:
+def _inner_plans(
+    f: TestFunction, outer_axes: Sequence[Sequence[float]], spec: QuadratureSpec, g: int
+) -> List[List[_AxisPlan]]:
+    """Per axis, the inner plan at each outer coordinate of that axis."""
     plans = []
     scale = 2.0 ** spec.inner_cutoff
     max_cell = None
-    for i in range(f.dim):
+    for i, xs in enumerate(outer_axes):
         lo, hi = f.support[i]
         side = hi - lo
         if f.min_cells_hint > 1:
             max_cell = side / f.min_cells_hint
+        extra = f.breakpoints(i)
         plans.append(
-            _axis_plan(lo, hi, float(pt[i]), scale * side, f.breakpoints(i), g, max_cell)
+            [_axis_plan(lo, hi, float(x), scale * side, extra, g, max_cell) for x in xs]
         )
     return plans
 
 
-def _core_groups(
-    kernel: Kernel, plans: List[_AxisPlan], spec: QuadratureSpec, f: TestFunction
-) -> List[Tuple[_CoreInfo, range]]:
-    """The u axes and the v axes, each with the analytic core it excludes.
+def _core_groups(kernel: Kernel) -> Tuple[Tuple[range, bool], ...]:
+    """The u axes and the v axes, each with whether it may exclude a core.
 
-    A group's core is active when every plan of the group has core cells;
-    only a kernel singular on v = 0 excludes a v core.
+    Only a kernel singular on v = 0 excludes a v core.
     """
-    groups = []
-    for axes, singular in ((range(0, kernel.n), True),
-                           (range(kernel.n, kernel.n + kernel.m), kernel.v_singular)):
-        core = _CoreInfo()
-        if singular and all(plans[i].core.any() for i in axes):
-            eps = max(2.0 ** spec.inner_cutoff * (f.support[i][1] - f.support[i][0])
-                      for i in axes)
-            core = _CoreInfo(active=True, eps=eps)
-        groups.append((core, axes))
-    return groups
+    n, m = kernel.n, kernel.m
+    return (range(0, n), True), (range(n, n + m), kernel.v_singular)
 
 
-def _grid_conv_value(
+def _core_flags(kernel: Kernel, has_core: Sequence) -> List:
+    """Per group, whether its core is excluded: every axis of it has core cells.
+
+    has_core[i] says whether the plan of axis i has core cells: a bool, or
+    an array that broadcasts over a tensor of outer nodes.
+    """
+    return [
+        singular and reduce(np.logical_and, [has_core[i] for i in axes], True)
+        for axes, singular in _core_groups(kernel)
+    ]
+
+
+def _core_eps(f: TestFunction, spec: QuadratureSpec, axes: range) -> float:
+    return max(2.0 ** spec.inner_cutoff * (f.support[i][1] - f.support[i][0]) for i in axes)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """Consecutive outer coordinates of one axis, with their inner plans joined."""
+
+    outer: range                  # the outer indices
+    segments: Tuple[slice, ...]   # each outer coordinate's part of the joined arrays
+    nodes: np.ndarray
+    weights: np.ndarray
+    core: np.ndarray
+    offsets: np.ndarray           # outer coordinate minus inner node
+
+
+def _split_runs(lengths: Sequence[int], cap: float) -> List[Tuple[int, int]]:
+    """Consecutive index ranges whose lengths sum to at most cap.
+
+    An index whose length alone exceeds cap is a range by itself.
+    """
+    runs = []
+    start = total = 0
+    for j, size in enumerate(lengths):
+        if j > start and total + size > cap:
+            runs.append((start, j))
+            start, total = j, 0
+        total += size
+    runs.append((start, len(lengths)))
+    return runs
+
+
+def _block_runs(
+    outer_axes: Sequence[Sequence[float]], plans: List[List[_AxisPlan]]
+) -> List[List[_Run]]:
+    """Per axis, the runs whose tensor products are the blocks of one pass.
+
+    Axes take their runs from the fewest inner nodes up, each an equal share
+    of what is left of _BLOCK_NODES, so a short axis is one run and leaves
+    the rest to the long ones. A block's tensor fits the budget unless one
+    outer node's tensor alone does not; such a node is never split.
+    """
+    lengths = [[len(p.nodes) for p in axis] for axis in plans]
+    order = sorted(range(len(plans)), key=lambda i: sum(lengths[i]))
+    left = float(_BLOCK_NODES)
+    out: List[List[_Run]] = [[] for _ in plans]
+    for k, i in enumerate(order):
+        xs, axis, lens = outer_axes[i], plans[i], lengths[i]
+        cap = max(max(lens), left ** (1.0 / (len(order) - k)))
+        for a, b in _split_runs(lens, cap):
+            ends = np.cumsum([0] + lens[a:b]).tolist()
+            out[i].append(_Run(
+                outer=range(a, b),
+                segments=tuple(slice(s, e) for s, e in zip(ends[:-1], ends[1:])),
+                nodes=np.concatenate([p.nodes for p in axis[a:b]]),
+                weights=np.concatenate([p.weights for p in axis[a:b]]),
+                core=np.concatenate([p.core for p in axis[a:b]]),
+                offsets=np.concatenate([x - p.nodes for x, p in zip(xs[a:b], axis[a:b])]),
+            ))
+        left /= max(len(r.nodes) for r in out[i])
+    return out
+
+
+def _grid_conv_values(
     kernel: Kernel,
     f: TestFunction,
-    pt: np.ndarray,
+    outer_axes: Sequence[Sequence[float]],
     spec: QuadratureSpec,
     g: int,
-) -> Tuple[float, _CoreInfo, _CoreInfo]:
-    plans = _build_conv_plans(f, pt, spec, g)
-    shape = tuple(len(p.nodes) for p in plans)
-    total = int(np.prod([s for s in shape], dtype=np.int64))
-    if total > MAX_GRID_NODES:
-        raise UsageError(
-            f"grid tensor would need {total} nodes; use monte-carlo or a coarser cutoff"
-        )
-    groups = _core_groups(kernel, plans, spec, f)
-    (core_u, _), (core_v, _) = groups
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inner g-order grid value at every node of an outer tensor.
 
-    nodes = [p.nodes for p in plans]
-    fvals = f.evaluate(axes=nodes)
-    live = (fvals != 0.0).reshape(shape)
-    cores = _axis_views([p.core for p in plans])
-    for core, axes in groups:
-        if core.active:
-            live &= ~reduce(np.logical_and, [cores[i] for i in axes])
-    idx = np.flatnonzero(live)
-    if idx.size == 0:
-        return 0.0, core_u, core_v
-    weights = reduce(np.multiply.outer, [p.weights for p in plans]).ravel()
-    # the excluded core may overflow; only live nodes enter the sum
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        kvals = kernel.values(pt, _axis_views(nodes)).ravel()
-    value = float(np.sum(weights[idx] * fvals[idx] * kvals[idx]))
-    return value, core_u, core_v
+    outer_axes holds one array of outer coordinates per axis. Returns the
+    values and, per node, whether its u core and its v core were excluded,
+    each in the shape of the outer tensor.
+
+    The inner plan of axis i depends only on outer coordinate i, so the
+    inner tensors of a block of outer nodes are the blocks of one tensor
+    over their joined plans. That tensor is evaluated at once, and each
+    outer node sums its own block in C order, the order a pass over that
+    node alone takes, so the values do not depend on the blocking.
+    """
+    if f.dim > MAX_GRID_DIMENSION:
+        raise UsageError(
+            f"grid quadrature supports n+m <= {MAX_GRID_DIMENSION}; use monte-carlo"
+        )
+    plans = _inner_plans(f, outer_axes, spec, g)
+    sizes = reduce(np.multiply.outer,
+                   [np.array([len(p.nodes) for p in axis], dtype=np.int64) for axis in plans])
+    over = np.flatnonzero(sizes > MAX_GRID_NODES)
+    if over.size:
+        raise UsageError(
+            f"grid tensor would need {int(sizes.flat[over[0]])} nodes; "
+            "use monte-carlo or a coarser cutoff"
+        )
+    shape = sizes.shape
+    has_core = _axis_views([np.array([p.core.any() for p in axis]) for axis in plans])
+    core_u, core_v = (np.broadcast_to(c, shape) for c in _core_flags(kernel, has_core))
+    values = np.zeros(shape)
+    for block in itertools.product(*_block_runs(outer_axes, plans)):
+        fvals = f.evaluate(axes=[r.nodes for r in block])
+        live = (fvals != 0.0).reshape(tuple(len(r.nodes) for r in block))
+        cores = _axis_views([r.core for r in block])
+        # a node whose group is not excluded has no core nodes on some axis
+        # of the group, so masking every node at once leaves it whole
+        for axes, singular in _core_groups(kernel):
+            if singular:
+                live &= ~reduce(np.logical_and, [cores[i] for i in axes])
+        if not live.any():
+            continue
+        # weights * fvals * kvals, in that order, formed in place in a new
+        # weight tensor (1.0 * w is exact): full-size temporaries cost page
+        # faults that show in short runs
+        terms = reduce(np.multiply.outer, [r.weights for r in block], 1.0)
+        terms *= fvals.reshape(live.shape)
+        # the excluded core may overflow; only live nodes enter the sums
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            terms *= kernel.of_offsets(_axis_views([r.offsets for r in block]))
+        for node, part in zip(itertools.product(*(r.outer for r in block)),
+                              itertools.product(*(r.segments for r in block))):
+            values[node] = np.sum(terms[part][live[part]])
+    return values, core_u, core_v
 
 
 def _merge_axis_cells(cell_lists: List[List[Tuple[float, float]]], cap: int) -> None:
@@ -574,10 +666,10 @@ def _mc_conv_value(
     pt: np.ndarray,
     spec: QuadratureSpec,
     salt: Tuple[int, ...],
-) -> Tuple[float, float, _CoreInfo, _CoreInfo]:
-    plans = _build_conv_plans(f, pt, spec, g=spec.points_per_axis)
-    groups = _core_groups(kernel, plans, spec, f)
-    (core_u, _), (core_v, _) = groups
+) -> Tuple[float, float, bool, bool]:
+    g = spec.points_per_axis
+    plans = [axis[0] for axis in _inner_plans(f, [[x] for x in pt], spec, g)]
+    core_u, core_v = _core_flags(kernel, [p.core.any() for p in plans])
 
     cell_lists = [
         [(float(p.breaks[j]), float(p.breaks[j + 1])) for j in range(p.cell_count)]
@@ -607,8 +699,8 @@ def _mc_conv_value(
         vol = float(np.prod(his - los))
 
         keep = np.ones(per_stratum, dtype=bool)
-        for core, axes in groups:
-            if core.active:
+        for active, (axes, _) in zip((core_u, core_v), _core_groups(kernel)):
+            if active:
                 in_core = np.ones(per_stratum, dtype=bool)
                 for i in axes:
                     in_core &= np.abs(pts[:, i] - pt[i]) < finest[i]
@@ -631,25 +723,50 @@ def _core_error(
     kernel: Kernel,
     f: TestFunction,
     pt: np.ndarray,
-    core_u: _CoreInfo,
-    core_v: _CoreInfo,
+    spec: QuadratureSpec,
+    core_u: bool,
+    core_v: bool,
 ) -> float:
     sup = f.sup_bound()
     err = 0.0
-    if core_u.active:
-        s_mass = _power_mass_bound(kernel.n, kernel.u_power, core_u.eps)
+    u_axes, v_axes = (axes for axes, _ in _core_groups(kernel))
+    if core_u:
+        s_mass = _power_mass_bound(kernel.n, kernel.u_power, _core_eps(f, spec, u_axes))
         if kernel.m == 0:
             tail = 1.0
         else:
             v_box = f.support[kernel.n:]
             tail = _box_tail_bound(v_box, pt[kernel.n:], kernel.v_power, kernel.m)
         err += s_mass * sup * tail
-    if core_v.active:
-        s_mass = _power_mass_bound(kernel.m, kernel.v_power, core_v.eps)
+    if core_v:
+        s_mass = _power_mass_bound(kernel.m, kernel.v_power, _core_eps(f, spec, v_axes))
         u_box = f.support[: kernel.n]
         tail = _box_tail_bound(u_box, pt[: kernel.n], kernel.u_power, kernel.n)
         err += s_mass * sup * tail
     return err
+
+
+def _grid_inner(
+    kernel: Kernel,
+    f: TestFunction,
+    outer_axes: Sequence[Sequence[float]],
+    points: np.ndarray,
+    spec: QuadratureSpec,
+) -> List[Tuple[float, float, float]]:
+    """Per outer node, in C order: the inner value, its err and its core part.
+
+    points holds the nodes of the outer tensor as rows; err is the rule
+    disagreement plus the analytic core bound.
+    """
+    g = spec.points_per_axis
+    hi, core_u, core_v = _grid_conv_values(kernel, f, outer_axes, spec, g)
+    lo = _grid_conv_values(kernel, f, outer_axes, spec, g - 1)[0]
+    out = []
+    for pt, v_hi, v_lo, u, v in zip(points, hi.ravel().tolist(), lo.ravel().tolist(),
+                                    core_u.ravel().tolist(), core_v.ravel().tolist()):
+        core_err = _core_error(kernel, f, pt, spec, u, v)
+        out.append((v_hi, abs(v_hi - v_lo) + core_err, core_err))
+    return out
 
 
 def _apply_kernel(
@@ -661,23 +778,13 @@ def _apply_kernel(
     check_target: bool = True,
 ) -> Tuple[float, float]:
     if spec.method == "grid":
-        if f.dim > MAX_GRID_DIMENSION:
-            raise UsageError(
-                f"grid quadrature supports n+m <= {MAX_GRID_DIMENSION}; use monte-carlo"
-            )
-        v_hi, core_u, core_v = _grid_conv_value(kernel, f, pt, spec, spec.points_per_axis)
-        v_lo, _, _ = _grid_conv_value(kernel, f, pt, spec, spec.points_per_axis - 1)
-        rule_err = abs(v_hi - v_lo)
-        value = v_hi
+        ((value, err, core_err),) = _grid_inner(kernel, f, [[x] for x in pt], [pt], spec)
     else:
         value, rule_err, core_u, core_v = _mc_conv_value(kernel, f, pt, spec, salt)
-    core_err = _core_error(kernel, f, pt, core_u, core_v)
-    err = rule_err + core_err
-    if (
-        check_target
-        and (core_u.active or core_v.active)
-        and core_err > spec.target_rel_error * max(abs(value), _RELATIVE_FLOOR)
-    ):
+        core_err = _core_error(kernel, f, pt, spec, core_u, core_v)
+        err = rule_err + core_err
+    # no core excluded means core_err == 0.0, which never exceeds the target
+    if check_target and core_err > spec.target_rel_error * max(abs(value), _RELATIVE_FLOOR):
         raise AccuracyError(
             f"inner_cutoff 2^{spec.inner_cutoff} too coarse: analytic core bound "
             f"{core_err:.3e} exceeds target {spec.target_rel_error} relative to "
@@ -765,24 +872,19 @@ def _lq_mass_grid(
     box_terms: List[float] = []
     rule_terms: List[float] = []
     prop_terms: List[float] = []
+    g = spec.points_per_axis
     for box, sign in region.signed_boxes():
-        plans_hi = _outer_plans(box, f, spec.points_per_axis)
+        plans_hi = _outer_plans(box, f, g)
         pts_hi, w_hi = _outer_tensor(plans_hi)
-        inner: List[Tuple[float, float]] = []
-        for row in pts_hi:
-            inner.append(
-                _apply_kernel(kernel, f, row, spec, check_target=False)
-            )
-        v_hi = math.fsum(w * abs(v) ** q for w, (v, _) in zip(w_hi, inner))
-        prop = math.fsum(w * _power_gap(v, e, q) for w, (v, e) in zip(w_hi, inner))
+        inner = _grid_inner(kernel, f, [p.nodes for p in plans_hi], pts_hi, spec)
+        v_hi = math.fsum(w * abs(v) ** q for w, (v, _, _) in zip(w_hi, inner))
+        prop = math.fsum(w * _power_gap(v, e, q) for w, (v, e, _) in zip(w_hi, inner))
 
         # the lower outer rule needs only the inner g-order value
-        plans_lo = _outer_plans(box, f, spec.points_per_axis - 1)
-        pts_lo, w_lo = _outer_tensor(plans_lo)
-        v_lo = math.fsum(
-            w * abs(_grid_conv_value(kernel, f, row, spec, spec.points_per_axis)[0]) ** q
-            for w, row in zip(w_lo, pts_lo)
-        )
+        plans_lo = _outer_plans(box, f, g - 1)
+        _, w_lo = _outer_tensor(plans_lo)
+        values_lo = _grid_conv_values(kernel, f, [p.nodes for p in plans_lo], spec, g)[0]
+        v_lo = math.fsum(w * abs(v) ** q for w, v in zip(w_lo, values_lo.ravel().tolist()))
         box_terms.append(sign * v_hi)
         rule_terms.append(abs(v_hi - v_lo))
         prop_terms.append(prop)

@@ -1,8 +1,10 @@
+import functools
 import os
 
+import numpy as np
 import pytest
 
-from flagint import QuadratureSpec
+from flagint import QuadratureSpec, quadrature
 
 # Worker count for the parallel experiment drivers; capped so the suite
 # behaves the same on small CI boxes and big workstations.
@@ -42,3 +44,25 @@ def mc_spec():
         inner_cutoff=-20,
         target_rel_error=1e-3,
     )
+
+
+def _inner_tensor_sizes(f, outer_axes, spec, g):
+    # inner tensor nodes of each outer node, from the lengths of the axis
+    # plans the grid pass requests: graded toward the outer coordinate,
+    # finest cell 2^inner_cutoff times the support side
+    lengths = []
+    for i, xs in enumerate(outer_axes):
+        lo, hi = f.support[i]
+        side = hi - lo
+        max_cell = side / f.min_cells_hint if f.min_cells_hint > 1 else None
+        lengths.append(np.array([
+            len(quadrature._axis_plan(lo, hi, float(x), 2.0 ** spec.inner_cutoff * side,
+                                      f.breakpoints(i), g, max_cell).nodes)
+            for x in xs
+        ], dtype=np.int64))
+    return functools.reduce(np.multiply.outer, lengths)
+
+
+@pytest.fixture(scope="session")
+def inner_tensor_sizes():
+    return _inner_tensor_sizes

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from flagint import (
     FlagKernel,
     PreconditionError,
     QuadratureSpec,
+    Shell,
+    UsageError,
     Window,
     apply_operator,
     apply_riesz_1d,
@@ -24,6 +27,7 @@ from flagint import (
     kernel_eval,
     lp_norm,
     lq_mass,
+    lq_mass_dominating,
     make_signum_atom,
     piecewise_constant,
     point_pair,
@@ -356,7 +360,7 @@ def _reference_kernel(desc, pt, points):
 
 def _reference_grid_value(desc, f, pt, spec, g):
     # every tensor node as an explicit point; excluded cores masked node by node
-    plans = quadrature._build_conv_plans(f, pt, spec, g)
+    plans = [axis[0] for axis in quadrature._inner_plans(f, [[x] for x in pt], spec, g)]
     points = np.stack(
         [c.ravel() for c in np.meshgrid(*[p.nodes for p in plans], indexing="ij")], axis=1
     )
@@ -416,7 +420,7 @@ def test_grid_pass_matches_pointwise_reference(n, m, where, payload):
     pt = np.array([x] * n + [y] * m)
     for kind, desc in _kernels(n, m).items():
         for g in (spec.points_per_axis, spec.points_per_axis - 1):
-            got = quadrature._grid_conv_value(desc, f, pt, spec, g)[0]
+            got = quadrature._grid_conv_values(desc, f, [[x] for x in pt], spec, g)[0].item()
             want, live = _reference_grid_value(desc, f, pt, spec, g)
             assert got == want, (kind, g)
             # the pointwise form of the kernel, as Monte Carlo calls it
@@ -430,7 +434,7 @@ def test_grid_pass_matches_reference_for_riesz(x):
     for f in (indicator_box(1, 0, ((0.0, 1.0),)), smooth_bump(1, 0, [0.5], 0.5),
               piecewise_constant(1, 0, [(((0.0, 0.25),), 1.0), (((0.25, 1.0),), -3.0)])):
         pt = np.array([x])
-        got = quadrature._grid_conv_value(desc, f, pt, spec, 4)[0]
+        got = quadrature._grid_conv_values(desc, f, [[x] for x in pt], spec, 4)[0].item()
         assert got == _reference_grid_value(desc, f, pt, spec, 4)[0]
 
 
@@ -474,3 +478,159 @@ def test_axis_plans_are_cached_and_read_only():
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         plan.nodes[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched grid pass: many outer nodes per call
+
+_BLOCK_NODES = quadrature._BLOCK_NODES
+
+
+def _reference_core_flags(desc, f, pt, spec, g):
+    # whether the pass at pt alone excludes its u core and its v core
+    plans = [axis[0] for axis in quadrature._inner_plans(f, [[x] for x in pt], spec, g)]
+    u = all(plans[i].core.any() for i in range(desc.n))
+    v = desc.v_singular and all(plans[i].core.any() for i in range(desc.n, f.dim))
+    return u, v
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("payload", ["indicator-box", "smooth-bump", "atom", "custom-sampled"])
+def test_batched_grid_pass_matches_pointwise_reference(n, m, payload, monkeypatch):
+    # one batch mixes exterior, near-line and interior coordinates on every axis
+    spec = QuadratureSpec(inner_cutoff=-20 if n + m == 2 else -6)
+    f = _payloads(n, m)[payload]
+    us = np.array([x for x, _ in _POINTS.values()])
+    vs = np.array([y for _, y in _POINTS.values()])
+    # two classes per axis for n+m = 3, rotated so that the batch mixes all three
+    picks = 3 if n + m == 2 else 2
+    outer = [np.roll(us if i < n else vs, i)[:picks] for i in range(n + m)]
+    nodes = [np.array(pt) for pt in itertools.product(*outer)]
+    for kind, desc in _kernels(n, m).items():
+        for g in (spec.points_per_axis, spec.points_per_axis - 1):
+            want = [_reference_grid_value(desc, f, pt, spec, g)[0] for pt in nodes]
+            flags = [_reference_core_flags(desc, f, pt, spec, g) for pt in nodes]
+            plans = quadrature._inner_plans(f, outer, spec, g)
+            largest = max(math.prod(len(p.nodes) for p in node)
+                          for node in itertools.product(*plans))
+            for budget in (_BLOCK_NODES, 4, 2 * largest):
+                monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+                runs = quadrature._block_runs(outer, plans)
+                if budget == 4:  # every outer node is a block by itself
+                    assert [len(axis) for axis in runs] == [picks] * (n + m)
+                if budget == 2 * largest:  # some block holds several outer nodes
+                    assert any(len(r.outer) > 1 for axis in runs for r in axis)
+                values, core_u, core_v = quadrature._grid_conv_values(desc, f, outer, spec, g)
+                assert values.shape == (picks,) * (n + m)
+                assert values.ravel().tolist() == want, (kind, g, budget)
+                assert list(zip(core_u.ravel().tolist(), core_v.ravel().tolist())) == flags
+
+
+def _outer_rule(box, f, g):
+    plans = quadrature._outer_plans(box, f, g)
+    points = np.stack(
+        [c.ravel() for c in np.meshgrid(*[p.nodes for p in plans], indexing="ij")], axis=1
+    )
+    weights = functools.reduce(np.multiply.outer, [p.weights for p in plans]).ravel()
+    return points, weights
+
+
+def _reference_lq_mass(desc, f, region, q, spec):
+    # the grid q-mass composed one outer node at a time: the g-order outer
+    # rule at inner orders g and g-1, the (g-1)-order outer rule at inner
+    # order g; err is the outer rule disagreement plus the propagated inner err
+    g = spec.points_per_axis
+    box_terms, rule_terms, prop_terms = [], [], []
+    for box, sign in region.signed_boxes():
+        pts_hi, w_hi = _outer_rule(box, f, g)
+        inner = []
+        for pt in pts_hi:
+            v_hi = _reference_grid_value(desc, f, pt, spec, g)[0]
+            v_lo = _reference_grid_value(desc, f, pt, spec, g - 1)[0]
+            core_err = quadrature._core_error(
+                desc, f, pt, spec, *_reference_core_flags(desc, f, pt, spec, g)
+            )
+            inner.append((v_hi, abs(v_hi - v_lo) + core_err))
+        mass_hi = math.fsum(w * abs(v) ** q for w, (v, _) in zip(w_hi, inner))
+        prop = math.fsum(
+            w * ((abs(v) + e) ** q - abs(v) ** q) for w, (v, e) in zip(w_hi, inner)
+        )
+        pts_lo, w_lo = _outer_rule(box, f, g - 1)
+        mass_lo = math.fsum(
+            w * abs(_reference_grid_value(desc, f, pt, spec, g)[0]) ** q
+            for w, pt in zip(w_lo, pts_lo)
+        )
+        box_terms.append(sign * mass_hi)
+        rule_terms.append(abs(mass_hi - mass_lo))
+        prop_terms.append(prop)
+    return math.fsum(box_terms), math.fsum(rule_terms) + math.fsum(prop_terms)
+
+
+def test_lq_mass_matches_per_node_reference_on_a_shell(grid_spec):
+    cfg = _cfg()
+    f = make_signum_atom(1, 1).payload
+    shell = Shell(n=1, m=1, k=1, l=0, L=1)
+    want = _reference_lq_mass(flag_kernel(cfg), f, shell, 1.5, grid_spec)
+    assert lq_mass(cfg, f, shell, F(3, 2), grid_spec) == want
+
+
+def test_lq_mass_matches_per_node_reference_on_a_window(grid_spec):
+    cfg = _cfg()
+    f = smooth_bump(1, 1)
+    window = Window(n=1, m=1, box=((0.75, 1.5), (0.25, 1.0)))
+    want = _reference_lq_mass(flag_kernel(cfg), f, window, 2.0, grid_spec)
+    assert lq_mass(cfg, f, window, 2, grid_spec) == want
+    ab = derive_ab(cfg)
+    want = _reference_lq_mass(product_kernel(cfg, ab), f, window, 2.0, grid_spec)
+    assert lq_mass_dominating(cfg, ab, f, window, 2, grid_spec) == want
+
+
+def _cap_message(nodes):
+    return f"grid tensor would need {nodes} nodes; use monte-carlo or a coarser cutoff"
+
+
+def test_max_grid_nodes_caps_each_outer_node(grid_spec, inner_tensor_sizes, monkeypatch):
+    cfg = _cfg()
+    f = make_signum_atom(1, 1).payload
+    g = grid_spec.points_per_axis
+    size = int(inner_tensor_sizes(f, [[0.4], [0.2]], grid_spec, g).item())
+    monkeypatch.setattr(quadrature, "MAX_GRID_NODES", size - 1)
+    with pytest.raises(UsageError) as exc:
+        apply_operator(cfg, f, point_pair(0.4, 0.2), grid_spec)
+    assert str(exc.value) == _cap_message(size)
+
+    # below the largest tensors of the first box's upper outer rule, the
+    # first outer node over the cap in C order is named; the cap is the
+    # highest one at which that node's size differs from the last one's
+    window = Window(n=1, m=1, box=((0.5, 2.0), (-1.5, 1.0)))
+    ((box, _),) = window.signed_boxes()
+    outer = [p.nodes for p in quadrature._outer_plans(box, f, g)]
+    sizes = inner_tensor_sizes(f, outer, grid_spec, g).ravel()
+    cap = next(int(c) for c in np.unique(sizes)[::-1]
+               if sizes[sizes > c].size and sizes[sizes > c][0] != sizes[sizes > c][-1])
+    monkeypatch.setattr(quadrature, "MAX_GRID_NODES", cap)
+    with pytest.raises(UsageError) as exc:
+        lq_mass(cfg, f, window, 2, grid_spec)
+    assert str(exc.value) == _cap_message(int(sizes[sizes > cap][0]))
+
+
+def test_max_grid_nodes_does_not_cap_a_batch(grid_spec, inner_tensor_sizes, monkeypatch):
+    # every outer node fits the cap although the blocks batching them do not
+    cfg = _cfg()
+    f = make_signum_atom(1, 1).payload
+    shell = Shell(n=1, m=1, k=2, l=0, L=1)
+    g = grid_spec.points_per_axis
+    largest = 0
+    batched = 0
+    for box, _ in shell.signed_boxes():
+        for order, inner in ((g, g), (g, g - 1), (g - 1, g)):
+            outer = [p.nodes for p in quadrature._outer_plans(box, f, order)]
+            largest = max(largest, int(inner_tensor_sizes(f, outer, grid_spec, inner).max()))
+            runs = quadrature._block_runs(outer, quadrature._inner_plans(f, outer, grid_spec, inner))
+            batched = max(batched, max(
+                math.prod(len(r.nodes) for r in block) for block in itertools.product(*runs)
+            ))
+    assert batched > largest
+    want = lq_mass(cfg, f, shell, 2, grid_spec)
+    monkeypatch.setattr(quadrature, "MAX_GRID_NODES", largest)
+    assert lq_mass(cfg, f, shell, 2, grid_spec) == want

@@ -11,7 +11,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import flagint
-from flagint import ExponentConfig, QuadratureSpec, point_pair, smooth_bump
+from flagint import (
+    ExponentConfig,
+    QuadratureSpec,
+    Shell,
+    make_signum_atom,
+    point_pair,
+    quadrature,
+    smooth_bump,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -42,3 +50,28 @@ def test_engine_calls_no_public_kernel_evaluator():
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["quadrature.apply.calls"] == 1
     assert metrics["kernel.calls"] == 0
+
+
+def test_payload_nodes_count_every_inner_tensor_of_lq_mass(grid_spec, inner_tensor_sizes):
+    # batching outer nodes changes how many payload calls there are, not the
+    # nodes they evaluate: the g-order outer rule at inner orders g and g-1,
+    # and the (g-1)-order outer rule at inner order g
+    tracing = _tracing()
+    cfg = ExponentConfig(n=1, m=1, alpha=Fraction(1, 2), beta=Fraction(1, 2), rho=Fraction(2))
+    f = make_signum_atom(1, 1).payload
+    shell = Shell(n=1, m=1, k=1, l=0, L=1)
+    g = grid_spec.points_per_axis
+    nodes = passes = 0
+    for box, _ in shell.signed_boxes():
+        for outer_order, inner_order in ((g, g), (g, g - 1), (g - 1, g)):
+            outer = [p.nodes for p in quadrature._outer_plans(box, f, outer_order)]
+            sizes = inner_tensor_sizes(f, outer, grid_spec, inner_order)
+            nodes += int(sizes.sum())
+            passes += sizes.size
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        flagint.lq_mass(cfg, f, shell, 2, grid_spec)
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["quadrature.lq_mass.calls"] == 1
+    assert metrics["quadrature.payload.nodes"] == nodes
+    assert metrics["quadrature.payload.calls"] < passes
