@@ -90,7 +90,13 @@ class Kernel:
         if self.kind == "riesz":
             return su
         if self.kind == "flag":
-            return su * (sn ** self.rho + tn) ** (self.v_power - self.m)
+            # su * mix ** e, formed in the one full-size array mix: the
+            # product commutes, and **= takes the path ** takes, also on the
+            # numpy scalars that 0-d norms give
+            mix = sn ** self.rho + tn
+            mix **= self.v_power - self.m
+            mix *= su
+            return mix
         return su * tn ** (self.v_power - self.m)
 
     def of_offsets(self, diffs: Sequence[np.ndarray]) -> np.ndarray:

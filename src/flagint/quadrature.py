@@ -42,10 +42,11 @@ MAX_MC_STRATA = 65_536
 
 _RELATIVE_FLOOR = 1e-300
 
-# Axis plans kept by _axis_plan. One grid pass requests each inner plan
-# once per outer coordinate and axis; plans recur across lq_mass calls
-# whose boxes share a factor interval, as consecutive dyadic shells do, so
-# the cache must hold the plans of a few neighbouring boxes.
+# Axis plans kept by _axis_plan, and breakpoint sets by _axis_breaks. One
+# grid pass requests each inner plan once per outer coordinate and axis;
+# plans recur across lq_mass calls whose boxes share a factor interval, as
+# consecutive dyadic shells do, so the cache must hold the plans of a few
+# neighbouring boxes.
 _AXIS_PLAN_CACHE = 256
 
 
@@ -163,7 +164,12 @@ class TestFunction:
                 inside = inside & (w2 < 1.0)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     arg = arg + np.where(w2 < 1.0, 1.0 - 1.0 / (1.0 - w2), 0.0)
-            return np.where(inside, self.amplitude * np.exp(arg), 0.0)
+            # amplitude * exp(arg) where inside, +0.0 elsewhere, in one
+            # full-size array: the product commutes, so the bits are the same
+            out = np.exp(arg)
+            out *= self.amplitude
+            np.copyto(out, 0.0, where=~inside)
+            return out
         # piecewise constant: half-open cells, closed against the support top
         out = np.zeros(np.broadcast_shapes(*(z.shape for z in coords)))
         for box, value in self.cells:
@@ -413,6 +419,28 @@ class _AxisPlan:
 
 
 @lru_cache(maxsize=_AXIS_PLAN_CACHE)
+def _axis_breaks(
+    lo: float,
+    hi: float,
+    center: float,
+    finest: float,
+    extra: Sequence[float],
+    max_cell: Optional[float],
+    split_within: Optional[Tuple[float, float]],
+) -> np.ndarray:
+    """The cell boundaries of an axis plan; they do not depend on the order.
+
+    Every pass asks for the plans of orders g and g-1 on the same cells, so
+    the second order finds its breakpoints here. Read-only, as they are shared.
+    """
+    breaks = _split_wide_cells(
+        _graded_breakpoints(lo, hi, center, finest, extra), max_cell, split_within
+    )
+    breaks.flags.writeable = False
+    return breaks
+
+
+@lru_cache(maxsize=_AXIS_PLAN_CACHE)
 def _axis_plan(
     lo: float,
     hi: float,
@@ -423,9 +451,7 @@ def _axis_plan(
     max_cell: Optional[float] = None,
     split_within: Optional[Tuple[float, float]] = None,
 ) -> _AxisPlan:
-    breaks = _split_wide_cells(
-        _graded_breakpoints(lo, hi, center, finest, extra), max_cell, split_within
-    )
+    breaks = _axis_breaks(lo, hi, center, finest, extra, max_cell, split_within)
     ref_nodes, ref_weights = _leggauss(g)
     a = breaks[:-1]
     b = breaks[1:]
@@ -438,7 +464,7 @@ def _axis_plan(
     cell_core = cell_dist < finest * (1.0 - 1e-12)
     core = np.repeat(cell_core, g)
     # plans are cached and shared, so no caller may write into them
-    for arr in (breaks, nodes, weights, core):
+    for arr in (nodes, weights, core):
         arr.flags.writeable = False
     return _AxisPlan(breaks=breaks, nodes=nodes, weights=weights, core=core)
 

@@ -181,6 +181,35 @@ def test_public_evaluators_match_the_engine_kernel(n, m):
 
 
 @pytest.mark.parametrize("n, m", _DIMS)
+def test_flag_kernel_keeps_the_bits_of_the_plain_formula(n, m):
+    # of_norms forms the flag kernel in place; the plain expression, with its
+    # temporaries, must give the same bits on a broadcast (u, v) tensor and
+    # on 0-d norms, where numpy takes its scalar power instead of the array loop
+    cfg = _engine_config(n, m)
+    k = flag_kernel(cfg)
+    rng = np.random.default_rng(41 + 3 * n + m)
+    sn = rng.uniform(1e-3, 4.0, size=(60, 1))
+    tn = rng.uniform(0.0, 4.0, size=(1, 50))
+    su_power = float(cfg.alpha) - n
+    mix_power = float(cfg.beta) - m
+    rho = float(cfg.rho)
+
+    def plain(s, t):
+        return s ** su_power * (s ** rho + t) ** mix_power
+
+    got = k.of_norms(sn, tn)
+    assert got.shape == (60, 50)
+    assert got.tobytes() == plain(sn, tn).tobytes()
+    for s, t in zip(sn.ravel(), rng.uniform(0.0, 4.0, size=60)):
+        s0, t0 = np.asarray(s), np.asarray(t)
+        want = plain(s0, t0)
+        got0 = k.of_norms(s0, t0)
+        assert type(got0) is type(want)
+        assert got0.tobytes() == want.tobytes()
+        assert FlagKernel(cfg).eval_norms(s0, t0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, m", _DIMS)
 def test_public_evaluators_refuse_the_singular_set(n, m):
     cfg = _engine_config(n, m)
     k = FlagKernel(cfg)

@@ -197,6 +197,23 @@ def test_lq_mass_dilation_identity(grid_spec):
     assert math.isclose(scaled, predicted, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("delta", [1.0 / 3.0, 3.0])
+def test_lq_mass_dilation_holds_within_err_off_the_dyadic_scales(grid_spec, delta):
+    # a delta that is not a power of two does not scale the nodes exactly,
+    # so the two masses come from different rules and the identity holds
+    # only to within the errors they report; with the bump the masses differ
+    # by far more than rounding (with the indicator they agree to rounding)
+    cfg, _, window = _scan_setup()
+    f = smooth_bump(1, 1)
+    base, base_err = lq_mass(cfg, f, window, 2, grid_spec)
+    scaled, err = lq_mass(
+        cfg, f.dilate(delta, 1.0, 2.0), window.dilated(delta, 1.0, 2.0), 2, grid_spec
+    )
+    factor = delta ** (2.0 * (0.9 + 2.0 * 0.3) + 1.0 + 2.0)
+    assert abs(scaled - factor * base) <= err + factor * base_err
+    assert abs(scaled - factor * base) > 1e-9 * factor * base
+
+
 def test_lq_mass_lambda_lower_bound(grid_spec):
     # for f >= 0 and lam >= 1 the anisotropy of the kernel forces
     # mass(lam) >= lam^(q beta + m) * mass
@@ -470,6 +487,29 @@ def test_evaluate_tensor_form_matches_points_form(payload):
         f.evaluate(axes=axes[:2])
 
 
+@pytest.mark.parametrize("amplitude", [2.5, -1.75, 0.0])
+def test_bump_tensor_keeps_the_bits_of_the_where_form(amplitude):
+    # the bump is formed in place; the old np.where form must give the same
+    # bits, +0.0 (never -0.0) outside the support included
+    f = smooth_bump(1, 2, center=[0.25, 0.0, -0.5], radius=[1.0, 0.75, 0.5],
+                    amplitude=amplitude)
+    axes = [np.linspace(-1.5, 2.0, 29), np.linspace(-1.0, 1.0, 17),
+            np.array([-1.2, -1.0, -0.5, -0.1, 0.0, 0.1])]
+    inside = True
+    arg = 0.0
+    for z, c, r in zip(quadrature._axis_views(axes), f.center, f.radius):
+        w = (z - c) / r
+        w2 = w * w
+        inside = inside & (w2 < 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            arg = arg + np.where(w2 < 1.0, 1.0 - 1.0 / (1.0 - w2), 0.0)
+    want = np.where(inside, amplitude * np.exp(arg), 0.0).ravel()
+    got = f.evaluate(axes=axes)
+    assert 0 < np.count_nonzero(inside) < inside.size
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[~inside.ravel()]).any()
+
+
 def test_axis_plans_are_cached_and_read_only():
     args = (-1.0, 1.0, 0.25, 2.0 ** -20, (-1.0, 0.0, 1.0), 4, 0.25)
     plan = quadrature._axis_plan(*args)
@@ -478,6 +518,18 @@ def test_axis_plans_are_cached_and_read_only():
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         plan.nodes[0] = 0.0
+
+    # orders g and g-1 share one breakpoint build: the second is a cache hit
+    quadrature._axis_plan.cache_clear()
+    quadrature._axis_breaks.cache_clear()
+    hi = quadrature._axis_plan(*args)
+    before = quadrature._axis_breaks.cache_info()
+    lo = quadrature._axis_plan(*args[:5], 3, *args[6:])
+    after = quadrature._axis_breaks.cache_info()
+    assert lo.breaks is hi.breaks
+    assert not lo.breaks.flags.writeable
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert (len(hi.nodes), len(lo.nodes)) == (4 * hi.cell_count, 3 * hi.cell_count)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +576,24 @@ def test_batched_grid_pass_matches_pointwise_reference(n, m, payload, monkeypatc
                 assert values.shape == (picks,) * (n + m)
                 assert values.ravel().tolist() == want, (kind, g, budget)
                 assert list(zip(core_u.ravel().tolist(), core_v.ravel().tolist())) == flags
+
+
+def test_grid_pass_keeps_a_block_with_one_live_node():
+    # the bump fills the middle half of its declared support; seen from
+    # (6, 6) that support is one Gauss cell per axis, and at order 3 only
+    # the centre node lies inside the bump, so the pass has one block with
+    # one live node
+    f = quadrature.TestFunction(
+        kind="smooth-bump", n=1, m=1, support=((-2.0, 2.0), (-2.0, 2.0)),
+        center=(0.0, 0.0), radius=(1.0, 1.0),
+    )
+    spec = QuadratureSpec()
+    pt = np.array([6.0, 6.0])
+    for kind, desc in _kernels(1, 1).items():
+        got = quadrature._grid_conv_values(desc, f, [[x] for x in pt], spec, 3)[0].item()
+        want, live = _reference_grid_value(desc, f, pt, spec, 3)
+        assert len(live) == 1, kind
+        assert got == want != 0.0, kind
 
 
 def _outer_rule(box, f, g):

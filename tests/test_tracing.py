@@ -10,6 +10,8 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import flagint
 from flagint import (
     ExponentConfig,
@@ -50,6 +52,26 @@ def test_engine_calls_no_public_kernel_evaluator():
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["quadrature.apply.calls"] == 1
     assert metrics["kernel.calls"] == 0
+
+
+@pytest.mark.parametrize("x, y", [(2.0, 0.5), (0.01, 0.3), (0.3, 0.2)])
+def test_payload_nodes_count_both_inner_orders_of_apply(inner_tensor_sizes, x, y):
+    # exterior, near-line and interior: one query evaluates the payload on
+    # its whole inner tensor at orders g and g-1, one call each
+    tracing = _tracing()
+    cfg = ExponentConfig(n=1, m=1, alpha=Fraction(1, 2), beta=Fraction(1, 2), rho=Fraction(2))
+    f = smooth_bump(1, 1)
+    spec = QuadratureSpec(inner_cutoff=-40)
+    g = spec.points_per_axis
+    nodes = sum(int(inner_tensor_sizes(f, [[x], [y]], spec, order).item())
+                for order in (g, g - 1))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        flagint.apply_operator(cfg, f, point_pair(x, y), spec)
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["quadrature.apply.calls"] == 1
+    assert metrics["quadrature.payload.nodes"] == nodes
+    assert metrics["quadrature.payload.calls"] == 2
 
 
 def test_payload_nodes_count_every_inner_tensor_of_lq_mass(grid_spec, inner_tensor_sizes):
