@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .domain import Cube
-from .quadrature import QuadratureSpec, TestFunction, indicator_box, piecewise_constant
+from .quadrature import TestFunction, indicator_box, piecewise_constant
 
 NORMALIZATIONS = ("strict", "relaxed")
 
@@ -81,9 +81,7 @@ def _support_within(payload: TestFunction, half: float, slop: float) -> bool:
     return all(lo >= -half - slop and hi <= half + slop for lo, hi in payload.support)
 
 
-def validate_atom(
-    a: Atom, spec: Optional[QuadratureSpec] = None, normalization: Optional[str] = None
-) -> AtomReport:
+def validate_atom(a: Atom, normalization: Optional[str] = None) -> AtomReport:
     """Check the three atom conditions; the report carries any failures.
 
     normalization overrides the atom's recorded convention: "strict" means
@@ -194,11 +192,19 @@ def atom_to_json(a: Atom) -> str:
 def atom_from_json(text: str) -> Atom:
     """Rebuild an atom; the normalization is inferred from its geometry."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"atom JSON must be an object, not {type(doc).__name__}")
+    for key in ("n", "m", "L", "cells"):
+        if key not in doc:
+            raise ValueError(f"atom JSON has no key {key!r}")
     n, m, L = int(doc["n"]), int(doc["m"]), int(doc["L"])
-    cells = tuple(
-        (tuple(tuple(iv) for iv in cell["box"]), float(cell["value"]))
-        for cell in doc["cells"]
-    )
+    try:
+        cells = tuple(
+            (tuple(tuple(iv) for iv in cell["box"]), float(cell["value"]))
+            for cell in doc["cells"]
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError("atom JSON cells must be objects with a box and a value") from exc
     payload = piecewise_constant(n, m, cells)
     cube = Cube(n=n, m=m, L=L)
     slop = _EDGE_RTOL * cube.side

@@ -11,6 +11,7 @@ the output directory and prints a one-line summary. Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -52,11 +53,27 @@ from .quadrature import (
     smooth_bump,
 )
 
-_COMMON_KEYS = {
-    "n", "m", "alpha", "beta", "rho", "p", "q",
-    "method", "samples", "points_per_axis", "seed", "target_rel_error",
-    "inner_cutoff", "out", "jobs",
-}
+# the flags every experiment takes, after --config, as (config key, argparse
+# options); each flag is --key with underscores as dashes
+_COMMON_FLAGS: Tuple = (
+    ("out", {"help": "output directory (default .)"}),
+    ("jobs", {"type": int, "help": "worker processes (default: all cores)"}),
+    ("n", {"type": int, "help": "x-factor dimension"}),
+    ("m", {"type": int, "help": "y-factor dimension"}),
+    ("alpha", {"help": "exact rational like 9/10"}),
+    ("beta", {"help": "exact rational like 3/10"}),
+    ("rho", {"help": "scaling exponent, rational >= 1"}),
+    ("p", {"help": "source exponent, rational >= 1"}),
+    ("q", {"help": "target exponent, rational > 1"}),
+    ("method", {"choices": ("grid", "monte-carlo")}),
+    ("samples", {"type": int}),
+    ("points_per_axis", {"type": int}),
+    ("seed", {"type": int}),
+    ("target_rel_error", {"type": float}),
+    ("inner_cutoff", {"type": int}),
+)
+
+_COMMON_KEYS = {key for key, _ in _COMMON_FLAGS}
 
 # argparse options of the flags that several experiments share
 _XY = (("x", {"help": "comma-separated coordinates"}),
@@ -107,18 +124,15 @@ _EXTRA_KEYS: Dict[str, set] = {
     name: {key for key, _ in flags} for name, (_, flags) in _EXPERIMENT_FLAGS.items()
 }
 
+# alpha, beta, p and q have no common default: they stay out of the merged
+# config unless an experiment, the config file or a flag sets them
 _COMMON_DEFAULTS = {
     "n": 1,
     "m": 1,
     "rho": "2",
-    "method": "grid",
-    "samples": 20000,
-    "points_per_axis": 4,
-    "seed": 0,
-    "target_rel_error": 1e-3,
-    "inner_cutoff": -20,
     "out": ".",
     "jobs": None,
+    **{f.name: f.default for f in dataclasses.fields(QuadratureSpec)},
 }
 
 _EXPERIMENT_DEFAULTS: Dict[str, Dict] = {
@@ -162,32 +176,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--out", help="output directory (default .)")
-    sub.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
-    sub.add_argument("--n", type=int, help="x-factor dimension")
-    sub.add_argument("--m", type=int, help="y-factor dimension")
-    sub.add_argument("--alpha", help="exact rational like 9/10")
-    sub.add_argument("--beta", help="exact rational like 3/10")
-    sub.add_argument("--rho", help="scaling exponent, rational >= 1")
-    sub.add_argument("--p", help="source exponent, rational >= 1")
-    sub.add_argument("--q", help="target exponent, rational > 1")
-    sub.add_argument("--method", choices=("grid", "monte-carlo"))
-    sub.add_argument("--samples", type=int)
-    sub.add_argument("--points-per-axis", dest="points_per_axis", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--target-rel-error", dest="target_rel_error", type=float)
-    sub.add_argument("--inner-cutoff", dest="inner_cutoff", type=int)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flagint", description=__doc__)
     subs = parser.add_subparsers(dest="experiment", required=True)
     for name, (help_text, flags) in _EXPERIMENT_FLAGS.items():
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
-        for key, options in flags:
+        sub.add_argument("--config", help="JSON config file")
+        for key, options in _COMMON_FLAGS + flags:
             sub.add_argument("--" + key.replace("_", "-"), dest=key, **options)
     return parser
 
@@ -372,24 +367,20 @@ def _payload_for(merged: Dict, n: int, m: int) -> TestFunction:
 def _run_check(merged: Dict, spec: QuadratureSpec):
     cfg = _exponent_config(merged)
     rows = []
-    parts = []
-    if cfg.p is not None and cfg.q is not None:
-        ok1 = check_formula_one(cfg)
-        rows.append({
-            "formula": "formula-one", "value": ok1, "err": None,
-            "label": "SATISFIED" if ok1 else "VIOLATED", "case": "",
-        })
-        parts.append(f"formula-one: {'SATISFIED' if ok1 else 'VIOLATED'}")
-    if cfg.q is not None:
-        ok2 = check_formula_two(cfg)
-        rows.append({
-            "formula": "formula-two", "value": ok2, "err": None,
-            "label": "SATISFIED" if ok2 else "VIOLATED", "case": "",
-        })
-        parts.append(f"formula-two: {'SATISFIED' if ok2 else 'VIOLATED'}")
+    for formula, needs, check in (
+        ("formula-one", (cfg.p, cfg.q), check_formula_one),
+        ("formula-two", (cfg.q,), check_formula_two),
+    ):
+        if None not in needs:
+            ok = check(cfg)
+            rows.append({
+                "formula": formula, "value": ok, "err": None,
+                "label": "SATISFIED" if ok else "VIOLATED", "case": "",
+            })
     if not rows:
         raise UsageError("check needs q (and optionally p)")
-    metadata = {"seed": spec.seed, "summary": "; ".join(parts)}
+    summary = "; ".join(f"{r['formula']}: {r['label']}" for r in rows)
+    metadata = {"seed": spec.seed, "summary": summary}
     if cfg.alpha * cfg.m >= cfg.beta * cfg.n:
         ab = derive_ab(cfg)
         metadata["derived"] = {"a": str(ab.a), "b": str(ab.b)}
@@ -400,38 +391,37 @@ def _run_check(merged: Dict, spec: QuadratureSpec):
         metadata=metadata,
     )
     status = 0 if all(r["value"] for r in rows) else 2
-    return result, "; ".join(parts), status
+    return result, summary, status
+
+
+def _point_query(merged: Dict, cfg: ExponentConfig):
+    """The point --x, --y, and the row cells that echo it."""
+    x = _float_list(merged.get("x"), "x")
+    y = _float_list(merged.get("y"), "y")
+    if len(x) != cfg.n or len(y) != cfg.m:
+        raise UsageError(f"need {cfg.n} x-coordinates and {cfg.m} y-coordinates")
+    cells = {"x": ";".join(repr(v) for v in x), "y": ";".join(repr(v) for v in y)}
+    return point_pair(x, y), cells
+
+
+def _one_row(experiment: str, row: Dict, spec: QuadratureSpec) -> ScanResult:
+    return ScanResult(
+        experiment=experiment, columns=tuple(row), rows=[row], metadata={"seed": spec.seed},
+    )
 
 
 def _run_kernel(merged: Dict, spec: QuadratureSpec):
     cfg = _exponent_config(merged)
-    x = _float_list(merged.get("x"), "x")
-    y = _float_list(merged.get("y"), "y")
-    if len(x) != cfg.n or len(y) != cfg.m:
-        raise UsageError(f"need {cfg.n} x-coordinates and {cfg.m} y-coordinates")
-    value = kernel_eval(FlagKernel(cfg), point_pair(x, y))
-    row = {
-        "x": ";".join(repr(v) for v in x),
-        "y": ";".join(repr(v) for v in y),
-        "value": value, "err": 0.0, "label": "kernel", "case": "",
-    }
-    result = ScanResult(
-        experiment="kernel",
-        columns=("x", "y", "value", "err", "label", "case"),
-        rows=[row],
-        metadata={"seed": spec.seed},
-    )
-    return result, f"kernel value {value!r}", 0
+    pt, cells = _point_query(merged, cfg)
+    value = kernel_eval(FlagKernel(cfg), pt)
+    row = {**cells, "value": value, "err": 0.0, "label": "kernel", "case": ""}
+    return _one_row("kernel", row, spec), f"kernel value {value!r}", 0
 
 
 def _run_apply(merged: Dict, spec: QuadratureSpec):
     cfg = _exponent_config(merged)
-    x = _float_list(merged.get("x"), "x")
-    y = _float_list(merged.get("y"), "y")
-    if len(x) != cfg.n or len(y) != cfg.m:
-        raise UsageError(f"need {cfg.n} x-coordinates and {cfg.m} y-coordinates")
+    pt, cells = _point_query(merged, cfg)
     f = _payload_for(merged, cfg.n, cfg.m)
-    pt = point_pair(x, y)
     status = 0
     try:
         value, err = apply_operator(cfg, f, pt, spec)
@@ -439,17 +429,8 @@ def _run_apply(merged: Dict, spec: QuadratureSpec):
     except AccuracyError as exc:
         value, err, label, case = exc.value, exc.err, "UNRESOLVED", "accuracy-error"
         status = 1
-    row = {
-        "x": ";".join(repr(v) for v in x),
-        "y": ";".join(repr(v) for v in y),
-        "value": float(value), "err": float(err), "label": label, "case": case,
-    }
-    result = ScanResult(
-        experiment="apply",
-        columns=("x", "y", "value", "err", "label", "case"),
-        rows=[row],
-        metadata={"seed": spec.seed},
-    )
+    row = {**cells, "value": float(value), "err": float(err), "label": label, "case": case}
+    result = _one_row("apply", row, spec)
     summary = f"operator value {value!r} +/- {err!r}" + (
         " UNRESOLVED" if status else ""
     )
@@ -605,13 +586,8 @@ def _run_hls(merged: Dict, spec: QuadratureSpec):
         "value": report.gap, "err": report.left_err + report.right_err,
         "label": "DOMINATED" if report.ok else "VIOLATION", "case": "",
     }
-    result = ScanResult(
-        experiment="hls",
-        columns=("left", "left_err", "right", "right_err", "a", "b",
-                 "value", "err", "label", "case"),
-        rows=[row],
-        metadata={"seed": spec.seed, "report": report.as_dict()},
-    )
+    result = _one_row("hls", row, spec)
+    result.metadata["report"] = report.as_dict()
     summary = (
         f"hls: left {report.left!r} <= right {report.right!r} "
         f"({'PASS' if report.ok else 'FAIL'})"

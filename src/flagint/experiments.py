@@ -687,7 +687,6 @@ def _frontier_cell(task) -> Dict:
             return {
                 "alpha": alpha, "beta": beta, "value": exc.value, "err": exc.err,
                 "label": f"{theorem}|UNRESOLVED", "case": "accuracy-error",
-                "_theorem": theorem, "_empirical": "UNRESOLVED",
             }
         (d1, r1, e1), (d2, r2, e2) = points
         dlog = math.log2(d2) - math.log2(d1)
@@ -699,7 +698,6 @@ def _frontier_cell(task) -> Dict:
         return {
             "alpha": alpha, "beta": beta, "value": slope, "err": slope_err,
             "label": f"{theorem}|{empirical}", "case": "delta-slope",
-            "_theorem": theorem, "_empirical": empirical,
         }
 
     # on the homogeneity line: growth of truncated masses is the witness
@@ -731,7 +729,6 @@ def _frontier_cell(task) -> Dict:
     return {
         "alpha": alpha, "beta": beta, "value": value, "err": err,
         "label": f"{theorem}|{empirical}", "case": "growth",
-        "_theorem": theorem, "_empirical": empirical,
     }
 
 
@@ -772,8 +769,7 @@ def frontier_map(
         "unresolved": 0,
     }
     for r in rows:
-        theorem = r.pop("_theorem")
-        empirical = r.pop("_empirical")
+        theorem, empirical = r["label"].split("|")
         if empirical == "UNRESOLVED":
             confusion["unresolved"] += 1
             continue

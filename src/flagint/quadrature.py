@@ -83,7 +83,6 @@ class TestFunction:
     center: Tuple[float, ...] = ()
     radius: Tuple[float, ...] = ()
     amplitude: float = 1.0
-    min_cells_hint: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in ("piecewise-constant", "smooth-bump"):
@@ -104,11 +103,10 @@ class TestFunction:
     def dim(self) -> int:
         return self.n + self.m
 
-    def support_sides(self) -> Tuple[float, ...]:
-        return tuple(hi - lo for lo, hi in self.support)
-
-    def centers(self) -> Tuple[float, ...]:
-        return tuple(0.5 * (lo + hi) for lo, hi in self.support)
+    @property
+    def min_cells_hint(self) -> int:
+        """Cells per axis that a plan over the support has at least: a bump has no edges."""
+        return 8 if self.kind == "smooth-bump" else 1
 
     def sup_bound(self) -> float:
         if self.kind == "smooth-bump":
@@ -260,7 +258,7 @@ def smooth_bump(
     support = tuple((c[i] - r[i], c[i] + r[i]) for i in range(dim))
     return TestFunction(
         kind="smooth-bump", n=n, m=m, support=support, center=c, radius=r,
-        amplitude=float(amplitude), min_cells_hint=8,
+        amplitude=float(amplitude),
     )
 
 
@@ -322,19 +320,21 @@ class QuadratureSpec:
             raise ValueError("target_rel_error must be positive")
 
 
-def sufficient_inner_cutoff(
-    alpha: float, dim: int, target_rel_error: float, margin: float = 0.25
-) -> int:
+# share of the relative target that sufficient_inner_cutoff gives the core bound
+_CUTOFF_MARGIN = 0.25
+
+
+def sufficient_inner_cutoff(alpha: float, dim: int, target_rel_error: float) -> int:
     """A cutoff exponent whose analytic core bound sits below the target.
 
-    Sized so dim 2^dim (2^e)^alpha / alpha <= margin * target_rel_error,
+    Sized so dim 2^dim (2^e)^alpha / alpha <= _CUTOFF_MARGIN * target_rel_error,
     i.e. assuming the integral and payload are O(1); callers with very
     small or large values should pass an adjusted target.
     """
     a = float(alpha)
     if not 0 < a:
         raise ValueError("alpha must be positive")
-    rhs = margin * target_rel_error * a / (dim * 2.0 ** dim)
+    rhs = _CUTOFF_MARGIN * target_rel_error * a / (dim * 2.0 ** dim)
     e = min(-4, math.floor(math.log2(rhs) / a))
     if e < -1060:
         raise UsageError(
@@ -392,8 +392,10 @@ def _split_wide_cells(
 ) -> np.ndarray:
     if max_cell is None or max_cell <= 0:
         return breaks
-    pts = [breaks[0]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
+    # Python floats: the loop compares and adds them faster than numpy scalars
+    cuts = breaks.tolist()
+    pts = cuts[:1]
+    for a, b in zip(cuts[:-1], cuts[1:]):
         if within is not None and (b <= within[0] or a >= within[1]):
             pts.append(b)
             continue
@@ -501,23 +503,41 @@ def _box_tail_bound(box: Bounds, point: np.ndarray, power: float, dim: int) -> f
 # the convolution engine
 
 
+def _payload_plans(f: TestFunction, i: int, span: Tuple[float, float],
+                   centers: Sequence[float], finest: float, g: int) -> List[_AxisPlan]:
+    """The plans of axis i over span, one per grading centre; every grid rule is built here.
+
+    The payload fixes the rest: its edges on the axis are breakpoints, and
+    cells inside its support are at most side / min_cells_hint wide.
+    """
+    lo, hi = f.support[i]
+    extra = f.breakpoints(i)
+    max_cell = (hi - lo) / f.min_cells_hint if f.min_cells_hint > 1 else None
+    return [
+        _axis_plan(span[0], span[1], float(c), finest, extra, g, max_cell, f.support[i])
+        for c in centers
+    ]
+
+
+def _resolved(f: TestFunction, spec: QuadratureSpec, i: int) -> float:
+    """The smallest resolved distance from the singular coordinate on axis i."""
+    lo, hi = f.support[i]
+    return 2.0 ** spec.inner_cutoff * (hi - lo)
+
+
 def _inner_plans(
     f: TestFunction, outer_axes: Sequence[Sequence[float]], spec: QuadratureSpec, g: int
 ) -> List[List[_AxisPlan]]:
     """Per axis, the inner plan at each outer coordinate of that axis."""
-    plans = []
-    scale = 2.0 ** spec.inner_cutoff
-    max_cell = None
-    for i, xs in enumerate(outer_axes):
-        lo, hi = f.support[i]
-        side = hi - lo
-        if f.min_cells_hint > 1:
-            max_cell = side / f.min_cells_hint
-        extra = f.breakpoints(i)
-        plans.append(
-            [_axis_plan(lo, hi, float(x), scale * side, extra, g, max_cell) for x in xs]
-        )
-    return plans
+    return [
+        _payload_plans(f, i, f.support[i], xs, _resolved(f, spec, i), g)
+        for i, xs in enumerate(outer_axes)
+    ]
+
+
+def _tensor_weights(weights: Sequence[np.ndarray]) -> np.ndarray:
+    """The weights of a tensor rule, in a new array (1.0 * w is exact)."""
+    return reduce(np.multiply.outer, weights, 1.0)
 
 
 def _core_groups(kernel: Kernel) -> Tuple[Tuple[range, bool], ...]:
@@ -542,7 +562,7 @@ def _core_flags(kernel: Kernel, has_core: Sequence) -> List:
 
 
 def _core_eps(f: TestFunction, spec: QuadratureSpec, axes: range) -> float:
-    return max(2.0 ** spec.inner_cutoff * (f.support[i][1] - f.support[i][0]) for i in axes)
+    return max(_resolved(f, spec, i) for i in axes)
 
 
 @dataclass(frozen=True)
@@ -652,9 +672,9 @@ def _grid_conv_values(
         if not live.any():
             continue
         # weights * fvals * kvals, in that order, formed in place in a new
-        # weight tensor (1.0 * w is exact): full-size temporaries cost page
-        # faults that show in short runs
-        terms = reduce(np.multiply.outer, [r.weights for r in block], 1.0)
+        # weight tensor: full-size temporaries cost page faults that show in
+        # short runs
+        terms = _tensor_weights([r.weights for r in block])
         terms *= fvals.reshape(live.shape)
         # the excluded core may overflow; only live nodes enter the sums
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -694,7 +714,8 @@ def _mc_conv_value(
     salt: Tuple[int, ...],
 ) -> Tuple[float, float, bool, bool]:
     g = spec.points_per_axis
-    plans = [axis[0] for axis in _inner_plans(f, [[x] for x in pt], spec, g)]
+    finest = [_resolved(f, spec, i) for i in range(f.dim)]
+    plans = [_payload_plans(f, i, f.support[i], [x], finest[i], g)[0] for i, x in enumerate(pt)]
     core_u, core_v = _core_flags(kernel, [p.core.any() for p in plans])
 
     cell_lists = [
@@ -705,9 +726,6 @@ def _mc_conv_value(
     counts = [len(c) for c in cell_lists]
     n_strata = int(np.prod(counts, dtype=np.int64))
     per_stratum = max(2, spec.samples // n_strata)
-
-    scale = 2.0 ** spec.inner_cutoff
-    finest = np.array([scale * (hi - lo) for lo, hi in f.support])
 
     estimates: List[float] = []
     variances: List[float] = []
@@ -748,7 +766,7 @@ def _mc_conv_value(
 def _core_error(
     kernel: Kernel,
     f: TestFunction,
-    pt: np.ndarray,
+    pt: Sequence[float],
     spec: QuadratureSpec,
     core_u: bool,
     core_v: bool,
@@ -776,19 +794,18 @@ def _grid_inner(
     kernel: Kernel,
     f: TestFunction,
     outer_axes: Sequence[Sequence[float]],
-    points: np.ndarray,
     spec: QuadratureSpec,
 ) -> List[Tuple[float, float, float]]:
-    """Per outer node, in C order: the inner value, its err and its core part.
+    """Per node of the outer tensor, in C order: the inner value, its err and its core part.
 
-    points holds the nodes of the outer tensor as rows; err is the rule
-    disagreement plus the analytic core bound.
+    err is the rule disagreement plus the analytic core bound.
     """
     g = spec.points_per_axis
     hi, core_u, core_v = _grid_conv_values(kernel, f, outer_axes, spec, g)
     lo = _grid_conv_values(kernel, f, outer_axes, spec, g - 1)[0]
     out = []
-    for pt, v_hi, v_lo, u, v in zip(points, hi.ravel().tolist(), lo.ravel().tolist(),
+    for pt, v_hi, v_lo, u, v in zip(itertools.product(*outer_axes),
+                                    hi.ravel().tolist(), lo.ravel().tolist(),
                                     core_u.ravel().tolist(), core_v.ravel().tolist()):
         core_err = _core_error(kernel, f, pt, spec, u, v)
         out.append((v_hi, abs(v_hi - v_lo) + core_err, core_err))
@@ -804,7 +821,7 @@ def _apply_kernel(
     check_target: bool = True,
 ) -> Tuple[float, float]:
     if spec.method == "grid":
-        ((value, err, core_err),) = _grid_inner(kernel, f, [[x] for x in pt], [pt], spec)
+        ((value, err, core_err),) = _grid_inner(kernel, f, [[x] for x in pt], spec)
     else:
         value, rule_err, core_u, core_v = _mc_conv_value(kernel, f, pt, spec, salt)
         core_err = _core_error(kernel, f, pt, spec, core_u, core_v)
@@ -859,28 +876,12 @@ def apply_riesz_1d(
     return value
 
 
-def _outer_plans(
-    box: Bounds, f: TestFunction, g: int
-) -> List[_AxisPlan]:
-    plans = []
-    centers = f.centers()
-    sides = f.support_sides()
-    for i, (lo, hi) in enumerate(box):
-        max_cell = None
-        if f.min_cells_hint > 1:
-            max_cell = sides[i] / f.min_cells_hint
-        plans.append(
-            _axis_plan(lo, hi, centers[i], 0.5 * sides[i], f.breakpoints(i), g,
-                       max_cell, f.support[i])
-        )
-    return plans
-
-
-def _outer_tensor(plans: List[_AxisPlan]) -> Tuple[np.ndarray, np.ndarray]:
-    mesh = np.meshgrid(*[p.nodes for p in plans], indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    weights = reduce(np.multiply.outer, [p.weights for p in plans]).ravel()
-    return points, weights
+def _outer_plans(box: Bounds, f: TestFunction, g: int) -> List[_AxisPlan]:
+    """Per axis, the plan of the box side, graded toward the support's centre."""
+    return [
+        _payload_plans(f, i, span, [0.5 * (lo + hi)], 0.5 * (hi - lo), g)[0]
+        for i, (span, (lo, hi)) in enumerate(zip(box, f.support))
+    ]
 
 
 def _power_gap(v: float, e: float, q: float) -> float:
@@ -901,14 +902,14 @@ def _lq_mass_grid(
     g = spec.points_per_axis
     for box, sign in region.signed_boxes():
         plans_hi = _outer_plans(box, f, g)
-        pts_hi, w_hi = _outer_tensor(plans_hi)
-        inner = _grid_inner(kernel, f, [p.nodes for p in plans_hi], pts_hi, spec)
+        w_hi = _tensor_weights([p.weights for p in plans_hi]).ravel()
+        inner = _grid_inner(kernel, f, [p.nodes for p in plans_hi], spec)
         v_hi = math.fsum(w * abs(v) ** q for w, (v, _, _) in zip(w_hi, inner))
         prop = math.fsum(w * _power_gap(v, e, q) for w, (v, e, _) in zip(w_hi, inner))
 
         # the lower outer rule needs only the inner g-order value
         plans_lo = _outer_plans(box, f, g - 1)
-        _, w_lo = _outer_tensor(plans_lo)
+        w_lo = _tensor_weights([p.weights for p in plans_lo]).ravel()
         values_lo = _grid_conv_values(kernel, f, [p.nodes for p in plans_lo], spec, g)[0]
         v_lo = math.fsum(w * abs(v) ** q for w, v in zip(w_lo, values_lo.ravel().tolist()))
         box_terms.append(sign * v_hi)
@@ -1013,9 +1014,8 @@ def lp_norm(
 
     def _mass(g: int) -> float:
         plans = _outer_plans(f.support, f, g)
-        pts, w = _outer_tensor(plans)
-        vals = np.abs(f.evaluate(pts)) ** pf
-        return float(np.sum(w * vals))
+        vals = np.abs(f.evaluate(axes=[p.nodes for p in plans])) ** pf
+        return float(np.sum(_tensor_weights([p.weights for p in plans]).ravel() * vals))
 
     hi = _mass(spec.points_per_axis)
     lo = _mass(spec.points_per_axis - 1)

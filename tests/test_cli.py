@@ -306,6 +306,22 @@ def test_atom_validate_reads_json_file(tmp_path, capsys):
     assert out.strip() == "atom VALID (support True, bound True, mean True)"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 1, "m": 1, "cells": []}, "error: atom JSON has no key 'L'"),
+    ([1, 1, 1], "error: atom JSON must be an object, not list"),
+])
+def test_atom_validate_rejects_malformed_json_file(tmp_path, capsys, doc, message):
+    atom_file = tmp_path / "atom.json"
+    atom_file.write_text(json.dumps(doc))
+    status, out, err = run_cli(
+        capsys, "atom-validate", "--atom-json", str(atom_file),
+        "--out", str(tmp_path),
+    )
+    assert status == 1
+    assert out == ""
+    assert err == message + "\n"
+
+
 # ---------------------------------------------------------------------------
 # scan experiments at reduced scale
 

@@ -305,6 +305,22 @@ def test_smooth_bump_peak_and_support():
     assert f.min_cells_hint == 8
 
 
+def test_bump_built_directly_gets_the_rule_of_smooth_bump():
+    # the cell cap follows from the kind, not from the constructor
+    made = smooth_bump(1, 1, (0.0, 0.0), 1.0, 1.0)
+    direct = quadrature.TestFunction(
+        kind="smooth-bump", n=1, m=1, support=((-1.0, 1.0), (-1.0, 1.0)),
+        center=(0.0, 0.0), radius=(1.0, 1.0),
+    )
+    assert direct == made
+    assert (direct.min_cells_hint, _sgn_payload().min_cells_hint) == (8, 1)
+    cfg = _cfg()
+    spec = QuadratureSpec(inner_cutoff=-40)
+    for x, y in ((2.0, 1.5), (0.3, 0.01), (0.5, 0.25)):
+        pt = point_pair(x, y)
+        assert apply_operator(cfg, direct, pt, spec) == apply_operator(cfg, made, pt, spec)
+
+
 def test_piecewise_constant_rejects_overlap():
     with pytest.raises(ValueError):
         piecewise_constant(
@@ -579,13 +595,13 @@ def test_batched_grid_pass_matches_pointwise_reference(n, m, payload, monkeypatc
 
 
 def test_grid_pass_keeps_a_block_with_one_live_node():
-    # the bump fills the middle half of its declared support; seen from
-    # (6, 6) that support is one Gauss cell per axis, and at order 3 only
-    # the centre node lies inside the bump, so the pass has one block with
-    # one live node
+    # seen from (6, 6) the support [-2, 2] is one graded cell per axis, cut
+    # into 8 cells of width 1/2 as for every bump; the bump of radius 0.1
+    # around (0.25, 0.25) holds only the centre node of the cell [0, 1/2]
+    # at order 3, so the pass has one block with one live node
     f = quadrature.TestFunction(
         kind="smooth-bump", n=1, m=1, support=((-2.0, 2.0), (-2.0, 2.0)),
-        center=(0.0, 0.0), radius=(1.0, 1.0),
+        center=(0.25, 0.25), radius=(0.1, 0.1),
     )
     spec = QuadratureSpec()
     pt = np.array([6.0, 6.0])
@@ -594,6 +610,23 @@ def test_grid_pass_keeps_a_block_with_one_live_node():
         want, live = _reference_grid_value(desc, f, pt, spec, 3)
         assert len(live) == 1, kind
         assert got == want != 0.0, kind
+
+
+@pytest.mark.parametrize("payload", ["smooth-bump", "atom"])
+def test_lp_norm_grid_mass_matches_point_tensor_reference(payload):
+    # the outer rule over the support as explicit points, evaluated point by point
+    f = _payloads(1, 1)[payload]
+    g = QuadratureSpec().points_per_axis
+    for p in (1, 2):
+        hi, lo = (
+            float(np.sum(w * np.abs(f.evaluate(points)) ** float(p)))
+            for points, w in (_outer_rule(f.support, f, order) for order in (g, g - 1))
+        )
+        assert lp_norm(f, p, QuadratureSpec(target_rel_error=1.0)) == hi ** (1.0 / p)
+        # the lower order shows in the disagreement an exact target rejects
+        with pytest.raises(AccuracyError) as exc:
+            lp_norm(f, p, QuadratureSpec(target_rel_error=1e-300))
+        assert exc.value.err == abs(hi - lo)
 
 
 def _outer_rule(box, f, g):

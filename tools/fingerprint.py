@@ -1,0 +1,139 @@
+"""Fingerprint the program's outputs, to show that a change leaves every bit alone.
+
+    PYTHONPATH=src python3 tools/fingerprint.py > after.txt
+
+Run it once in a checkout of the parent commit and once in the change, each
+with that checkout's `src` on PYTHONPATH, and `diff` the two outputs: an
+empty diff means every case below gave the same bytes.
+
+Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, five
+larger CLI runs, `--help` of the program and of every subcommand, and the
+900-point apply pool of `bench/reference.json` (read, never written).
+Each prints one line: the case name, the exit status, and the SHA-256 of the
+CSV bytes, of the JSON sidecar without its `timestamp` block (with the output
+directory masked), and of stdout. The apply-pool line also counts the
+queries whose value and err equal the reference bit for bit.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "bench" / "reference.json"
+
+# the argv lists of criterion 10 (tests/test_acceptance.py, _RERUN_CASES)
+_CRITERION_10 = (
+    ("check", ["check", "--alpha", "9/10", "--beta", "3/10", "--q", "2"]),
+    ("kernel", ["kernel", "--x", "2", "--y", "3"]),
+    ("apply", ["apply", "--x", "10", "--y", "0"]),
+    ("apply-mc", ["apply", "--x", "10", "--y", "0",
+                  "--method", "monte-carlo", "--samples", "2000"]),
+    ("atom-validate", ["atom-validate"]),
+    ("shells", ["shells", "--k-max", "2", "--l-max", "1", "--jobs", "1"]),
+    ("dilate", ["dilate", "--payload", "indicator", "--deltas", "0.5,2",
+                "--lams", "2", "--jobs", "1"]),
+    ("counterexample", ["counterexample", "--radii", "10,20", "--jobs", "1"]),
+    ("frontier", ["frontier", "--alphas", "1/2", "--betas", "3/10", "--jobs", "1"]),
+    ("hls", ["hls"]),
+)
+
+_LARGER = (
+    ("shells-default", ["shells", "--jobs", "2"]),
+    ("apply-interior", ["apply", "--x", "0.5", "--y", "0.25"]),
+    ("dilate-bump", ["dilate", "--deltas", "1,2", "--lams", "1", "--jobs", "2"]),
+    ("frontier-2x2", ["frontier", "--alphas", "1/2,9/10", "--betas", "3/10,1/2",
+                      "--jobs", "2"]),
+    ("hls-bump", ["hls", "--payload", "bump"]),
+)
+
+# the apply-points client of the benchmark (bench/child.py)
+_APPLY_ALPHA = Fraction(1, 2)
+_APPLY_BETA = Fraction(1, 2)
+_APPLY_INNER_CUTOFF = -40
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_cli(argv, out_dir=None):
+    """(exit status, stdout) of one in-process CLI run."""
+    from flagint import cli
+
+    if out_dir is not None:
+        argv = argv + ["--out", str(out_dir)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:  # --help exits through argparse
+            status = exc.code
+    return status, stdout.getvalue().encode()
+
+
+def _cli_line(name, argv, tmp):
+    out = Path(tmp) / name
+    status, stdout = _run_cli(argv, out)
+    (csv_path,) = out.glob("*.csv")
+    (json_path,) = out.glob("*.json")
+    doc = json.loads(json_path.read_text(encoding="utf-8"))
+    doc.pop("timestamp")
+    doc["metadata"]["run_config"]["out"] = "<out>"
+    sidecar = json.dumps(doc, sort_keys=True).encode()
+    return (f"{name} status={status} csv={_sha(csv_path.read_bytes())} "
+            f"json={_sha(sidecar)} stdout={_sha(stdout)}")
+
+
+def _help_line(name, argv):
+    status, stdout = _run_cli(argv)
+    return f"{name} status={status} stdout={_sha(stdout)}"
+
+
+def _apply_pool_line():
+    import flagint
+
+    pool = json.loads(REFERENCE.read_text(encoding="utf-8"))["apply_pool"]
+    cfg = flagint.ExponentConfig(n=1, m=1, alpha=_APPLY_ALPHA, beta=_APPLY_BETA,
+                                 rho=Fraction(2))
+    payload = flagint.smooth_bump(1, 1, (0.0, 0.0), 1.0, 1.0)
+    spec = flagint.QuadratureSpec(inner_cutoff=_APPLY_INNER_CUTOFF)
+    results = []
+    equal = 0
+    for q in pool:
+        try:
+            value, err = flagint.apply_operator(
+                cfg, payload, flagint.point_pair([q["x"]], [q["y"]]), spec)
+        except flagint.AccuracyError:
+            value = err = None
+        results.append([value, err])
+        equal += [value, err] == [q["value"], q["err"]]
+    digest = _sha(json.dumps(results).encode())
+    return f"apply-pool equal={equal}/{len(pool)} results={digest}"
+
+
+def main() -> int:
+    from flagint import cli
+
+    # argparse wraps help text to the terminal width
+    os.environ["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in _CRITERION_10 + _LARGER:
+            print(_cli_line(name, argv, tmp), flush=True)
+    print(_help_line("help", ["--help"]))
+    for sub in cli.EXPERIMENTS:
+        print(_help_line(f"help-{sub}", [sub, "--help"]))
+    print(_apply_pool_line())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
