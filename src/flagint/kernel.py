@@ -79,32 +79,41 @@ class Kernel:
         """Whether the kernel blows up on v = 0 (only the product kernel does)."""
         return self.kind == "product"
 
-    def of_norms(self, sn: np.ndarray, tn: Optional[np.ndarray] = None) -> np.ndarray:
+    def of_norms(self, sn: np.ndarray, tn: Optional[np.ndarray] = None, *,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
         """Kernel value from the factor norms |u| and |v|; both broadcast.
 
         On a node tensor sn varies along the u axes only and tn along the v
         axes only, so each factor of one variable is taken once per node of
-        its own axes and only the combination covers the whole tensor.
+        its own axes and only the combination covers the whole tensor. With
+        out (an array of the broadcast shape) the values are formed in out
+        and it is returned; without it, in a new array.
         """
-        su = sn ** (self.u_power - self.n)
         if self.kind == "riesz":
-            return su
+            if out is None:
+                return sn ** (self.u_power - self.n)
+            # **= takes the path ** takes, so the copy keeps the bits
+            np.copyto(out, sn)
+            out **= self.u_power - self.n
+            return out
+        su = sn ** (self.u_power - self.n)
         if self.kind == "flag":
             # su * mix ** e, formed in the one full-size array mix: the
             # product commutes, and **= takes the path ** takes, also on the
             # numpy scalars that 0-d norms give
-            mix = sn ** self.rho + tn
+            mix = np.add(sn ** self.rho, tn, out=out)
             mix **= self.v_power - self.m
             mix *= su
             return mix
-        return su * tn ** (self.v_power - self.m)
+        return np.multiply(su, tn ** (self.v_power - self.m), out=out)
 
-    def of_offsets(self, diffs: Sequence[np.ndarray]) -> np.ndarray:
+    def of_offsets(self, diffs: Sequence[np.ndarray], *,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
         """Kernel value from the offsets pt - z, one broadcastable array per axis."""
         sn = _norm(diffs[: self.n])
         if not self.m:
-            return self.of_norms(sn)
-        return self.of_norms(sn, _norm(diffs[self.n: self.n + self.m]))
+            return self.of_norms(sn, out=out)
+        return self.of_norms(sn, _norm(diffs[self.n: self.n + self.m]), out=out)
 
     def values(self, pt: np.ndarray, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Kernel at pt - z, with z given as one coordinate array per axis.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -36,6 +37,12 @@ MAX_GRID_NODES = 12_000_000
 
 # Inner tensor nodes evaluated together when a pass batches outer nodes.
 _BLOCK_NODES = 2 ** 14
+
+# Largest inner tensor whose buffers a thread keeps for its one-node passes
+# (two float64 tensors and one bool tensor, 17 MB at this size). An apply
+# query's inner tensor has about 110k nodes (332 x 332 at cutoff 2^-40); a
+# larger one-node pass allocates its buffers as a batched pass does.
+_WORKSPACE_NODES = 2 ** 20
 
 # Monte Carlo strata are merged (pairwise, per axis) down to this count.
 MAX_MC_STRATA = 65_536
@@ -130,13 +137,16 @@ class TestFunction:
         points: Optional[np.ndarray] = None,
         *,
         axes: Optional[Sequence[np.ndarray]] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Payload values at points (N, dim), or on a tensor of per-axis nodes.
 
         With axes (one 1-d node array per axis) the result holds one value
         per node of their tensor product, flattened in C order. Both forms
         run the same formulas: on a tensor each one-axis step runs on that
-        axis's nodes and is broadcast, so it costs one pass per axis.
+        axis's nodes and is broadcast, so it costs one pass per axis. With
+        out (a float array of shape (N,), or of the tensor's shape) the
+        values are written into out; without it, into a new array.
         """
         if (points is None) == (axes is None):
             raise ValueError("pass exactly one of points and axes")
@@ -149,27 +159,36 @@ class TestFunction:
             if len(axes) != self.dim:
                 raise ValueError(f"need {self.dim} node arrays, one per axis")
             coords = _axis_views([np.asarray(a, dtype=float) for a in axes])
-        return self._values(coords).ravel()
+        return self._values(coords, out).ravel()
 
-    def _values(self, coords: List[np.ndarray]) -> np.ndarray:
+    def _values(self, coords: List[np.ndarray], out: Optional[np.ndarray]) -> np.ndarray:
         # coords: one broadcastable coordinate array per axis
         if self.kind == "smooth-bump":
-            inside = True
-            arg = 0.0
+            within = []
+            steps = []
             for z, c, r in zip(coords, self.center, self.radius):
                 w = (z - c) / r
                 w2 = w * w
-                inside = inside & (w2 < 1.0)
+                within.append(w2 < 1.0)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    arg = arg + np.where(w2 < 1.0, 1.0 - 1.0 / (1.0 - w2), 0.0)
-            # amplitude * exp(arg) where inside, +0.0 elsewhere, in one
-            # full-size array: the product commutes, so the bits are the same
-            out = np.exp(arg)
-            out *= self.amplitude
-            np.copyto(out, 0.0, where=~inside)
-            return out
+                    steps.append(np.where(within[-1], 1.0 - 1.0 / (1.0 - w2), 0.0))
+            # amplitude * exp(arg) where inside, +0.0 elsewhere, formed in the
+            # one full-size array that the last axis's step is added into: the
+            # product commutes, so the bits are the same as exp(arg) * amplitude
+            res = np.add(reduce(np.add, steps[:-1], 0.0), steps[-1], out=out)
+            np.exp(res, out=res)
+            res *= self.amplitude
+            # a node is outside when it is outside on some axis
+            for inside in within:
+                if not inside.all():
+                    np.copyto(res, 0.0, where=~inside)
+            return res
         # piecewise constant: half-open cells, closed against the support top
-        out = np.zeros(np.broadcast_shapes(*(z.shape for z in coords)))
+        shape = np.broadcast_shapes(*(z.shape for z in coords))
+        if out is None:
+            out = np.zeros(shape)
+        else:
+            out[...] = 0.0
         for box, value in self.cells:
             mask = True
             for z, (lo, hi), (_, top) in zip(coords, box, self.support):
@@ -535,9 +554,11 @@ def _inner_plans(
     ]
 
 
-def _tensor_weights(weights: Sequence[np.ndarray]) -> np.ndarray:
-    """The weights of a tensor rule, in a new array (1.0 * w is exact)."""
-    return reduce(np.multiply.outer, weights, 1.0)
+def _tensor_weights(weights: Sequence[np.ndarray],
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The weights of a tensor rule, in out or a new array (1.0 * w is exact)."""
+    return np.multiply.outer(reduce(np.multiply.outer, weights[:-1], 1.0), weights[-1],
+                             out=out)
 
 
 def _core_groups(kernel: Kernel) -> Tuple[Tuple[range, bool], ...]:
@@ -594,7 +615,8 @@ def _split_runs(lengths: Sequence[int], cap: float) -> List[Tuple[int, int]]:
 
 
 def _block_runs(
-    outer_axes: Sequence[Sequence[float]], plans: List[List[_AxisPlan]]
+    outer_axes: Sequence[Sequence[float]], plans: List[List[_AxisPlan]],
+    core_last: bool = False,
 ) -> List[List[_Run]]:
     """Per axis, the runs whose tensor products are the blocks of one pass.
 
@@ -602,6 +624,9 @@ def _block_runs(
     of what is left of _BLOCK_NODES, so a short axis is one run and leaves
     the rest to the long ones. A block's tensor fits the budget unless one
     outer node's tensor alone does not; such a node is never split.
+
+    A run of one outer coordinate takes its plan's nodes by one index; with
+    core_last, on axis 0 that index puts the core nodes last.
     """
     lengths = [[len(p.nodes) for p in axis] for axis in plans]
     order = sorted(range(len(plans)), key=lambda i: sum(lengths[i]))
@@ -611,6 +636,14 @@ def _block_runs(
         xs, axis, lens = outer_axes[i], plans[i], lengths[i]
         cap = max(max(lens), left ** (1.0 / (len(order) - k)))
         for a, b in _split_runs(lens, cap):
+            if b - a == 1:
+                p = axis[a]
+                take = np.argsort(p.core, kind="stable") if core_last and i == 0 else slice(None)
+                nodes = p.nodes[take]
+                out[i].append(_Run(outer=range(a, b), segments=(slice(0, len(nodes)),),
+                                   nodes=nodes, weights=p.weights[take], core=p.core[take],
+                                   offsets=xs[a] - nodes))
+                continue
             ends = np.cumsum([0] + lens[a:b]).tolist()
             out[i].append(_Run(
                 outer=range(a, b),
@@ -622,6 +655,81 @@ def _block_runs(
             ))
         left /= max(len(r.nodes) for r in out[i])
     return out
+
+
+def _new_buffers(shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+
+
+class _Workspace(threading.local):
+    """One thread's buffers for one-node passes: two float tensors and a bool one.
+
+    Each grows to the largest pass it has served, up to _WORKSPACE_NODES.
+    Memory reused is not faulted in again, as fresh full-size arrays are on
+    every pass once the allocator has handed them back to the system.
+    """
+
+    def __init__(self) -> None:
+        self.held = _new_buffers((0,))
+
+    def buffers(self, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        size = math.prod(shape)
+        if size > _WORKSPACE_NODES:
+            return _new_buffers(shape)
+        if self.held[0].size < size:
+            self.held = _new_buffers((size,))
+        return tuple(b[:size].reshape(shape) for b in self.held)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _block_terms(kernel: Kernel, f: TestFunction, block: Sequence[_Run],
+                 fvals: np.ndarray, terms: np.ndarray, live: np.ndarray) -> int:
+    """Form a block's terms in terms and its live mask in live; returns the live count.
+
+    All three arrays have the block's tensor shape. fvals holds the payload
+    and then the kernel. terms is formed only when some node is live.
+    """
+    f.evaluate(axes=[r.nodes for r in block], out=fvals)
+    np.not_equal(fvals, 0.0, out=live)
+    cores = _axis_views([r.core for r in block])
+    # a node whose group is not excluded has no core nodes on some axis
+    # of the group, so masking every node at once leaves it whole
+    for axes, singular in _core_groups(kernel):
+        if singular:
+            live &= ~reduce(np.logical_and, [cores[i] for i in axes])
+    count = np.count_nonzero(live)
+    if count:
+        # weights * fvals * kvals, in that order
+        _tensor_weights([r.weights for r in block], out=terms)
+        terms *= fvals
+        # the excluded core may overflow; only live nodes enter the sums
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            terms *= kernel.of_offsets(_axis_views([r.offsets for r in block]), out=fvals)
+    return count
+
+
+def _one_node_value(kernel: Kernel, f: TestFunction, block: Sequence[_Run],
+                    core_last: bool) -> float:
+    """The inner value of a block of one outer node, formed in the thread's workspace.
+
+    With core_last the core nodes of axis 0 come last, so when every other
+    node is live the live terms are a prefix of the tensor, in the order the
+    masked sum takes, and are summed without a masked copy.
+    """
+    shape = tuple(len(r.nodes) for r in block)
+    fvals, terms, live = _WORKSPACE.buffers(shape)
+    count = _block_terms(kernel, f, block, fvals, terms, live)
+    if not count:
+        return 0.0
+    # the excluded axis-0 core nodes, if any, are the last rows of the tensor
+    prefix = terms.size
+    if core_last:
+        prefix -= int(np.count_nonzero(block[0].core)) * (terms.size // shape[0])
+    if count == prefix:
+        return np.sum(terms.ravel()[:prefix])
+    return np.sum(terms[live])
 
 
 def _grid_conv_values(
@@ -660,28 +768,18 @@ def _grid_conv_values(
     has_core = _axis_views([np.array([p.core.any() for p in axis]) for axis in plans])
     core_u, core_v = (np.broadcast_to(c, shape) for c in _core_flags(kernel, has_core))
     values = np.zeros(shape)
-    for block in itertools.product(*_block_runs(outer_axes, plans)):
-        fvals = f.evaluate(axes=[r.nodes for r in block])
-        live = (fvals != 0.0).reshape(tuple(len(r.nodes) for r in block))
-        cores = _axis_views([r.core for r in block])
-        # a node whose group is not excluded has no core nodes on some axis
-        # of the group, so masking every node at once leaves it whole
-        for axes, singular in _core_groups(kernel):
-            if singular:
-                live &= ~reduce(np.logical_and, [cores[i] for i in axes])
-        if not live.any():
+    # with one u axis, a one-node block's u core nodes go last (_one_node_value)
+    core_last = kernel.n == 1
+    for block in itertools.product(*_block_runs(outer_axes, plans, core_last)):
+        if all(len(r.outer) == 1 for r in block):
+            values[tuple(r.outer[0] for r in block)] = _one_node_value(kernel, f, block,
+                                                                        core_last)
             continue
-        # weights * fvals * kvals, in that order, formed in place in a new
-        # weight tensor: full-size temporaries cost page faults that show in
-        # short runs
-        terms = _tensor_weights([r.weights for r in block])
-        terms *= fvals.reshape(live.shape)
-        # the excluded core may overflow; only live nodes enter the sums
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            terms *= kernel.of_offsets(_axis_views([r.offsets for r in block]))
-        for node, part in zip(itertools.product(*(r.outer for r in block)),
-                              itertools.product(*(r.segments for r in block))):
-            values[node] = np.sum(terms[part][live[part]])
+        fvals, terms, live = _new_buffers(tuple(len(r.nodes) for r in block))
+        if _block_terms(kernel, f, block, fvals, terms, live):
+            for node, part in zip(itertools.product(*(r.outer for r in block)),
+                                  itertools.product(*(r.segments for r in block))):
+                values[node] = np.sum(terms[part][live[part]])
     return values, core_u, core_v
 
 
@@ -835,7 +933,9 @@ def _apply_kernel(
             value=value,
             err=err,
         )
-    return value, err
+    # err is a numpy scalar when the core bound used the point's numpy
+    # coordinates; float() keeps its bits
+    return float(value), float(err)
 
 
 def _require_dims(f: TestFunction, kernel: Kernel) -> None:

@@ -262,6 +262,20 @@ def test_apply_interior_point_is_unresolved_at_default_cutoff(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("method", [[], ["--method", "monte-carlo", "--samples", "2000"]])
+def test_apply_prints_plain_floats_when_the_core_is_excluded(tmp_path, capsys, method):
+    # the point sits inside the bump, so err carries the analytic core bound
+    status, out, _ = run_cli(
+        capsys, "apply", "--x", "0.5", "--y", "0.25", "--inner-cutoff", "-40",
+        "--payload", "bump", *method, "--out", str(tmp_path),
+    )
+    assert status == 0
+    match = re.fullmatch(r"operator value (\S+) \+/- (\S+)", out.strip())
+    assert match is not None, out
+    for txt in match.groups():
+        assert repr(float(txt)) == txt
+
+
 def test_apply_exterior_point_passes(tmp_path, capsys):
     status, out, _ = run_cli(
         capsys, "apply", "--x", "10", "--y", "0", "--out", str(tmp_path),

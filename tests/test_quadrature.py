@@ -4,6 +4,9 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -610,6 +613,92 @@ def test_grid_pass_keeps_a_block_with_one_live_node():
         want, live = _reference_grid_value(desc, f, pt, spec, 3)
         assert len(live) == 1, kind
         assert got == want != 0.0, kind
+
+
+def _one_node_payload(f, pt, spec, g):
+    # the payload on the inner tensor of one outer node, as its one-node
+    # pass orders it (u core nodes last), and the length of the live prefix
+    outer = [[x] for x in pt]
+    runs = quadrature._block_runs(outer, quadrature._inner_plans(f, outer, spec, g), True)
+    block = [axis[0] for axis in runs]
+    fvals = f.evaluate(axes=[r.nodes for r in block])
+    rows = fvals.size // len(block[0].nodes)
+    return fvals, fvals.size - int(np.count_nonzero(block[0].core)) * rows
+
+
+def test_one_node_pass_with_zeros_in_its_live_prefix_sums_the_masked_terms():
+    # the cell [-1, -0.99] that the grading toward u = 0.01 leaves at the
+    # support edge holds order-4 nodes where the bump underflows to 0, so
+    # the live terms are not the whole prefix and the masked sum must run;
+    # the order-3 nodes there keep the bump positive and take the prefix sum
+    f = smooth_bump(1, 1)
+    spec = QuadratureSpec(inner_cutoff=-40)
+    pt = np.array([0.01, 0.3])
+    zeros = {}
+    for g in (4, 3):
+        fvals, prefix = _one_node_payload(f, pt, spec, g)
+        assert prefix < fvals.size
+        zeros[g] = np.count_nonzero(fvals[:prefix] == 0.0)
+        for kind, desc in _kernels(1, 1).items():
+            got = quadrature._grid_conv_values(desc, f, [[x] for x in pt], spec, g)[0].item()
+            assert got == _reference_grid_value(desc, f, pt, spec, g)[0], (kind, g)
+    assert zeros[4] > 0 and zeros[3] == 0, zeros
+
+
+def test_apply_queries_in_two_threads_match_their_serial_values():
+    # each thread forms its passes in its own workspace
+    cfg = _cfg()
+    f = smooth_bump(1, 1)
+    spec = QuadratureSpec(inner_cutoff=-40)
+    points = [point_pair(0.5, 0.25), point_pair(-0.3, 0.6)]
+    want = [apply_operator(cfg, f, pt, spec) for pt in points]
+    start = threading.Barrier(len(points))
+    got = [[] for _ in points]
+
+    def run(i):
+        start.wait()
+        for _ in range(50):
+            got[i].append(apply_operator(cfg, f, points[i], spec))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(points))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, values in enumerate(got):
+        assert values == [want[i]] * 50, i
+
+
+def test_apply_query_allocates_less_than_half_an_inner_tensor(inner_tensor_sizes):
+    # after a warm-up query with a tensor at least as large, a query whose
+    # live terms are a prefix forms its passes in memory the thread holds
+    # and sums them without a masked copy, which would take nearly one
+    # tensor's float64 bytes; half of them bounds what the query allocates
+    cfg = _cfg()
+    f = smooth_bump(1, 1)
+    spec = QuadratureSpec(inner_cutoff=-40)
+    g = spec.points_per_axis
+    warm, pt = np.array([0.01, 0.3]), np.array([0.5, 0.25])
+    size = int(inner_tensor_sizes(f, [[x] for x in pt], spec, g).item())
+    assert size <= int(inner_tensor_sizes(f, [[x] for x in warm], spec, g).item())
+    for order in (g, g - 1):
+        fvals, prefix = _one_node_payload(f, pt, spec, order)
+        assert prefix < fvals.size and np.count_nonzero(fvals[:prefix]) == prefix
+    apply_operator(cfg, f, point_pair(*warm), spec)
+    tracemalloc.start()
+    try:
+        value, err = apply_operator(cfg, f, point_pair(*pt), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(value) is float and type(err) is float
+    assert peak < 4 * size, (peak, size)
 
 
 @pytest.mark.parametrize("payload", ["smooth-bump", "atom"])

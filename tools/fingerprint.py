@@ -6,7 +6,7 @@ Run it once in a checkout of the parent commit and once in the change, each
 with that checkout's `src` on PYTHONPATH, and `diff` the two outputs: an
 empty diff means every case below gave the same bytes.
 
-Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, five
+Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, seven
 larger CLI runs, `--help` of the program and of every subcommand, and the
 900-point apply pool of `bench/reference.json` (read, never written).
 Each prints one line: the case name, the exit status, and the SHA-256 of the
@@ -53,6 +53,10 @@ _LARGER = (
     ("frontier-2x2", ["frontier", "--alphas", "1/2,9/10", "--betas", "3/10,1/2",
                       "--jobs", "2"]),
     ("hls-bump", ["hls", "--payload", "bump"]),
+    # a resolved bump query whose u core is excluded, and an n = 2 query
+    ("apply-bump-core", ["apply", "--x", "0.5", "--y", "0.25", "--inner-cutoff", "-40",
+                         "--payload", "bump"]),
+    ("apply-n2", ["apply", "--n", "2", "--x", "0.5,0.25", "--y", "0.3"]),
 )
 
 # the apply-points client of the benchmark (bench/child.py)
