@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import RegionError
 from .exponents import ExponentConfig
-from .kernel import PointPair
+from .kernel import PointPair, _factor_norms
 
 Bounds = Tuple[Tuple[float, float], ...]
 SignedBox = Tuple[Bounds, float]
@@ -35,16 +35,6 @@ def ball_volume(dim: int, radius: float) -> float:
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius ** dim
-
-
-def _split_xy(points: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return pts[:, :n], pts[:, n:]
-
-
-def _factor_norms(points: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    xs, ys = _split_xy(points, n)
-    return np.sqrt(np.sum(xs * xs, axis=1)), np.sqrt(np.sum(ys * ys, axis=1))
 
 
 def _sample_annulus(rng: np.random.Generator, count: int, dim: int,
@@ -306,9 +296,9 @@ class CounterexampleRegion:
         return tuple((2.0, 4.0) for _ in range(self.n))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        xs, ys = _split_xy(points, self.n)
+        xs = np.atleast_2d(np.asarray(points, dtype=float))[:, : self.n]
         ok = np.all((xs >= 2.0) & (xs <= 4.0), axis=1)
-        return ok & (np.sqrt(np.sum(ys * ys, axis=1)) <= self.R)
+        return ok & (_factor_norms(points, self.n)[1] <= self.R)
 
     def volume(self) -> float:
         return 2.0 ** self.n * ball_volume(self.m, self.R)

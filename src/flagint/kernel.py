@@ -136,8 +136,8 @@ def _norm(diffs: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _factor_norms(points: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """|x| and |y| for the rows of an (N, n+m) coordinate array."""
-    pts = np.asarray(points, dtype=float)
+    """|x| and |y| for the rows of an (N, n+m) coordinate array, or of one point."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     return _norm(list(pts[:, :n].T)), _norm(list(pts[:, n:].T))
 
 

@@ -826,3 +826,60 @@ def test_max_grid_nodes_does_not_cap_a_batch(grid_spec, inner_tensor_sizes, monk
     want = lq_mass(cfg, f, shell, 2, grid_spec)
     monkeypatch.setattr(quadrature, "MAX_GRID_NODES", largest)
     assert lq_mass(cfg, f, shell, 2, grid_spec) == want
+
+
+# ---------------------------------------------------------------------------
+# stratified Monte Carlo against the grid
+
+
+def _reference_merged_cells(cell_lists, cap):
+    # the cells as (lo, hi) pairs, the widest axis halved pairwise until the
+    # stratum tensor fits cap
+    while math.prod(len(c) for c in cell_lists) > cap:
+        widest = max(range(len(cell_lists)), key=lambda i: len(cell_lists[i]))
+        cells = cell_lists[widest]
+        if len(cells) <= 1:
+            break
+        merged = [(cells[j][0], cells[j + 1][1]) for j in range(0, len(cells) - 1, 2)]
+        cell_lists[widest] = merged + cells[len(merged) * 2:]
+    return cell_lists
+
+
+def test_merged_strata_match_the_pairwise_cell_reference():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        dim = int(rng.integers(1, 5))
+        breaks = [np.unique(rng.random(int(rng.integers(2, 300)))) for _ in range(dim)]
+        cap = int(rng.choice([1, 7, 100, 4096, quadrature.MAX_MC_STRATA]))
+        cells = [list(zip(b[:-1].tolist(), b[1:].tolist())) for b in breaks]
+        got = quadrature._merge_axis_cells(breaks, cap)
+        assert [list(zip(b[:-1].tolist(), b[1:].tolist())) for b in got] == \
+            _reference_merged_cells(cells, cap)
+
+
+_MC_BUMP_SPEC = QuadratureSpec(method="monte-carlo", inner_cutoff=-40)
+
+
+def _mc_bump_queries(spec):
+    cfg = _cfg()
+    f = smooth_bump(1, 1)
+    return [apply_operator(cfg, f, point_pair(x, y), spec) for x, y in _POINTS.values()]
+
+
+def test_monte_carlo_covers_the_grid_value_over_twenty_seeds():
+    # the 3-sigma err of stratified sampling plus the grid err covers the
+    # gap to the grid value at every point and seed
+    grid = _mc_bump_queries(dataclasses.replace(_MC_BUMP_SPEC, method="grid"))
+    ratios = []
+    for seed in range(20):
+        mc = _mc_bump_queries(dataclasses.replace(_MC_BUMP_SPEC, seed=seed))
+        ratios += [abs(vm - vg) / (em + eg) for (vm, em), (vg, eg) in zip(mc, grid)]
+    assert max(ratios) <= 1.0, sorted(ratios)[-5:]
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_monte_carlo_value_does_not_depend_on_the_chunk_size(budget, monkeypatch):
+    # the chunks draw one after another from the one stream of the query
+    want = _mc_bump_queries(_MC_BUMP_SPEC)
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+    assert _mc_bump_queries(_MC_BUMP_SPEC) == want

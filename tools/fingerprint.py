@@ -6,7 +6,7 @@ Run it once in a checkout of the parent commit and once in the change, each
 with that checkout's `src` on PYTHONPATH, and `diff` the two outputs: an
 empty diff means every case below gave the same bytes.
 
-Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, seven
+Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, eight
 larger CLI runs, `--help` of the program and of every subcommand, and the
 900-point apply pool of `bench/reference.json` (read, never written).
 Each prints one line: the case name, the exit status, and the SHA-256 of the
@@ -57,6 +57,9 @@ _LARGER = (
     ("apply-bump-core", ["apply", "--x", "0.5", "--y", "0.25", "--inner-cutoff", "-40",
                          "--payload", "bump"]),
     ("apply-n2", ["apply", "--n", "2", "--x", "0.5,0.25", "--y", "0.3"]),
+    # Monte Carlo lq_mass: region sampling and strata in three dimensions
+    ("counterexample-m2-mc", ["counterexample", "--m", "2", "--method", "monte-carlo",
+                              "--samples", "4000", "--radii", "10,100", "--jobs", "1"]),
 )
 
 # the apply-points client of the benchmark (bench/child.py)
