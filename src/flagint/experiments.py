@@ -528,25 +528,14 @@ def counterexample_growth(
 # shell decay profile
 
 
-def _shell_row(task) -> Dict:
-    cfg, payload, shell, q, spec = task
-    mass, err = lq_mass(cfg, payload, shell, q, spec)
-    case = shell_case(shell, cfg)
-    return {
-        "k": shell.k,
-        "l": shell.l,
-        "value": mass,
-        "err": err,
-        "label": "shell",
-        "case": case.label,
-    }
-
-
-def _gap_row(task) -> Dict:
-    cfg, payload, gap, q, spec = task
-    mass, err = lq_mass(cfg, payload, gap, q, spec)
-    return {"k": None, "l": None, "value": mass, "err": err,
-            "label": "gap", "case": ""}
+def _region_row(task) -> Dict:
+    cfg, payload, region, q, spec = task
+    mass, err = lq_mass(cfg, payload, region, q, spec)
+    if isinstance(region, GapRegion):
+        return {"k": None, "l": None, "value": mass, "err": err,
+                "label": "gap", "case": ""}
+    return {"k": region.k, "l": region.l, "value": mass, "err": err,
+            "label": "shell", "case": shell_case(region, cfg).label}
 
 
 def _k_fit(mass_by_k: Dict[int, float], burn_in: int) -> DecayFit:
@@ -588,10 +577,12 @@ def shell_decay_profile(
         raise ValueError("payload dimensions must match the configuration")
 
     t0 = time.perf_counter()
-    shells = shell_family(cfg.n, cfg.m, L, k_max, l_max)
-    tasks = [(cfg, payload, s, cfg.q, spec) for s in shells]
-    rows = _run_rows(_shell_row, tasks, jobs)
-    rows.append(_gap_row((cfg, payload, GapRegion(cfg.n, cfg.m, L), cfg.q, spec)))
+    # the gap row costs the most, so it is handed to the pool first and
+    # written last
+    regions = [GapRegion(cfg.n, cfg.m, L)] + shell_family(cfg.n, cfg.m, L, k_max, l_max)
+    gap, *rows = _run_rows(_region_row, [(cfg, payload, r, cfg.q, spec) for r in regions],
+                           jobs)
+    rows.append(gap)
 
     agg: Dict[int, float] = {}
     for r in rows:

@@ -16,7 +16,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -80,7 +80,8 @@ class TestFunction:
     carries explicit cells (box, value) with disjoint interiors: indicators,
     atoms and sampled payloads alike. The smooth bump is the usual
     exp(1 - 1/(1-z^2)) profile per axis. support is the bounding box over
-    all n+m axes (m = 0 is allowed for one-variable work).
+    all n+m axes (m = 0 is allowed for one-variable work); every cell lies
+    within it.
     """
 
     kind: str
@@ -102,6 +103,10 @@ class TestFunction:
         for lo, hi in self.support:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError("support intervals must be finite and nonempty")
+        for box, _ in self.cells:
+            if not all(s_lo <= lo and hi <= s_hi
+                       for (lo, hi), (s_lo, s_hi) in zip(box, self.support)):
+                raise ValueError("every cell must lie within the support")
         if self.kind == "smooth-bump" and (
             len(self.center) != self.dim or len(self.radius) != self.dim
         ):
@@ -126,12 +131,14 @@ class TestFunction:
             return self.amplitude >= 0.0
         return all(v >= 0.0 for _, v in self.cells)
 
+    @cached_property
+    def _breaks(self) -> Tuple[Tuple[float, ...], ...]:
+        # per axis: the support bounds and every cell edge, sorted
+        return tuple(tuple(sorted({lo, hi}.union(*(box[i] for box, _ in self.cells))))
+                     for i, (lo, hi) in enumerate(self.support))
+
     def breakpoints(self, axis: int) -> Tuple[float, ...]:
-        pts = {self.support[axis][0], self.support[axis][1]}
-        for box, _ in self.cells:
-            pts.add(box[axis][0])
-            pts.add(box[axis][1])
-        return tuple(sorted(pts))
+        return self._breaks[axis]
 
     def evaluate(
         self,
@@ -159,44 +166,72 @@ class TestFunction:
         else:
             if len(axes) != self.dim:
                 raise ValueError(f"need {self.dim} node arrays, one per axis")
-            coords = _axis_views([np.asarray(a, dtype=float) for a in axes])
-        return self._values(coords, out).ravel()
-
-    def _values(self, coords: List[np.ndarray], out: Optional[np.ndarray]) -> np.ndarray:
-        # coords: one broadcastable coordinate array per axis
+            coords = [np.asarray(a, dtype=float).ravel() for a in axes]
         if self.kind == "smooth-bump":
-            within = []
-            steps = []
-            for z, c, r in zip(coords, self.center, self.radius):
-                w = (z - c) / r
-                w2 = w * w
-                within.append(w2 < 1.0)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    steps.append(np.where(within[-1], 1.0 - 1.0 / (1.0 - w2), 0.0))
-            # amplitude * exp(arg) where inside, +0.0 elsewhere, formed in the
-            # one full-size array that the last axis's step is added into: the
-            # product commutes, so the bits are the same as exp(arg) * amplitude
-            res = np.add(reduce(np.add, steps[:-1], 0.0), steps[-1], out=out)
-            np.exp(res, out=res)
-            res *= self.amplitude
-            # a node is outside when it is outside on some axis
-            for inside in within:
-                if not inside.all():
-                    np.copyto(res, 0.0, where=~inside)
-            return res
-        # piecewise constant: half-open cells, closed against the support top
-        shape = np.broadcast_shapes(*(z.shape for z in coords))
-        if out is None:
-            out = np.zeros(shape)
-        else:
-            out[...] = 0.0
+            return self._bump_values(coords if axes is None else _axis_views(coords),
+                                     out).ravel()
+        return self._cell_values(coords, axes is not None, out).ravel()
+
+    def _bump_values(self, coords: List[np.ndarray], out: Optional[np.ndarray]) -> np.ndarray:
+        # coords: one broadcastable coordinate array per axis
+        within = []
+        steps = []
+        for z, c, r in zip(coords, self.center, self.radius):
+            w = (z - c) / r
+            w2 = w * w
+            within.append(w2 < 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps.append(np.where(within[-1], 1.0 - 1.0 / (1.0 - w2), 0.0))
+        # amplitude * exp(arg) where inside, +0.0 elsewhere, formed in the
+        # one full-size array that the last axis's step is added into: the
+        # product commutes, so the bits are the same as exp(arg) * amplitude
+        res = np.add(reduce(np.add, steps[:-1], 0.0), steps[-1], out=out)
+        np.exp(res, out=res)
+        res *= self.amplitude
+        # a node is outside when it is outside on some axis
+        for inside in within:
+            if not inside.all():
+                np.copyto(res, 0.0, where=~inside)
+        return res
+
+    @cached_property
+    def _cell_table(self) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Per axis the edges a node's slot is searched in, and the value of every slot.
+
+        An axis with breakpoints b_0 < ... < b_K has K + 2 slots: slot j < K
+        holds the nodes in [b_j, b_{j+1}), slot K the nodes at the support
+        top b_K, and the last slot the rest (below, above, NaN). The table
+        holds the cell rule at one node of each slot, b_j or NaN; every node
+        of a slot meets the same cell edges, so it gets the same value.
+        """
+        edges = [np.array(b + (np.nextafter(b[-1], np.inf),)) for b in self._breaks]
+        nodes = _axis_views([np.array(b + (np.nan,)) for b in self._breaks])
+        # half-open cells, closed against the support top; overlapping cells add
+        table = np.zeros(tuple(len(b) + 1 for b in self._breaks))
         for box, value in self.cells:
             mask = True
-            for z, (lo, hi), (_, top) in zip(coords, box, self.support):
+            for z, (lo, hi), (_, top) in zip(nodes, box, self.support):
                 upper = (z < hi) | ((hi == top) & (z <= hi))
                 mask = mask & (z >= lo) & upper
-            out[mask] += value
-        return out
+            table[mask] += value
+        return edges, table
+
+    def _cell_values(self, coords: List[np.ndarray], tensor: bool,
+                     out: Optional[np.ndarray]) -> np.ndarray:
+        # coords: per axis, the nodes of the tensor or the points' column
+        edges, table = self._cell_table
+        # slot -1 is the last slot, as the "wrap" mode of np.take reads it
+        slots = [np.searchsorted(e, z, side="right") - 1 for e, z in zip(edges, coords)]
+        if not tensor:
+            values = table[tuple(slots)]
+            if out is None:
+                return values
+            out[...] = values
+            return out
+        # one axis at a time: only the last gather has the tensor's size
+        for axis, s in enumerate(slots[:-1]):
+            table = np.take(table, s, axis=axis, mode="wrap")
+        return np.take(table, slots[-1], axis=-1, mode="wrap", out=out)
 
     def _scaled_geometry(self, factors: Sequence[float]) -> "TestFunction":
         support = tuple(
@@ -440,6 +475,7 @@ class _AxisPlan:
     nodes: np.ndarray     # Gauss nodes over all cells
     weights: np.ndarray
     core: np.ndarray      # per-node: node lies in a cell touching the center
+    has_core: bool        # some node does
 
     @property
     def cell_count(self) -> int:
@@ -494,7 +530,8 @@ def _axis_plan(
     # plans are cached and shared, so no caller may write into them
     for arr in (nodes, weights, core):
         arr.flags.writeable = False
-    return _AxisPlan(breaks=breaks, nodes=nodes, weights=weights, core=core)
+    return _AxisPlan(breaks=breaks, nodes=nodes, weights=weights, core=core,
+                     has_core=bool(cell_core.any()))
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +809,7 @@ def _grid_conv_values(
             "use monte-carlo or a coarser cutoff"
         )
     shape = sizes.shape
-    has_core = _axis_views([np.array([p.core.any() for p in axis]) for axis in plans])
+    has_core = _axis_views([np.array([p.has_core for p in axis]) for axis in plans])
     core_u, core_v = (np.broadcast_to(c, shape) for c in _core_flags(kernel, has_core))
     values = np.zeros(shape)
     # with one u axis, a one-node block's u core nodes go last (_one_node_value)
@@ -822,7 +859,7 @@ def _mc_conv_value(
     g = spec.points_per_axis
     finest = [_resolved(f, spec, i) for i in range(f.dim)]
     plans = [_payload_plans(f, i, f.support[i], [x], finest[i], g)[0] for i, x in enumerate(pt)]
-    core_u, core_v = _core_flags(kernel, [p.core.any() for p in plans])
+    core_u, core_v = _core_flags(kernel, [p.has_core for p in plans])
     excluded = [axes for active, (axes, _) in zip((core_u, core_v), _core_groups(kernel))
                 if active]
 

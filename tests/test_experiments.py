@@ -14,6 +14,7 @@ from flagint import (
     DecayFit,
     ExponentConfig,
     FitWindowError,
+    GapRegion,
     PreconditionError,
     ScanResult,
     Window,
@@ -246,6 +247,32 @@ def test_shell_profile_small_scan(grid_spec):
     # only 3 k-levels: too few for a burn-in-3 fit, reported not raised
     assert meta["k_fit"] is None
     assert "burn-in" in meta["k_fit_error"]
+
+
+def test_shell_profile_hands_the_gap_first_and_writes_it_last(grid_spec, monkeypatch):
+    cfg = ExponentConfig(n=1, m=1, alpha=F(9, 10), beta=F(3, 10), rho=F(2), q=F(2))
+    atom = make_signum_atom(1, 1)
+    serial = shell_decay_profile(cfg, atom, k_max=2, l_max=1, spec=grid_spec, jobs=1)
+    pooled = shell_decay_profile(cfg, atom, k_max=2, l_max=1, spec=grid_spec, jobs=2)
+    assert pooled.rows == serial.rows
+    assert pooled.to_csv_text() == serial.to_csv_text()
+    assert [(r["k"], r["l"], r["label"]) for r in serial.rows] == (
+        [(k, l, "shell") for k in range(3) for l in range(2)] + [(None, None, "gap")]
+    )
+
+    # the costliest task goes to the pool ahead of the shells
+    handed = []
+    run_rows = experiments._run_rows
+
+    def recording(worker, tasks, jobs):
+        handed.extend(task[2] for task in tasks)
+        return run_rows(worker, tasks, jobs)
+
+    monkeypatch.setattr(experiments, "_run_rows", recording)
+    recorded = shell_decay_profile(cfg, atom, k_max=2, l_max=1, spec=grid_spec, jobs=1)
+    assert len(handed) == 7 and isinstance(handed[0], GapRegion)
+    assert not any(isinstance(r, GapRegion) for r in handed[1:])
+    assert recorded.rows == serial.rows
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from flagint import quadrature
 from flagint.kernel import flag_kernel, product_kernel, riesz_kernel
 from flagint import (
     AccuracyError,
+    Cube,
     ExponentConfig,
     FlagKernel,
     PreconditionError,
@@ -31,6 +32,7 @@ from flagint import (
     lp_norm,
     lq_mass,
     lq_mass_dominating,
+    make_random_atom,
     make_signum_atom,
     piecewise_constant,
     point_pair,
@@ -529,12 +531,73 @@ def test_bump_tensor_keeps_the_bits_of_the_where_form(amplitude):
     assert not np.signbit(got[~inside.ravel()]).any()
 
 
+def _mask_loop_values(f, coords):
+    # the cell rule as one full-size mask per cell: half-open cells, closed
+    # against the support top, 0 outside the support and at NaN
+    out = np.zeros(np.broadcast_shapes(*(z.shape for z in coords)))
+    for box, value in f.cells:
+        mask = True
+        for z, (lo, hi), (_, top) in zip(coords, box, f.support):
+            upper = (z < hi) | ((hi == top) & (z <= hi))
+            mask = mask & (z >= lo) & upper
+        out[mask] += value
+    return out
+
+
+_CELL_PAYLOADS = {
+    "signum": make_signum_atom(1, 1).payload,
+    **{f"random-atom-{n}{m}": make_random_atom(Cube(n, m, 0), seed=5).payload
+       for n, m in ((1, 1), (2, 1), (2, 2))},
+    # one cell inside a support declared wider on both ends of both axes
+    "wide-indicator": quadrature.TestFunction(
+        kind="piecewise-constant", n=1, m=1, support=((-2.0, 2.0), (-1.0, 3.0)),
+        cells=((((-1.0, 0.5), (0.0, 1.0)), 1.5),),
+    ),
+}
+
+
+@pytest.mark.parametrize("payload", sorted(_CELL_PAYLOADS))
+def test_cell_payload_gather_keeps_the_bits_of_the_mask_loop(payload):
+    f = _CELL_PAYLOADS[payload]
+    axes = []
+    for i, (lo, hi) in enumerate(f.support):
+        b = np.array(f.breakpoints(i))
+        # every breakpoint, its neighbours, the cells' midpoints, the support
+        # top and a hair on each side of it, beyond both ends, and NaN
+        axes.append(np.concatenate([
+            b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), 0.5 * (b[:-1] + b[1:]),
+            [hi, lo - 0.5, hi + 0.5, np.nan],
+        ]))
+    views = quadrature._axis_views(axes)
+    points = np.stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")], axis=1)
+    want = _mask_loop_values(f, views).ravel()
+    assert _mask_loop_values(f, [points[:, i] for i in range(f.dim)]).tobytes() == want.tobytes()
+    assert 0 < np.count_nonzero(want) < want.size
+
+    tensor_out = np.full(tuple(len(a) for a in axes), np.nan)
+    points_out = np.full(len(points), np.nan)
+    for got in (f.evaluate(axes=axes), f.evaluate(axes=axes, out=tensor_out),
+                f.evaluate(points), f.evaluate(points, out=points_out)):
+        assert got.tobytes() == want.tobytes()
+    assert tensor_out.ravel().tobytes() == points_out.tobytes() == want.tobytes()
+
+
+def test_cells_must_lie_within_the_support():
+    with pytest.raises(ValueError, match="within the support"):
+        quadrature.TestFunction(
+            kind="piecewise-constant", n=1, m=1, support=((-1.0, 1.0), (-1.0, 1.0)),
+            cells=((((0.0, 1.5), (-1.0, 1.0)), 1.0),),
+        )
+
+
 def test_axis_plans_are_cached_and_read_only():
     args = (-1.0, 1.0, 0.25, 2.0 ** -20, (-1.0, 0.0, 1.0), 4, 0.25)
     plan = quadrature._axis_plan(*args)
     assert quadrature._axis_plan(*args) is plan
     for arr in (plan.breaks, plan.nodes, plan.weights, plan.core):
         assert not arr.flags.writeable
+    assert plan.has_core is bool(plan.core.any()) is True
+    assert quadrature._axis_plan(-1.0, 1.0, 3.0, *args[3:]).has_core is False
     with pytest.raises(ValueError):
         plan.nodes[0] = 0.0
 

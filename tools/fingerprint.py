@@ -6,7 +6,7 @@ Run it once in a checkout of the parent commit and once in the change, each
 with that checkout's `src` on PYTHONPATH, and `diff` the two outputs: an
 empty diff means every case below gave the same bytes.
 
-Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, eight
+Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, ten
 larger CLI runs, `--help` of the program and of every subcommand, and the
 900-point apply pool of `bench/reference.json` (read, never written).
 Each prints one line: the case name, the exit status, and the SHA-256 of the
@@ -60,6 +60,9 @@ _LARGER = (
     # Monte Carlo lq_mass: region sampling and strata in three dimensions
     ("counterexample-m2-mc", ["counterexample", "--m", "2", "--method", "monte-carlo",
                               "--samples", "4000", "--radii", "10,100", "--jobs", "1"]),
+    # piecewise-constant payloads of one cell and of four cells
+    ("shells-indicator", ["shells", "--payload", "indicator", "--jobs", "2"]),
+    ("apply-random-atom", ["apply", "--payload", "random-atom", "--x", "2", "--y", "3"]),
 )
 
 # the apply-points client of the benchmark (bench/child.py)
