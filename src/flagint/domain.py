@@ -51,6 +51,20 @@ def _sample_annulus(rng: np.random.Generator, count: int, dim: int,
     return direc * (radii / norms)[:, None]
 
 
+def _max_norm_annulus(dim: int, lo: float, hi: float) -> List[Bounds]:
+    """{lo <= |z|_inf < hi} in R^dim as 2*dim boxes with disjoint interiors.
+
+    The first axis i with |z_i| >= lo picks the slab: the axes before it lie
+    in (-lo, lo), axis i in (-hi, -lo) or (lo, hi), the axes after it in
+    (-hi, hi). At dim = 1 this is (-hi, -lo), (lo, hi).
+    """
+    return [
+        ((-lo, lo),) * i + (side,) + ((-hi, hi),) * (dim - 1 - i)
+        for i in range(dim)
+        for side in ((-hi, -lo), (lo, hi))
+    ]
+
+
 @dataclass(frozen=True)
 class Cube:
     """The max-norm cube Q of side 2^L centered at the origin in R^{n+m}."""
@@ -322,7 +336,8 @@ class GapRegion:
 
     The shells tile the complement of the ball product; Q is a max-norm cube
     inside it. Decay experiments report this sliver's mass separately so the
-    shell totals stay auditable.
+    shell totals stay auditable. At n = m = 1 it is the max-norm annulus
+    2^(L-1) <= |z|_inf < 2^L, integrated as four disjoint boxes of sign +1.
     """
 
     n: int
@@ -352,9 +367,8 @@ class GapRegion:
             raise RegionError(
                 "gap region has a box decomposition only for n = m = 1; use monte-carlo"
             )
-        r = 2.0 ** self.L
-        outer = ((-r, r), (-r, r))
-        return [(outer, 1.0), (Cube(1, 1, self.L).bounds(), -1.0)]
+        h = Cube(1, 1, self.L).half_side
+        return [(box, 1.0) for box in _max_norm_annulus(2, h, 2.0 * h)]
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.empty((0, self.n + self.m))

@@ -577,8 +577,9 @@ def shell_decay_profile(
         raise ValueError("payload dimensions must match the configuration")
 
     t0 = time.perf_counter()
-    # the gap row costs the most, so it is handed to the pool first and
-    # written last
+    # the gap row is handed to the pool first and written last, and the
+    # (0,0) cube, the costliest task, second: the gap is the next costliest,
+    # so the two workers start on the two largest tasks
     regions = [GapRegion(cfg.n, cfg.m, L)] + shell_family(cfg.n, cfg.m, L, k_max, l_max)
     gap, *rows = _run_rows(_region_row, [(cfg, payload, r, cfg.q, spec) for r in regions],
                            jobs)

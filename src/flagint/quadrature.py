@@ -910,6 +910,8 @@ def _core_error(
     core_u: bool,
     core_v: bool,
 ) -> float:
+    if not (core_u or core_v):
+        return 0.0
     sup = f.sup_bound()
     err = 0.0
     u_axes, v_axes = (axes for axes, _ in _core_groups(kernel))
@@ -934,21 +936,20 @@ def _grid_inner(
     f: TestFunction,
     outer_axes: Sequence[Sequence[float]],
     spec: QuadratureSpec,
-) -> List[Tuple[float, float, float]]:
-    """Per node of the outer tensor, in C order: the inner value, its err and its core part.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inner value, its err and its core part, each in the shape of the outer tensor.
 
     err is the rule disagreement plus the analytic core bound.
     """
     g = spec.points_per_axis
     hi, core_u, core_v = _grid_conv_values(kernel, f, outer_axes, spec, g)
     lo = _grid_conv_values(kernel, f, outer_axes, spec, g - 1)[0]
-    out = []
-    for pt, v_hi, v_lo, u, v in zip(itertools.product(*outer_axes),
-                                    hi.ravel().tolist(), lo.ravel().tolist(),
-                                    core_u.ravel().tolist(), core_v.ravel().tolist()):
-        core_err = _core_error(kernel, f, pt, spec, u, v)
-        out.append((v_hi, abs(v_hi - v_lo) + core_err, core_err))
-    return out
+    core = np.zeros(hi.shape)
+    for node in zip(*np.nonzero(core_u | core_v)):
+        # the bound takes the point's numpy coordinates, and with them numpy's power
+        pt = [axis[i] for axis, i in zip(outer_axes, node)]
+        core[node] = _core_error(kernel, f, pt, spec, core_u[node], core_v[node])
+    return hi, np.abs(hi - lo) + core, core
 
 
 def _apply_kernel(
@@ -960,7 +961,7 @@ def _apply_kernel(
     check_target: bool = True,
 ) -> Tuple[float, float]:
     if spec.method == "grid":
-        ((value, err, core_err),) = _grid_inner(kernel, f, [[x] for x in pt], spec)
+        value, err, core_err = (a.item() for a in _grid_inner(kernel, f, [[x] for x in pt], spec))
     else:
         value, rule_err, core_u, core_v = _mc_conv_value(kernel, f, pt, spec, salt)
         core_err = _core_error(kernel, f, pt, spec, core_u, core_v)
@@ -1017,17 +1018,64 @@ def apply_riesz_1d(
     return value
 
 
+def _outer_plan(f: TestFunction, i: int, span: Tuple[float, float], g: int) -> _AxisPlan:
+    """The plan of span on axis i, graded toward the support's centre."""
+    lo, hi = f.support[i]
+    return _payload_plans(f, i, span, [0.5 * (lo + hi)], 0.5 * (hi - lo), g)[0]
+
+
 def _outer_plans(box: Bounds, f: TestFunction, g: int) -> List[_AxisPlan]:
-    """Per axis, the plan of the box side, graded toward the support's centre."""
-    return [
-        _payload_plans(f, i, span, [0.5 * (lo + hi)], 0.5 * (hi - lo), g)[0]
-        for i, (span, (lo, hi)) in enumerate(zip(box, f.support))
-    ]
+    """Per axis, the plan of the box side."""
+    return [_outer_plan(f, i, span, g) for i, span in enumerate(box)]
+
+
+def _as_product(boxes: Sequence[Bounds]) -> Optional[List[List[Tuple[float, float]]]]:
+    """Per axis, the intervals whose product in C order is the box list, or None."""
+    axes = [list(dict.fromkeys(box[i] for box in boxes)) for i in range(len(boxes[0]))]
+    return axes if list(itertools.product(*axes)) == list(boxes) else None
+
+
+def _box_products(boxes: Sequence[Bounds]) -> List[List[List[Tuple[float, float]]]]:
+    """The box list cut into consecutive products, each as long as it can be.
+
+    A shell's boxes are one product; a list that is no product at all is
+    cut into products of one box.
+    """
+    # intervals are compared as dict keys, so a box given as lists is read as tuples
+    boxes = [tuple(map(tuple, box)) for box in boxes]
+    out = []
+    start = 0
+    while start < len(boxes):
+        # one box is always a product, so the search stops at start + 1
+        for end in range(len(boxes), start, -1):
+            axes = _as_product(boxes[start:end])
+            if axes is not None:
+                break
+        out.append(axes)
+        start = end
+    return out
 
 
 def _power_gap(v: float, e: float, q: float) -> float:
     # error of |v|^q when v is known to +-e
     return (abs(v) + e) ** q - abs(v) ** q
+
+
+def _joined_rule(intervals: Sequence[Sequence[Tuple[float, float]]], f: TestFunction,
+                 g: int) -> Tuple[List[np.ndarray], np.ndarray, List[Tuple[slice, ...]]]:
+    """The outer rule over a product of per-axis interval lists, as one tensor.
+
+    Returns per axis the joined nodes of its intervals' plans, the weight
+    tensor, and each box's part of the tensor, in C order over the boxes.
+    """
+    plans = [[_outer_plan(f, i, span, g) for span in axis] for i, axis in enumerate(intervals)]
+    parts = []
+    for axis in plans:
+        ends = np.cumsum([0] + [len(p.nodes) for p in axis]).tolist()
+        parts.append([slice(a, b) for a, b in zip(ends[:-1], ends[1:])])
+    weights = _tensor_weights([np.concatenate([p.weights for p in axis]) for axis in plans])
+    return ([np.concatenate([p.nodes for p in axis]) for axis in plans], weights,
+            list(itertools.product(*parts)))
 
 
 def _lq_mass_grid(
@@ -1037,27 +1085,32 @@ def _lq_mass_grid(
     q: float,
     spec: QuadratureSpec,
 ) -> Tuple[float, float]:
-    box_terms: List[float] = []
-    rule_terms: List[float] = []
-    prop_terms: List[float] = []
-    g = spec.points_per_axis
-    for box, sign in region.signed_boxes():
-        plans_hi = _outer_plans(box, f, g)
-        w_hi = _tensor_weights([p.weights for p in plans_hi]).ravel()
-        inner = _grid_inner(kernel, f, [p.nodes for p in plans_hi], spec)
-        v_hi = math.fsum(w * abs(v) ** q for w, (v, _, _) in zip(w_hi, inner))
-        prop = math.fsum(w * _power_gap(v, e, q) for w, (v, e, _) in zip(w_hi, inner))
+    """Each product of the region's boxes takes one inner pass per order.
 
+    An inner value does not depend on the outer nodes it is computed with,
+    so each box reads its own part of the product's tensors in C order, and
+    its three sums are those of a pass over that box alone.
+    """
+    g = spec.points_per_axis
+    boxes = region.signed_boxes()
+    masses = []
+    for intervals in _box_products([box for box, _ in boxes]):
+        nodes_hi, w_hi, parts_hi = _joined_rule(intervals, f, g)
+        values, errs, _ = _grid_inner(kernel, f, nodes_hi, spec)
         # the lower outer rule needs only the inner g-order value
-        plans_lo = _outer_plans(box, f, g - 1)
-        w_lo = _tensor_weights([p.weights for p in plans_lo]).ravel()
-        values_lo = _grid_conv_values(kernel, f, [p.nodes for p in plans_lo], spec, g)[0]
-        v_lo = math.fsum(w * abs(v) ** q for w, v in zip(w_lo, values_lo.ravel().tolist()))
-        box_terms.append(sign * v_hi)
-        rule_terms.append(abs(v_hi - v_lo))
-        prop_terms.append(prop)
-    value = math.fsum(box_terms)
-    err = math.fsum(rule_terms) + math.fsum(prop_terms)
+        nodes_lo, w_lo, parts_lo = _joined_rule(intervals, f, g - 1)
+        values_lo = _grid_conv_values(kernel, f, nodes_lo, spec, g)[0]
+        for hi, lo in zip(parts_hi, parts_lo):
+            w = w_hi[hi].ravel()
+            v = values[hi].ravel().tolist()
+            v_hi = math.fsum(wk * abs(vk) ** q for wk, vk in zip(w, v))
+            prop = math.fsum(wk * _power_gap(vk, ek, q)
+                             for wk, vk, ek in zip(w, v, errs[hi].ravel().tolist()))
+            v_lo = math.fsum(wk * abs(vk) ** q
+                             for wk, vk in zip(w_lo[lo].ravel(), values_lo[lo].ravel().tolist()))
+            masses.append((v_hi, abs(v_hi - v_lo), prop))
+    value = math.fsum(sign * v_hi for (_, sign), (v_hi, _, _) in zip(boxes, masses))
+    err = math.fsum(rule for _, rule, _ in masses) + math.fsum(prop for _, _, prop in masses)
     return value, err
 
 

@@ -206,9 +206,32 @@ def test_gap_region_is_ball_product_minus_cube():
     assert bool(g.contains(np.array([[0.75, 0.75]]))[0])
     assert not bool(g.contains(np.array([[0.25, 0.25]]))[0])
     assert not bool(g.contains(np.array([[1.25, 0.0]]))[0])
-    boxes = g.signed_boxes()
-    signed = sum(s for _, s in boxes)
-    assert len(boxes) == 2 and signed == 0.0
+
+
+def _interiors_meet(a, b):
+    return all(max(lo, c) < min(hi, d) for (lo, hi), (c, d) in zip(a, b))
+
+
+@pytest.mark.parametrize("L", [-1, 0, 2])
+def test_gap_region_is_four_disjoint_positive_boxes(L):
+    g = GapRegion(n=1, m=1, L=L)
+    r, h = 2.0 ** L, 2.0 ** (L - 1)
+    signed = g.signed_boxes()
+    assert len(signed) == 4 and all(s == 1.0 for _, s in signed)
+    boxes = [box for box, _ in signed]
+    for i, a in enumerate(boxes):
+        for b in boxes[i + 1:]:
+            assert not _interiors_meet(a, b)
+    # the slabs tile (-r, r)^2 minus Q; volume() carries the rounding of
+    # the 1-d ball volume pi^(1/2) / Gamma(3/2)
+    total = math.fsum((x1 - x0) * (y1 - y0) for (x0, x1), (y0, y1) in boxes)
+    assert total == (2.0 * r) ** 2 - (2.0 * h) ** 2
+    assert math.isclose(total, g.volume(), rel_tol=1e-14)
+    q = Cube(n=1, m=1, L=L).bounds()
+    for box in boxes:
+        centre = np.array([[0.5 * (lo + hi) for lo, hi in box]])
+        assert bool(g.contains(centre)[0])
+        assert not _interiors_meet(box, q)
 
 
 def test_gap_region_samples_inside():

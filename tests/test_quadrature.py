@@ -16,9 +16,11 @@ from flagint import quadrature
 from flagint.kernel import flag_kernel, product_kernel, riesz_kernel
 from flagint import (
     AccuracyError,
+    CounterexampleRegion,
     Cube,
     ExponentConfig,
     FlagKernel,
+    GapRegion,
     PreconditionError,
     QuadratureSpec,
     Shell,
@@ -34,8 +36,10 @@ from flagint import (
     lq_mass_dominating,
     make_random_atom,
     make_signum_atom,
+    noncancelling_counterpart,
     piecewise_constant,
     point_pair,
+    signum_atom_at_scale,
     smooth_bump,
     sufficient_inner_cutoff,
 )
@@ -838,6 +842,98 @@ def test_lq_mass_matches_per_node_reference_on_a_window(grid_spec):
     ab = derive_ab(cfg)
     want = _reference_lq_mass(product_kernel(cfg, ab), f, window, 2.0, grid_spec)
     assert lq_mass_dominating(cfg, ab, f, window, 2, grid_spec) == want
+
+
+# ---------------------------------------------------------------------------
+# one grid pass per product of a region's boxes
+
+
+@dataclasses.dataclass(frozen=True)
+class _Boxes:
+    """A region given by its signed boxes alone."""
+
+    boxes: tuple
+
+    def signed_boxes(self):
+        return list(self.boxes)
+
+
+def _per_box_lq_mass(kernel, f, region, q, spec):
+    # the grid q-mass with passes of its own for every box, in region order
+    g = spec.points_per_axis
+    box_terms, rule_terms, prop_terms = [], [], []
+    for box, sign in region.signed_boxes():
+        plans_hi = quadrature._outer_plans(box, f, g)
+        w_hi = quadrature._tensor_weights([p.weights for p in plans_hi]).ravel()
+        values, errs, _ = quadrature._grid_inner(kernel, f, [p.nodes for p in plans_hi], spec)
+        inner = list(zip(values.ravel().tolist(), errs.ravel().tolist()))
+        v_hi = math.fsum(w * abs(v) ** q for w, (v, _) in zip(w_hi, inner))
+        prop = math.fsum(w * quadrature._power_gap(v, e, q) for w, (v, e) in zip(w_hi, inner))
+        plans_lo = quadrature._outer_plans(box, f, g - 1)
+        w_lo = quadrature._tensor_weights([p.weights for p in plans_lo]).ravel()
+        values_lo = quadrature._grid_conv_values(
+            kernel, f, [p.nodes for p in plans_lo], spec, g)[0]
+        v_lo = math.fsum(w * abs(v) ** q for w, v in zip(w_lo, values_lo.ravel().tolist()))
+        box_terms.append(sign * v_hi)
+        rule_terms.append(abs(v_hi - v_lo))
+        prop_terms.append(prop)
+    return math.fsum(box_terms), math.fsum(rule_terms) + math.fsum(prop_terms)
+
+
+# a 2 x 2 product listed out of C order, with signs that tell the boxes apart
+_A, _B, _C, _D = (-1.0, -0.25), (0.5, 2.0), (-0.5, 0.5), (1.0, 3.0)
+_SCRAMBLED = _Boxes((((_A, _C), 1.0), ((_B, _D), -1.0), ((_A, _D), 1.0), ((_B, _C), -1.0)))
+
+
+def test_box_products_cut_a_list_into_consecutive_products():
+    shell = Shell(n=1, m=1, k=2, l=3, L=0)
+    assert quadrature._box_products([b for b, _ in shell.signed_boxes()]) == [
+        [[(-4.0, -2.0), (2.0, 4.0)], [(-8.0, -4.0), (4.0, 8.0)]]]
+    gap = GapRegion(n=1, m=1, L=0)
+    assert quadrature._box_products([b for b, _ in gap.signed_boxes()]) == [
+        [[(-1.0, -0.5), (0.5, 1.0)], [(-1.0, 1.0)]],
+        [[(-0.5, 0.5)], [(-1.0, -0.5), (0.5, 1.0)]]]
+    assert quadrature._box_products([b for b, _ in _SCRAMBLED.boxes]) == [
+        [[_A], [_C]], [[_B, _A], [_D]], [[_B], [_C]]]
+    assert quadrature._box_products([[[0, 1], [2, 3]]]) == [[[(0, 1)], [(2, 3)]]]
+
+
+@pytest.mark.parametrize("region", [
+    Shell(n=1, m=1, k=0, l=0, L=0),
+    Shell(n=1, m=1, k=3, l=0, L=0),
+    Shell(n=1, m=1, k=0, l=2, L=0),
+    Shell(n=1, m=1, k=2, l=3, L=0),
+    Window(n=1, m=1, box=((0.75, 1.5), (-0.25, 1.0))),
+    CounterexampleRegion(n=1, m=1, R=3.0),
+    GapRegion(n=1, m=1, L=0),
+    _SCRAMBLED,
+], ids=["shell-00", "shell-30", "shell-02", "shell-23", "window", "counterexample", "gap",
+        "scrambled"])
+def test_lq_mass_grid_keeps_the_bits_of_a_pass_per_box(region, grid_spec):
+    kernel = flag_kernel(_cfg(F(9, 10), F(3, 10)))
+    f = signum_atom_at_scale(1, 1, 0).payload
+    want = _per_box_lq_mass(kernel, f, region, 2.0, grid_spec)
+    assert quadrature._lq_mass_grid(kernel, f, region, 2.0, grid_spec) == want
+
+
+@pytest.mark.parametrize("payload", ["signum", "indicator", "bump"])
+def test_gap_mass_is_the_outer_box_less_the_cube(payload, grid_spec):
+    # the annulus slabs take the nodes and weights of the outer box that
+    # the cube does not, so the gap moves only by rounding, and its err
+    # no longer carries the rule disagreement of two large masses (the
+    # gap as outer box less cube had the sum of their errs, to rounding)
+    cfg = _cfg(F(9, 10), F(3, 10))
+    atom = signum_atom_at_scale(1, 1, 0)
+    f = {"signum": atom.payload, "indicator": noncancelling_counterpart(atom),
+         "bump": smooth_bump(1, 1, (0.0, 0.0), 0.5, 1.0)}[payload]
+    outer = Window(n=1, m=1, box=((-1.0, 1.0), (-1.0, 1.0)))
+    gap, gap_err = lq_mass(cfg, f, GapRegion(n=1, m=1, L=0), 2, grid_spec)
+    outer_mass, outer_err = lq_mass(cfg, f, outer, 2, grid_spec)
+    cube_mass, cube_err = lq_mass(cfg, f, Cube(n=1, m=1, L=0), 2, grid_spec)
+    old = math.fsum([outer_mass, -cube_mass])
+    assert abs(gap - old) <= gap_err + outer_err + cube_err
+    assert abs(gap - old) <= math.ulp(outer_mass) + math.ulp(cube_mass) + 2 * math.ulp(gap)
+    assert gap_err < outer_err + cube_err
 
 
 def _cap_message(nodes):

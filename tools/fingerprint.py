@@ -6,7 +6,7 @@ Run it once in a checkout of the parent commit and once in the change, each
 with that checkout's `src` on PYTHONPATH, and `diff` the two outputs: an
 empty diff means every case below gave the same bytes.
 
-Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, ten
+Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, eleven
 larger CLI runs, `--help` of the program and of every subcommand, and the
 900-point apply pool of `bench/reference.json` (read, never written).
 Each prints one line: the case name, the exit status, and the SHA-256 of the
@@ -62,6 +62,8 @@ _LARGER = (
                               "--samples", "4000", "--radii", "10,100", "--jobs", "1"]),
     # piecewise-constant payloads of one cell and of four cells
     ("shells-indicator", ["shells", "--payload", "indicator", "--jobs", "2"]),
+    # a payload whose outer plans split wide cells, on every shell and the gap
+    ("shells-bump", ["shells", "--payload", "bump", "--jobs", "2"]),
     ("apply-random-atom", ["apply", "--payload", "random-atom", "--x", "2", "--y", "3"]),
 )
 
