@@ -1,11 +1,19 @@
 """Cubes, dyadic shells, and the experiment regions.
 
-All region types share a tiny informal interface used by the quadrature
-module: `contains(points)` (vectorized membership), `volume()`,
-`signed_boxes()` (an exact signed-box decomposition when one exists in
-coordinates, for grid integration), and `sample(rng, count)` (uniform
-points, for Monte Carlo). Factor norms are Euclidean throughout; the
-central cube Q alone is a max-norm cube.
+Every region is a list of boxes with disjoint interiors, each of sign +1,
+plus a membership test: `signed_boxes()` is that list (the grid integrates
+it box by box), `contains(points)` tests membership, and `volume()` and
+`sample(rng, count)` (uniform points, for Monte Carlo) both come from the
+list. So every region measures its factors with the max norm |.|_inf: a
+max-norm annulus is a union of boxes, a Euclidean one is not.
+
+The kernel keeps its Euclidean factor norms, and the max-norm regions
+answer the same questions. The truncation {|y|_inf <= R} sits between the
+balls B_R and B_{sqrt(m) R}, so the truncated mass F_inf(R) lies between
+F_2(R) and F_2(sqrt(m) R) and has the same log-slope in R. For factor
+dimensions <= 4 (sqrt(dim) <= 2), a Euclidean dyadic shell meets at most
+two max-norm dyadic shells and the other way round, so shell masses decay
+with the same exponents. On a 1-d factor the two norms agree.
 """
 
 from __future__ import annotations
@@ -19,50 +27,54 @@ import numpy as np
 
 from .errors import RegionError
 from .exponents import ExponentConfig
-from .kernel import PointPair, _factor_norms
+from .kernel import PointPair
 
 Bounds = Tuple[Tuple[float, float], ...]
 SignedBox = Tuple[Bounds, float]
 
-# Aspect guard: the closed-form gap volume below assumes the max-norm cube
-# of side 2^L sits inside the product of Euclidean balls of radius 2^L,
-# which holds exactly when sqrt(dim) <= 2 on each factor.
-_GAP_VOLUME_MAX_DIM = 4
-
-
-def ball_volume(dim: int, radius: float) -> float:
-    """Volume of the Euclidean ball of the given radius in R^dim."""
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius ** dim
-
-
-def _sample_annulus(rng: np.random.Generator, count: int, dim: int,
-                    lo: float, hi: float) -> np.ndarray:
-    """Uniform points in {lo <= |z| < hi} in R^dim (lo may be 0)."""
-    u = rng.random(count)
-    radii = (lo ** dim + u * (hi ** dim - lo ** dim)) ** (1.0 / dim)
-    if dim == 1:
-        signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
-        return (radii * signs)[:, None]
-    direc = rng.standard_normal((count, dim))
-    norms = np.sqrt(np.sum(direc * direc, axis=1))
-    norms[norms == 0.0] = 1.0
-    return direc * (radii / norms)[:, None]
-
 
 def _max_norm_annulus(dim: int, lo: float, hi: float) -> List[Bounds]:
-    """{lo <= |z|_inf < hi} in R^dim as 2*dim boxes with disjoint interiors.
+    """{lo <= |z|_inf < hi} in R^dim as boxes with disjoint interiors.
 
-    The first axis i with |z_i| >= lo picks the slab: the axes before it lie
-    in (-lo, lo), axis i in (-hi, -lo) or (lo, hi), the axes after it in
+    lo = 0 gives the one box (-hi, hi)^dim. Otherwise the first axis i with
+    |z_i| >= lo picks one of 2*dim slabs: the axes before it lie in
+    (-lo, lo), axis i in (-hi, -lo) or (lo, hi), the axes after it in
     (-hi, hi). At dim = 1 this is (-hi, -lo), (lo, hi).
     """
+    if lo == 0.0:
+        return [((-hi, hi),) * dim]
     return [
         ((-lo, lo),) * i + (side,) + ((-hi, hi),) * (dim - 1 - i)
         for i in range(dim)
         for side in ((-hi, -lo), (lo, hi))
     ]
+
+
+def _max_norms(points: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per point, the max norms of its x and y factors."""
+    pts = np.abs(np.atleast_2d(np.asarray(points, dtype=float)))
+    return np.max(pts[:, :n], axis=1), np.max(pts[:, n:], axis=1)
+
+
+def _boxes_volume(boxes: List[SignedBox]) -> float:
+    return math.fsum(sign * math.prod(hi - lo for lo, hi in box) for box, sign in boxes)
+
+
+def _sample_boxes(boxes: List[SignedBox], rng: np.random.Generator,
+                  count: int) -> np.ndarray:
+    """Uniform points in the union of positive boxes with disjoint interiors.
+
+    Each point picks a box with probability proportional to its volume (no
+    draw for a single box), then lies uniformly in it.
+    """
+    lo = np.array([[a for a, _ in box] for box, _ in boxes])
+    width = np.array([[b - a for a, b in box] for box, _ in boxes])
+    pick = 0
+    if len(boxes) > 1:
+        vol = np.prod(width, axis=1)
+        pick = rng.choice(len(boxes), size=count, p=vol / vol.sum())
+    # axis by axis, as count draws per axis
+    return lo[pick] + width[pick] * rng.random((lo.shape[1], count)).T
 
 
 @dataclass(frozen=True)
@@ -94,22 +106,23 @@ class Cube:
         return np.max(np.abs(pts), axis=1) <= self.half_side
 
     def volume(self) -> float:
-        return self.side ** (self.n + self.m)
+        return _boxes_volume(self.signed_boxes())
 
     def signed_boxes(self) -> List[SignedBox]:
         return [(self.bounds(), 1.0)]
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        h = self.half_side
-        return rng.uniform(-h, h, size=(count, self.n + self.m))
+        return _sample_boxes(self.signed_boxes(), rng, count)
 
 
 @dataclass(frozen=True)
 class Shell:
-    """Dyadic shell Q_{kl}: 2^{L+k-1} <= |x| < 2^{L+k}, 2^{L+l-1} <= |y| < 2^{L+l}.
+    """Dyadic shell Q_{kl}: 2^{L+k-1} <= |x|_inf < 2^{L+k}, 2^{L+l-1} <= |y|_inf < 2^{L+l}.
 
-    Index 0 drops the lower bound on its factor: Q_{k0} has |y| < 2^L and
-    Q_{0l} has |x| < 2^L. The pair (0,0) denotes the central cube Q itself.
+    Index 0 drops the lower bound on its factor: Q_{k0} has |y|_inf < 2^L
+    and Q_{0l} has |x|_inf < 2^L. The pair (0,0) denotes the central cube Q
+    itself. The boxes are the product of the two factors' annulus boxes, x
+    boxes outer; at n = m = 1 they are the four (or two) quadrant boxes.
     """
 
     n: int
@@ -141,44 +154,23 @@ class Shell:
     def contains(self, points: np.ndarray) -> np.ndarray:
         if self.is_cube:
             return Cube(self.n, self.m, self.L).contains(points)
-        xn, yn = _factor_norms(points, self.n)
+        xn, yn = _max_norms(points, self.n)
         x_lo, x_hi = self.x_range()
         y_lo, y_hi = self.y_range()
         return (xn >= x_lo) & (xn < x_hi) & (yn >= y_lo) & (yn < y_hi)
 
     def volume(self) -> float:
-        if self.is_cube:
-            return Cube(self.n, self.m, self.L).volume()
-        x_lo, x_hi = self.x_range()
-        y_lo, y_hi = self.y_range()
-        vx = ball_volume(self.n, x_hi) - ball_volume(self.n, x_lo)
-        vy = ball_volume(self.m, y_hi) - ball_volume(self.m, y_lo)
-        return vx * vy
-
-    def _factor_intervals(self, lo: float, hi: float) -> List[Tuple[float, float]]:
-        if lo == 0.0:
-            return [(-hi, hi)]
-        return [(-hi, -lo), (lo, hi)]
+        return _boxes_volume(self.signed_boxes())
 
     def signed_boxes(self) -> List[SignedBox]:
         if self.is_cube:
             return Cube(self.n, self.m, self.L).signed_boxes()
-        if self.n != 1 or self.m != 1:
-            raise RegionError(
-                "shells have box decompositions only for 1-d factors; use monte-carlo"
-            )
-        boxes: List[SignedBox] = []
-        for xi in self._factor_intervals(*self.x_range()):
-            for yi in self._factor_intervals(*self.y_range()):
-                boxes.append(((xi, yi), 1.0))
-        return boxes
+        return [(bx + by, 1.0)
+                for bx in _max_norm_annulus(self.n, *self.x_range())
+                for by in _max_norm_annulus(self.m, *self.y_range())]
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.is_cube:
-            return Cube(self.n, self.m, self.L).sample(rng, count)
-        xs = _sample_annulus(rng, count, self.n, *self.x_range())
-        ys = _sample_annulus(rng, count, self.m, *self.y_range())
-        return np.hstack([xs, ys])
+        return _sample_boxes(self.signed_boxes(), rng, count)
 
 
 def shell_contains(s: Shell, pt: PointPair) -> bool:
@@ -262,17 +254,13 @@ class Window:
         return ok
 
     def volume(self) -> float:
-        out = 1.0
-        for lo, hi in self.box:
-            out *= hi - lo
-        return out
+        return _boxes_volume(self.signed_boxes())
 
     def signed_boxes(self) -> List[SignedBox]:
         return [(self.box, 1.0)]
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        cols = [rng.uniform(lo, hi, size=count) for lo, hi in self.box]
-        return np.stack(cols, axis=1)
+        return _sample_boxes(self.signed_boxes(), rng, count)
 
     def dilated(self, delta: float, lam: float, rho: float) -> "Window":
         """Image under (x, y) -> (delta x, delta^rho lam y)."""
@@ -294,7 +282,7 @@ def centered_window(n: int, m: int, x_half: float, y_half: float) -> Window:
 
 @dataclass(frozen=True)
 class CounterexampleRegion:
-    """The region [2,4]^n x {|y| <= R} where the critical-line blowup is measured."""
+    """The box [2,4]^n x {|y|_inf <= R}, where the critical-line blowup is measured."""
 
     n: int
     m: int
@@ -312,32 +300,26 @@ class CounterexampleRegion:
     def contains(self, points: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(points, dtype=float))[:, : self.n]
         ok = np.all((xs >= 2.0) & (xs <= 4.0), axis=1)
-        return ok & (_factor_norms(points, self.n)[1] <= self.R)
+        return ok & (_max_norms(points, self.n)[1] <= self.R)
 
     def volume(self) -> float:
-        return 2.0 ** self.n * ball_volume(self.m, self.R)
+        return _boxes_volume(self.signed_boxes())
 
     def signed_boxes(self) -> List[SignedBox]:
-        if self.m != 1:
-            raise RegionError(
-                "the y-ball is a box only for m = 1; use monte-carlo for m >= 2"
-            )
-        return [(self.x_bounds() + ((-self.R, self.R),), 1.0)]
+        return [(self.x_bounds() + ((-self.R, self.R),) * self.m, 1.0)]
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        xs = rng.uniform(2.0, 4.0, size=(count, self.n))
-        ys = _sample_annulus(rng, count, self.m, 0.0, self.R)
-        return np.hstack([xs, ys])
+        return _sample_boxes(self.signed_boxes(), rng, count)
 
 
 @dataclass(frozen=True)
 class GapRegion:
-    """Residual between the Euclidean-ball product {|x|,|y| < 2^L} and the cube Q.
+    """Residual between the box (-2^L, 2^L)^{n+m} and the cube Q.
 
-    The shells tile the complement of the ball product; Q is a max-norm cube
-    inside it. Decay experiments report this sliver's mass separately so the
-    shell totals stay auditable. At n = m = 1 it is the max-norm annulus
-    2^(L-1) <= |z|_inf < 2^L, integrated as four disjoint boxes of sign +1.
+    The shells tile the complement of that box; Q is the middle of it.
+    Decay experiments report this sliver's mass separately so the shell
+    totals stay auditable. It is the max-norm annulus
+    2^(L-1) < |z|_inf < 2^L, integrated as 2(n+m) disjoint boxes of sign +1.
     """
 
     n: int
@@ -347,39 +329,17 @@ class GapRegion:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError("factor dimensions must be >= 1")
-        if self.n > _GAP_VOLUME_MAX_DIM or self.m > _GAP_VOLUME_MAX_DIM:
-            raise RegionError("gap region supported only for factor dims <= 4")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        r = 2.0 ** self.L
-        xn, yn = _factor_norms(points, self.n)
-        in_balls = (xn < r) & (yn < r)
-        return in_balls & ~Cube(self.n, self.m, self.L).contains(points)
+        z = np.max(np.abs(np.atleast_2d(np.asarray(points, dtype=float))), axis=1)
+        return (z < 2.0 ** self.L) & ~Cube(self.n, self.m, self.L).contains(points)
 
     def volume(self) -> float:
-        r = 2.0 ** self.L
-        return ball_volume(self.n, r) * ball_volume(self.m, r) - Cube(
-            self.n, self.m, self.L
-        ).volume()
+        return _boxes_volume(self.signed_boxes())
 
     def signed_boxes(self) -> List[SignedBox]:
-        if self.n != 1 or self.m != 1:
-            raise RegionError(
-                "gap region has a box decomposition only for n = m = 1; use monte-carlo"
-            )
-        h = Cube(1, 1, self.L).half_side
-        return [(box, 1.0) for box in _max_norm_annulus(2, h, 2.0 * h)]
+        h = Cube(self.n, self.m, self.L).half_side
+        return [(box, 1.0) for box in _max_norm_annulus(self.n + self.m, h, 2.0 * h)]
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        out = np.empty((0, self.n + self.m))
-        guard = 0
-        while out.shape[0] < count:
-            xs = _sample_annulus(rng, count, self.n, 0.0, 2.0 ** self.L)
-            ys = _sample_annulus(rng, count, self.m, 0.0, 2.0 ** self.L)
-            pts = np.hstack([xs, ys])
-            keep = pts[self.contains(pts)]
-            out = np.vstack([out, keep])
-            guard += 1
-            if guard > 1000:
-                raise RegionError("gap-region rejection sampling failed to converge")
-        return out[:count]
+        return _sample_boxes(self.signed_boxes(), rng, count)

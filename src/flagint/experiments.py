@@ -423,7 +423,7 @@ def counterexample_growth(
     beta: Optional[Union[Fraction, str, float]] = None,
     jobs: int = 1,
 ) -> ScanResult:
-    """Truncated mass F(R) of the signum atom's image over [2,4]^n x {|y|<=R}.
+    """Truncated mass F(R) of the signum atom's image over [2,4]^n x [-R,R]^m.
 
     With alpha, beta omitted the scan sits on the critical line where both
     balance conditions hold but strictness fails (beta = m - m/q, alpha =
@@ -560,9 +560,9 @@ def shell_decay_profile(
     """Mass of |I a|^q over each dyadic shell Q_kl, with decay fits.
 
     Shells are indexed 0..k_max by 0..l_max at the atom's scale L; the
-    residual sliver between the ball product and the cube is reported as a
-    separate gap row. The headline fit aggregates each k over all l and
-    regresses log2(mass) on k for k >= burn_in.
+    residual sliver between the box (-2^L, 2^L)^{n+m} and the cube is
+    reported as a separate gap row. The headline fit aggregates each k over
+    all l and regresses log2(mass) on k for k >= burn_in.
     """
     if not check_formula_two(cfg):
         raise PreconditionError("shell_decay_profile needs a Formula-Two configuration")

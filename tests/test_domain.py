@@ -14,7 +14,6 @@ from flagint import (
     RegionError,
     Shell,
     Window,
-    ball_volume,
     centered_window,
     point_pair,
     shell_case,
@@ -40,12 +39,6 @@ def test_cube_side_and_volume():
     qo = Cube(n=1, m=1, L=1)
     assert qo.side == 2.0
     assert qo.volume() == 4.0
-
-
-def test_ball_volume_low_dims():
-    assert math.isclose(ball_volume(1, 3.0), 6.0, rel_tol=1e-14)
-    assert math.isclose(ball_volume(2, 2.0), math.pi * 4.0, rel_tol=1e-14)
-    assert math.isclose(ball_volume(3, 1.0), 4.0 * math.pi / 3.0, rel_tol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +74,7 @@ def test_zero_zero_is_the_max_norm_cube():
     s = Shell(n=1, m=1, k=0, l=0, L=0)
     assert s.is_cube
     assert shell_contains(s, point_pair(0.4, 0.4))
-    # inside the euclidean ball product but outside the cube
+    # inside the gap's outer box (-1, 1)^2 but outside the cube
     assert not shell_contains(s, point_pair(0.6, 0.4))
 
 
@@ -100,7 +93,7 @@ def test_shell_volume_matches_boxes():
         for lo, hi in box:
             area *= hi - lo
         total += sign * area
-    assert math.isclose(total, s.volume(), rel_tol=1e-14)
+    assert total == s.volume()
 
 
 def test_shell_samples_land_inside():
@@ -178,17 +171,20 @@ def test_window_rejects_empty_interval():
 def test_counterexample_region_geometry():
     r = CounterexampleRegion(n=1, m=1, R=5.0)
     assert r.x_bounds() == ((2.0, 4.0),)
-    assert math.isclose(r.volume(), 2.0 * 10.0, rel_tol=1e-14)
+    assert r.volume() == 2.0 * 10.0
     assert bool(r.contains(np.array([[3.0, -4.9]]))[0])
     assert not bool(r.contains(np.array([[1.9, 0.0]]))[0])
     assert not bool(r.contains(np.array([[3.0, 5.1]]))[0])
     assert r.signed_boxes() == [(((2.0, 4.0), (-5.0, 5.0)), 1.0)]
 
 
-def test_counterexample_region_m2_has_no_boxes():
+def test_counterexample_region_m2_is_one_box():
     r = CounterexampleRegion(n=1, m=2, R=5.0)
-    with pytest.raises(RegionError):
-        r.signed_boxes()
+    assert r.signed_boxes() == [(((2.0, 4.0), (-5.0, 5.0), (-5.0, 5.0)), 1.0)]
+    assert r.volume() == 2.0 * 10.0 * 10.0
+    # the y corner lies outside the Euclidean ball of radius R
+    assert bool(r.contains(np.array([[3.0, 4.9, -4.9]]))[0])
+    assert not bool(r.contains(np.array([[3.0, 0.0, 5.1]]))[0])
     rng = np.random.default_rng(5)
     pts = r.sample(rng, 300)
     assert np.all(r.contains(pts))
@@ -200,9 +196,10 @@ def test_counterexample_region_requires_positive_radius():
 
 
 def test_gap_region_is_ball_product_minus_cube():
+    # the "ball product" of the factor max norms is the box (-1, 1)^2
     g = GapRegion(n=1, m=1, L=0)
     # [-1,1]^2 minus the side-1 cube
-    assert math.isclose(g.volume(), 4.0 - 1.0, rel_tol=1e-14)
+    assert g.volume() == 4.0 - 1.0
     assert bool(g.contains(np.array([[0.75, 0.75]]))[0])
     assert not bool(g.contains(np.array([[0.25, 0.25]]))[0])
     assert not bool(g.contains(np.array([[1.25, 0.0]]))[0])
@@ -222,11 +219,10 @@ def test_gap_region_is_four_disjoint_positive_boxes(L):
     for i, a in enumerate(boxes):
         for b in boxes[i + 1:]:
             assert not _interiors_meet(a, b)
-    # the slabs tile (-r, r)^2 minus Q; volume() carries the rounding of
-    # the 1-d ball volume pi^(1/2) / Gamma(3/2)
+    # the slabs tile (-r, r)^2 minus Q
     total = math.fsum((x1 - x0) * (y1 - y0) for (x0, x1), (y0, y1) in boxes)
     assert total == (2.0 * r) ** 2 - (2.0 * h) ** 2
-    assert math.isclose(total, g.volume(), rel_tol=1e-14)
+    assert total == g.volume()
     q = Cube(n=1, m=1, L=L).bounds()
     for box in boxes:
         centre = np.array([[0.5 * (lo + hi) for lo, hi in box]])
@@ -240,3 +236,89 @@ def test_gap_region_samples_inside():
     pts = g.sample(rng, 200)
     assert pts.shape == (200, 2)
     assert np.all(g.contains(pts))
+
+
+# ---------------------------------------------------------------------------
+# every region is a list of positive max-norm boxes
+
+
+def _annulus_volume(dim, lo, hi):
+    # {lo <= |z|_inf < hi} in R^dim
+    return (2.0 * hi) ** dim - (2.0 * lo) ** dim
+
+
+def _regions_with_volumes(n, m):
+    out = []
+    for k, l in ((1, 0), (0, 2), (2, 3)):
+        s = Shell(n=n, m=m, k=k, l=l, L=0)
+        out.append((s, _annulus_volume(n, *s.x_range()) * _annulus_volume(m, *s.y_range())))
+    for L in (-1, 0, 2):
+        out.append((GapRegion(n=n, m=m, L=L),
+                    _annulus_volume(n + m, 2.0 ** (L - 1), 2.0 ** L)))
+    out.append((CounterexampleRegion(n=n, m=m, R=10.0), 2.0 ** n * 20.0 ** m))
+    return out
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)])
+def test_regions_are_disjoint_positive_max_norm_boxes(n, m):
+    rng = np.random.default_rng(17)
+    for region, closed_form in _regions_with_volumes(n, m):
+        signed = region.signed_boxes()
+        assert all(sign == 1.0 for _, sign in signed), region
+        boxes = [box for box, _ in signed]
+        assert all(len(box) == n + m for box in boxes)
+        for i, a in enumerate(boxes):
+            for b in boxes[i + 1:]:
+                assert not _interiors_meet(a, b), region
+        centres = np.array([[0.5 * (lo + hi) for lo, hi in box] for box in boxes])
+        assert np.all(region.contains(centres)), region
+        total = math.fsum(math.prod(hi - lo for lo, hi in box) for box in boxes)
+        assert total == closed_form == region.volume(), region
+        pts = region.sample(rng, 400)
+        assert pts.shape == (400, n + m)
+        assert np.all(region.contains(pts)), region
+
+
+def test_samples_pick_each_box_in_proportion_to_its_volume():
+    # the slabs of this gap have volumes 16, 8 and 4 (times h^3), in pairs
+    g = GapRegion(n=2, m=1, L=1)
+    boxes = [box for box, _ in g.signed_boxes()]
+    vols = np.array([math.prod(hi - lo for lo, hi in box) for box in boxes])
+    count = 20000
+    pts = g.sample(np.random.default_rng(23), count)
+    lo = np.array([[a for a, _ in box] for box in boxes])
+    hi = np.array([[b for _, b in box] for box in boxes])
+    inside = np.all((pts[:, None, :] > lo) & (pts[:, None, :] < hi), axis=2)
+    assert np.all(inside.sum(axis=1) == 1)
+    p = vols / vols.sum()
+    sigma = np.sqrt(count * p * (1.0 - p))
+    assert np.all(np.abs(inside.sum(axis=0) - count * p) <= 5.0 * sigma)
+
+
+def test_one_dimensional_factor_lists_are_pinned():
+    assert Shell(n=1, m=1, k=1, l=0, L=0).signed_boxes() == [
+        (((-2.0, -1.0), (-1.0, 1.0)), 1.0),
+        (((1.0, 2.0), (-1.0, 1.0)), 1.0),
+    ]
+    assert Shell(n=1, m=1, k=0, l=2, L=0).signed_boxes() == [
+        (((-1.0, 1.0), (-4.0, -2.0)), 1.0),
+        (((-1.0, 1.0), (2.0, 4.0)), 1.0),
+    ]
+    assert Shell(n=1, m=1, k=2, l=3, L=0).signed_boxes() == [
+        (((-4.0, -2.0), (-8.0, -4.0)), 1.0),
+        (((-4.0, -2.0), (4.0, 8.0)), 1.0),
+        (((2.0, 4.0), (-8.0, -4.0)), 1.0),
+        (((2.0, 4.0), (4.0, 8.0)), 1.0),
+    ]
+    assert Shell(n=1, m=1, k=0, l=0, L=0).signed_boxes() == [
+        (((-0.5, 0.5), (-0.5, 0.5)), 1.0),
+    ]
+    assert GapRegion(n=1, m=1, L=0).signed_boxes() == [
+        (((-1.0, -0.5), (-1.0, 1.0)), 1.0),
+        (((0.5, 1.0), (-1.0, 1.0)), 1.0),
+        (((-0.5, 0.5), (-1.0, -0.5)), 1.0),
+        (((-0.5, 0.5), (0.5, 1.0)), 1.0),
+    ]
+    assert CounterexampleRegion(n=1, m=1, R=10.0).signed_boxes() == [
+        (((2.0, 4.0), (-10.0, 10.0)), 1.0),
+    ]

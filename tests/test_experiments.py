@@ -11,6 +11,7 @@ import pytest
 from flagint import experiments
 from flagint import (
     ConfigIncompleteError,
+    CounterexampleRegion,
     DecayFit,
     ExponentConfig,
     FitWindowError,
@@ -24,6 +25,7 @@ from flagint import (
     frontier_map,
     hls_iteration_check,
     indicator_box,
+    lq_mass,
     make_signum_atom,
     piecewise_constant,
     shell_decay_profile,
@@ -209,6 +211,18 @@ def test_growth_scan_explicit_exponents_are_noncritical(grid_spec):
     )
     assert result.metadata["case"] == "noncritical"
     assert all(r["case"] == "noncritical" for r in result.rows)
+
+
+def test_m2_critical_counterexample_grows_on_the_grid(grid_spec):
+    # n = 1, m = 2 on the critical line (beta = m(q-1)/q, alpha = n beta/m)
+    # over the box [2,4] x [-R,R]^2
+    cfg = ExponentConfig(n=1, m=2, alpha=F(1, 2), beta=F(1), rho=F(2), q=F(2))
+    payload = make_signum_atom(1, 2).payload
+    (v10, e10), (v100, e100) = [
+        lq_mass(cfg, payload, CounterexampleRegion(n=1, m=2, R=r), 2, grid_spec)
+        for r in (10.0, 100.0)
+    ]
+    assert v100 - v10 > e10 + e100
 
 
 def test_growth_scan_rejects_bad_radii(grid_spec):

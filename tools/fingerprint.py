@@ -6,7 +6,7 @@ Run it once in a checkout of the parent commit and once in the change, each
 with that checkout's `src` on PYTHONPATH, and `diff` the two outputs: an
 empty diff means every case below gave the same bytes.
 
-Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, eleven
+Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, twelve
 larger CLI runs, `--help` of the program and of every subcommand, and the
 900-point apply pool of `bench/reference.json` (read, never written).
 Each prints one line: the case name, the exit status, and the SHA-256 of the
@@ -60,6 +60,9 @@ _LARGER = (
     # Monte Carlo lq_mass: region sampling and strata in three dimensions
     ("counterexample-m2-mc", ["counterexample", "--m", "2", "--method", "monte-carlo",
                               "--samples", "4000", "--radii", "10,100", "--jobs", "1"]),
+    # the same counterexample on the grid: one box [2,4] x [-R,R]^2 per radius
+    ("counterexample-m2-grid", ["counterexample", "--m", "2", "--radii", "10,100",
+                                "--jobs", "2"]),
     # piecewise-constant payloads of one cell and of four cells
     ("shells-indicator", ["shells", "--payload", "indicator", "--jobs", "2"]),
     # a payload whose outer plans split wide cells, on every shell and the gap
