@@ -79,48 +79,40 @@ class Kernel:
         """Whether the kernel blows up on v = 0 (only the product kernel does)."""
         return self.kind == "product"
 
-    def of_norms(self, sn: np.ndarray, tn: Optional[np.ndarray] = None, *,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Kernel value from the factor norms |u| and |v|; both broadcast.
-
-        On a node tensor sn varies along the u axes only and tn along the v
-        axes only, so each factor of one variable is taken once per node of
-        its own axes and only the combination covers the whole tensor. With
-        out (an array of the broadcast shape) the values are formed in out
-        and it is returned; without it, in a new array.
-        """
-        if self.kind == "riesz":
-            if out is None:
-                return sn ** (self.u_power - self.n)
-            # **= takes the path ** takes, so the copy keeps the bits
-            np.copyto(out, sn)
-            out **= self.u_power - self.n
-            return out
+    def of_norms(self, sn: np.ndarray, tn: Optional[np.ndarray] = None) -> np.ndarray:
+        """Kernel value from the factor norms |u| and |v|; both broadcast."""
         su = sn ** (self.u_power - self.n)
+        if self.kind == "riesz":
+            return su
         if self.kind == "flag":
-            # su * mix ** e, formed in the one full-size array mix: the
-            # product commutes, and **= takes the path ** takes, also on the
-            # numpy scalars that 0-d norms give
-            mix = np.add(sn ** self.rho, tn, out=out)
-            mix **= self.v_power - self.m
-            mix *= su
-            return mix
-        return np.multiply(su, tn ** (self.v_power - self.m), out=out)
+            return su * (sn ** self.rho + tn) ** (self.v_power - self.m)
+        return su * tn ** (self.v_power - self.m)
 
-    def of_offsets(self, diffs: Sequence[np.ndarray], *,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Kernel value from the offsets pt - z, one broadcastable array per axis."""
+    def split_offsets(self, diffs: Sequence[np.ndarray], *,
+                      out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The kernel at offsets pt - z (one broadcastable array per axis) as (u, rest).
+
+        The kernel is their product, up to rounding. u = |u|^(u_power - n)
+        varies along the u axes only; rest is the remainder, formed in out
+        over the whole tensor (1 for the riesz kernel, which has no other).
+        """
         sn = _norm(diffs[: self.n])
-        if not self.m:
-            return self.of_norms(sn, out=out)
-        return self.of_norms(sn, _norm(diffs[self.n: self.n + self.m]), out=out)
+        if self.kind == "riesz":
+            out.fill(1.0)
+        elif self.kind == "flag":
+            # |v| copied across the tensor, then |u|^rho added in place: the
+            # same bits as one broadcast add, and faster
+            np.copyto(out, _norm(diffs[self.n:]))
+            out += sn ** self.rho
+            out **= self.v_power - self.m
+        else:
+            np.copyto(out, _norm(diffs[self.n:]) ** (self.v_power - self.m))
+        return sn ** (self.u_power - self.n), out
 
     def values(self, pt: np.ndarray, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """Kernel at pt - z, with z given as one coordinate array per axis.
-
-        coords are (N,) columns, or views broadcast over a node tensor.
-        """
-        return self.of_offsets([pt[i] - coords[i] for i in range(self.n + self.m)])
+        """Kernel at pt - z, with z given as one (N,) coordinate column per axis."""
+        diffs = [pt[i] - coords[i] for i in range(self.n + self.m)]
+        return self.of_norms(_norm(diffs[: self.n]), _norm(diffs[self.n:]) if self.m else None)
 
 
 def _norm(diffs: Sequence[np.ndarray]) -> np.ndarray:

@@ -39,10 +39,10 @@ MAX_GRID_NODES = 12_000_000
 # Monte Carlo samples drawn together (at least one stratum's worth).
 _BLOCK_NODES = 2 ** 14
 
-# Largest inner tensor whose buffers a thread keeps for its one-node passes
-# (two float64 tensors and one bool tensor, 17 MB at this size). An apply
-# query's inner tensor has about 110k nodes (332 x 332 at cutoff 2^-40); a
-# larger one-node pass allocates its buffers as a batched pass does.
+# Largest block tensor whose kernel a thread forms in the memory it keeps
+# (one float64 tensor, 8 MB at this size). An apply query's inner tensor has
+# about 110k nodes (332 x 332 at cutoff 2^-40); a larger block allocates its
+# own tensor.
 _WORKSPACE_NODES = 2 ** 20
 
 # Monte Carlo strata are merged (pairwise, per axis) down to this count.
@@ -145,16 +145,13 @@ class TestFunction:
         points: Optional[np.ndarray] = None,
         *,
         axes: Optional[Sequence[np.ndarray]] = None,
-        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Payload values at points (N, dim), or on a tensor of per-axis nodes.
 
         With axes (one 1-d node array per axis) the result holds one value
         per node of their tensor product, flattened in C order. Both forms
         run the same formulas: on a tensor each one-axis step runs on that
-        axis's nodes and is broadcast, so it costs one pass per axis. With
-        out (a float array of shape (N,), or of the tensor's shape) the
-        values are written into out; without it, into a new array.
+        axis's nodes and is broadcast, so it costs one pass per axis.
         """
         if (points is None) == (axes is None):
             raise ValueError("pass exactly one of points and axes")
@@ -168,24 +165,46 @@ class TestFunction:
                 raise ValueError(f"need {self.dim} node arrays, one per axis")
             coords = [np.asarray(a, dtype=float).ravel() for a in axes]
         if self.kind == "smooth-bump":
-            return self._bump_values(coords if axes is None else _axis_views(coords),
-                                     out).ravel()
-        return self._cell_values(coords, axes is not None, out).ravel()
+            return self._bump_values(coords if axes is None else _axis_views(coords)).ravel()
+        return self._cell_values(coords, axes is not None).ravel()
 
-    def _bump_values(self, coords: List[np.ndarray], out: Optional[np.ndarray]) -> np.ndarray:
+    def axis_factor(self, axis: int, nodes: np.ndarray) -> Tuple[Union[np.ndarray, float],
+                                                                  np.ndarray]:
+        """Per node of one axis, its factor of the payload and its slot in payload_table.
+
+        On a tensor of per-axis nodes the payload is the product of the
+        nodes' factors times payload_table at their slots. For the bump the
+        factor is exp(step), 0 outside, and every slot is 0; for cells the
+        factor is 1 and the slot is the node's slot of the cell table.
+        """
+        z = np.asarray(nodes, dtype=float)
+        if self.kind == "smooth-bump":
+            inside, step = self._bump_step(axis, z)
+            return np.where(inside, np.exp(step), 0.0), np.zeros(z.shape, dtype=np.intp)
+        return 1.0, self._slots(axis, z)
+
+    @cached_property
+    def payload_table(self) -> np.ndarray:
+        """The payload's values per tuple of axis slots (see axis_factor)."""
+        if self.kind == "smooth-bump":
+            return np.full((1,) * self.dim, self.amplitude)
+        return self._cell_table[1]
+
+    def _bump_step(self, axis: int, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Whether each coordinate lies inside the bump on this axis, and its exponent step."""
+        w = (z - self.center[axis]) / self.radius[axis]
+        w2 = w * w
+        inside = w2 < 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return inside, np.where(inside, 1.0 - 1.0 / (1.0 - w2), 0.0)
+
+    def _bump_values(self, coords: List[np.ndarray]) -> np.ndarray:
         # coords: one broadcastable coordinate array per axis
-        within = []
-        steps = []
-        for z, c, r in zip(coords, self.center, self.radius):
-            w = (z - c) / r
-            w2 = w * w
-            within.append(w2 < 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps.append(np.where(within[-1], 1.0 - 1.0 / (1.0 - w2), 0.0))
+        within, steps = zip(*(self._bump_step(i, z) for i, z in enumerate(coords)))
         # amplitude * exp(arg) where inside, +0.0 elsewhere, formed in the
         # one full-size array that the last axis's step is added into: the
         # product commutes, so the bits are the same as exp(arg) * amplitude
-        res = np.add(reduce(np.add, steps[:-1], 0.0), steps[-1], out=out)
+        res = np.add(reduce(np.add, steps[:-1], 0.0), steps[-1])
         np.exp(res, out=res)
         res *= self.amplitude
         # a node is outside when it is outside on some axis
@@ -216,22 +235,20 @@ class TestFunction:
             table[mask] += value
         return edges, table
 
-    def _cell_values(self, coords: List[np.ndarray], tensor: bool,
-                     out: Optional[np.ndarray]) -> np.ndarray:
-        # coords: per axis, the nodes of the tensor or the points' column
-        edges, table = self._cell_table
+    def _slots(self, axis: int, z: np.ndarray) -> np.ndarray:
         # slot -1 is the last slot, as the "wrap" mode of np.take reads it
-        slots = [np.searchsorted(e, z, side="right") - 1 for e, z in zip(edges, coords)]
+        return np.searchsorted(self._cell_table[0][axis], z, side="right") - 1
+
+    def _cell_values(self, coords: List[np.ndarray], tensor: bool) -> np.ndarray:
+        # coords: per axis, the nodes of the tensor or the points' column
+        table = self._cell_table[1]
+        slots = [self._slots(i, z) for i, z in enumerate(coords)]
         if not tensor:
-            values = table[tuple(slots)]
-            if out is None:
-                return values
-            out[...] = values
-            return out
+            return table[tuple(slots)]
         # one axis at a time: only the last gather has the tensor's size
         for axis, s in enumerate(slots[:-1]):
             table = np.take(table, s, axis=axis, mode="wrap")
-        return np.take(table, slots[-1], axis=-1, mode="wrap", out=out)
+        return np.take(table, slots[-1], axis=-1, mode="wrap")
 
     def _scaled_geometry(self, factors: Sequence[float]) -> "TestFunction":
         support = tuple(
@@ -426,22 +443,18 @@ def _graded_breakpoints(
     """
     if not lo < hi:
         raise ValueError("empty interval")
-    pts = {lo, hi}
-    for e in extra:
-        if lo < e < hi:
-            pts.add(e)
     dist = max(lo - center, center - hi, 0.0)
     dmax = max(abs(center - lo), abs(center - hi))
     r = finest if dist <= finest else dist
-    while r < dmax:
-        for s in (center - r, center + r):
-            if lo < s < hi:
-                pts.add(s)
-        r *= 2.0
-    if dist <= finest and lo < center < hi:
-        pts.add(center)
-    out = np.array(sorted(pts), dtype=float)
-    # drop degenerate cells from near-duplicate breakpoints
+    # r * 2^k for every k with r * 2^k < dmax; doubling a float is exact
+    radii = np.ldexp(r, np.arange(max(0, math.ceil(math.log2(dmax) - math.log2(r))) + 2))
+    radii = radii[radii < dmax]
+    inner = np.concatenate([extra, center - radii, center + radii,
+                            [center] if dist <= finest else []])
+    # a stable sort keeps the first of equal values (0.0 and -0.0 are equal)
+    out = np.sort(np.concatenate([[lo, hi], inner[(lo < inner) & (inner < hi)]]),
+                  kind="stable")
+    # drop copies, and degenerate cells from near-duplicate breakpoints
     keep = np.concatenate([[True], np.diff(out) > 1e-15 * (hi - lo)])
     return out[keep]
 
@@ -451,22 +464,23 @@ def _split_wide_cells(
     max_cell: Optional[float],
     within: Optional[Tuple[float, float]] = None,
 ) -> np.ndarray:
+    """breaks with every cell wider than max_cell cut into equal parts, within a span only."""
     if max_cell is None or max_cell <= 0:
         return breaks
-    # Python floats: the loop compares and adds them faster than numpy scalars
-    cuts = breaks.tolist()
-    pts = cuts[:1]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if within is not None and (b <= within[0] or a >= within[1]):
-            pts.append(b)
-            continue
-        width = b - a
-        parts = int(math.ceil(width / max_cell))
-        if parts > 1:
-            step = width / parts
-            pts.extend(a + step * j for j in range(1, parts))
-        pts.append(b)
-    return np.array(pts, dtype=float)
+    a, b = breaks[:-1], breaks[1:]
+    width = b - a
+    parts = np.ceil(width / max_cell)
+    if within is not None:
+        parts[(b <= within[0]) | (a >= within[1])] = 1.0
+    step = width / parts
+    counts = parts.astype(np.intp)
+    ends = np.cumsum(counts)
+    # per cell: a + step * j for j = 1, ..., parts - 1, then b
+    cell = np.repeat(np.arange(len(a)), counts)
+    j = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
+    pts = a[cell] + step[cell] * j
+    pts[ends - 1] = b
+    return np.concatenate([breaks[:1], pts])
 
 
 @dataclass(frozen=True)
@@ -598,11 +612,9 @@ def _inner_plans(
     ]
 
 
-def _tensor_weights(weights: Sequence[np.ndarray],
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The weights of a tensor rule, in out or a new array (1.0 * w is exact)."""
-    return np.multiply.outer(reduce(np.multiply.outer, weights[:-1], 1.0), weights[-1],
-                             out=out)
+def _tensor_weights(weights: Sequence[np.ndarray]) -> np.ndarray:
+    """The weights of a tensor rule."""
+    return reduce(np.multiply.outer, weights)
 
 
 def _core_groups(kernel: Kernel) -> Tuple[Tuple[range, bool], ...]:
@@ -632,14 +644,19 @@ def _core_eps(f: TestFunction, spec: QuadratureSpec, axes: range) -> float:
 
 @dataclass(frozen=True)
 class _Run:
-    """Consecutive outer coordinates of one axis, with their inner plans joined."""
+    """Consecutive outer coordinates of one axis, with their inner plans joined.
 
-    outer: range                  # the outer indices
-    segments: Tuple[slice, ...]   # each outer coordinate's part of the joined arrays
-    nodes: np.ndarray
-    weights: np.ndarray
-    core: np.ndarray
-    offsets: np.ndarray           # outer coordinate minus inner node
+    The joined nodes split into groups: runs of consecutive nodes with the
+    same outer coordinate, payload slot and core flag.
+    """
+
+    outer: range          # the outer indices
+    offsets: np.ndarray   # per node, outer coordinate minus inner node
+    scale: np.ndarray     # per node, its weight times its payload factor
+    starts: np.ndarray    # per group, its first node
+    slots: np.ndarray     # per group, its payload slot
+    core: np.ndarray      # per group, whether its nodes are core nodes
+    owners: np.ndarray    # per outer coordinate, its first group
 
 
 def _split_runs(lengths: Sequence[int], cap: float) -> List[Tuple[int, int]]:
@@ -658,122 +675,100 @@ def _split_runs(lengths: Sequence[int], cap: float) -> List[Tuple[int, int]]:
     return runs
 
 
-def _block_runs(
-    outer_axes: Sequence[Sequence[float]], plans: List[List[_AxisPlan]],
-    core_last: bool = False,
-) -> List[List[_Run]]:
+def _join_run(f: TestFunction, i: int, xs: Sequence[float], plans: Sequence[_AxisPlan],
+              a: int, b: int) -> _Run:
+    """The run of outer indices a, ..., b-1 on axis i, with its groups."""
+    part = plans[a:b]
+    nodes, weights, core = (np.concatenate([getattr(p, name) for p in part])
+                            for name in ("nodes", "weights", "core"))
+    offsets = np.concatenate([x - p.nodes for x, p in zip(xs[a:b], part)])
+    factor, slots = f.axis_factor(i, nodes)
+    firsts = list(itertools.accumulate((len(p.nodes) for p in part[:-1]), initial=0))
+    new = np.empty(len(nodes), dtype=bool)
+    np.not_equal(slots[1:], slots[:-1], out=new[1:])
+    new[1:] |= core[1:] != core[:-1]
+    new[firsts] = True
+    starts = np.flatnonzero(new)
+    return _Run(outer=range(a, b), offsets=offsets, scale=weights * factor, starts=starts,
+                slots=slots[starts], core=core[starts], owners=np.searchsorted(starts, firsts))
+
+
+def _block_runs(f: TestFunction, outer_axes: Sequence[Sequence[float]],
+                plans: List[List[_AxisPlan]]) -> List[List[_Run]]:
     """Per axis, the runs whose tensor products are the blocks of one pass.
 
     Axes take their runs from the fewest inner nodes up, each an equal share
     of what is left of _BLOCK_NODES, so a short axis is one run and leaves
     the rest to the long ones. A block's tensor fits the budget unless one
     outer node's tensor alone does not; such a node is never split.
-
-    A run of one outer coordinate takes its plan's nodes by one index; with
-    core_last, on axis 0 that index puts the core nodes last.
     """
     lengths = [[len(p.nodes) for p in axis] for axis in plans]
     order = sorted(range(len(plans)), key=lambda i: sum(lengths[i]))
     left = float(_BLOCK_NODES)
     out: List[List[_Run]] = [[] for _ in plans]
     for k, i in enumerate(order):
-        xs, axis, lens = outer_axes[i], plans[i], lengths[i]
-        cap = max(max(lens), left ** (1.0 / (len(order) - k)))
-        for a, b in _split_runs(lens, cap):
-            if b - a == 1:
-                p = axis[a]
-                take = np.argsort(p.core, kind="stable") if core_last and i == 0 else slice(None)
-                nodes = p.nodes[take]
-                out[i].append(_Run(outer=range(a, b), segments=(slice(0, len(nodes)),),
-                                   nodes=nodes, weights=p.weights[take], core=p.core[take],
-                                   offsets=xs[a] - nodes))
-                continue
-            ends = np.cumsum([0] + lens[a:b]).tolist()
-            out[i].append(_Run(
-                outer=range(a, b),
-                segments=tuple(slice(s, e) for s, e in zip(ends[:-1], ends[1:])),
-                nodes=np.concatenate([p.nodes for p in axis[a:b]]),
-                weights=np.concatenate([p.weights for p in axis[a:b]]),
-                core=np.concatenate([p.core for p in axis[a:b]]),
-                offsets=np.concatenate([x - p.nodes for x, p in zip(xs[a:b], axis[a:b])]),
-            ))
-        left /= max(len(r.nodes) for r in out[i])
+        cap = max(max(lengths[i]), left ** (1.0 / (len(order) - k)))
+        out[i] = [_join_run(f, i, outer_axes[i], plans[i], a, b)
+                  for a, b in _split_runs(lengths[i], cap)]
+        left /= max(len(r.offsets) for r in out[i])
     return out
 
 
-def _new_buffers(shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-
-
 class _Workspace(threading.local):
-    """One thread's buffers for one-node passes: two float tensors and a bool one.
+    """One thread's float64 buffer, in which each block forms its kernel tensor.
 
-    Each grows to the largest pass it has served, up to _WORKSPACE_NODES.
-    Memory reused is not faulted in again, as fresh full-size arrays are on
-    every pass once the allocator has handed them back to the system.
+    It grows to the largest block its thread has run, up to
+    _WORKSPACE_NODES. Memory reused is not faulted in again, as a fresh
+    full-size array is on every pass once the allocator has handed it back
+    to the system.
     """
 
     def __init__(self) -> None:
-        self.held = _new_buffers((0,))
+        self.held = np.empty(0)
 
-    def buffers(self, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def tensor(self, shape: Tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
         if size > _WORKSPACE_NODES:
-            return _new_buffers(shape)
-        if self.held[0].size < size:
-            self.held = _new_buffers((size,))
-        return tuple(b[:size].reshape(shape) for b in self.held)
+            return np.empty(shape)
+        if self.held.size < size:
+            self.held = np.empty(size)
+        return self.held[:size].reshape(shape)
 
 
 _WORKSPACE = _Workspace()
 
 
-def _block_terms(kernel: Kernel, f: TestFunction, block: Sequence[_Run],
-                 fvals: np.ndarray, terms: np.ndarray, live: np.ndarray) -> int:
-    """Form a block's terms in terms and its live mask in live; returns the live count.
+def _block_values(kernel: Kernel, table: np.ndarray, block: Sequence[_Run]) -> np.ndarray:
+    """The inner values of a block's outer nodes, in the shape of their tensor.
 
-    All three arrays have the block's tensor shape. fvals holds the payload
-    and then the kernel. terms is formed only when some node is live.
+    Only the kernel couples the axes; weights and payload factors are per
+    axis. So the kernel tensor, formed in the thread's workspace, is
+    contracted axis by axis, the last first: multiplied by the axis's scale
+    and summed over each group. Its factor of |u| alone is applied with the
+    scale of the last u axis, once the v axes are summed. The groups of an
+    excluded core are then set to 0 by selection (the kernel may overflow
+    there), each group is multiplied by the payload table at its slots, and
+    the groups of each outer node are summed, again axis by axis. Every sum
+    runs over the nodes or groups of one outer node, so the values do not
+    depend on the blocking.
     """
-    f.evaluate(axes=[r.nodes for r in block], out=fvals)
-    np.not_equal(fvals, 0.0, out=live)
+    shape = tuple(len(r.offsets) for r in block)
+    scales = _axis_views([r.scale for r in block])
     cores = _axis_views([r.core for r in block])
-    # a node whose group is not excluded has no core nodes on some axis
-    # of the group, so masking every node at once leaves it whole
-    for axes, singular in _core_groups(kernel):
-        if singular:
-            live &= ~reduce(np.logical_and, [cores[i] for i in axes])
-    count = np.count_nonzero(live)
-    if count:
-        # weights * fvals * kvals, in that order
-        _tensor_weights([r.weights for r in block], out=terms)
-        terms *= fvals
-        # the excluded core may overflow; only live nodes enter the sums
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            terms *= kernel.of_offsets(_axis_views([r.offsets for r in block]), out=fvals)
-    return count
-
-
-def _one_node_value(kernel: Kernel, f: TestFunction, block: Sequence[_Run],
-                    core_last: bool) -> float:
-    """The inner value of a block of one outer node, formed in the thread's workspace.
-
-    With core_last the core nodes of axis 0 come last, so when every other
-    node is live the live terms are a prefix of the tensor, in the order the
-    masked sum takes, and are summed without a masked copy.
-    """
-    shape = tuple(len(r.nodes) for r in block)
-    fvals, terms, live = _WORKSPACE.buffers(shape)
-    count = _block_terms(kernel, f, block, fvals, terms, live)
-    if not count:
-        return 0.0
-    # the excluded axis-0 core nodes, if any, are the last rows of the tensor
-    prefix = terms.size
-    if core_last:
-        prefix -= int(np.count_nonzero(block[0].core)) * (terms.size // shape[0])
-    if count == prefix:
-        return np.sum(terms.ravel()[:prefix])
-    return np.sum(terms[live])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u, t = kernel.split_offsets(_axis_views([r.offsets for r in block]),
+                                    out=_WORKSPACE.tensor(shape))
+        for i in reversed(range(len(block))):
+            t *= u * scales[i] if i == kernel.n - 1 else scales[i]
+            t = np.add.reduceat(t, block[i].starts, axis=i)
+        for axes, singular in _core_groups(kernel):
+            if singular:
+                np.copyto(t, 0.0, where=reduce(np.logical_and, [cores[i] for i in axes]))
+        # slot -1 is the last slot, as for the cell payload's gather
+        t *= table[np.ix_(*(r.slots for r in block))]
+    for i, r in enumerate(block):
+        t = np.add.reduceat(t, r.owners, axis=i)
+    return t
 
 
 def _grid_conv_values(
@@ -791,9 +786,8 @@ def _grid_conv_values(
 
     The inner plan of axis i depends only on outer coordinate i, so the
     inner tensors of a block of outer nodes are the blocks of one tensor
-    over their joined plans. That tensor is evaluated at once, and each
-    outer node sums its own block in C order, the order a pass over that
-    node alone takes, so the values do not depend on the blocking.
+    over their joined plans, contracted at once (_block_values); a pass over
+    one outer node is a block of one.
     """
     if f.dim > MAX_GRID_DIMENSION:
         raise UsageError(
@@ -811,19 +805,10 @@ def _grid_conv_values(
     shape = sizes.shape
     has_core = _axis_views([np.array([p.has_core for p in axis]) for axis in plans])
     core_u, core_v = (np.broadcast_to(c, shape) for c in _core_flags(kernel, has_core))
-    values = np.zeros(shape)
-    # with one u axis, a one-node block's u core nodes go last (_one_node_value)
-    core_last = kernel.n == 1
-    for block in itertools.product(*_block_runs(outer_axes, plans, core_last)):
-        if all(len(r.outer) == 1 for r in block):
-            values[tuple(r.outer[0] for r in block)] = _one_node_value(kernel, f, block,
-                                                                        core_last)
-            continue
-        fvals, terms, live = _new_buffers(tuple(len(r.nodes) for r in block))
-        if _block_terms(kernel, f, block, fvals, terms, live):
-            for node, part in zip(itertools.product(*(r.outer for r in block)),
-                                  itertools.product(*(r.segments for r in block))):
-                values[node] = np.sum(terms[part][live[part]])
+    values = np.empty(shape)
+    for block in itertools.product(*_block_runs(f, outer_axes, plans)):
+        values[tuple(slice(r.outer.start, r.outer.stop) for r in block)] = _block_values(
+            kernel, f.payload_table, block)
     return values, core_u, core_v
 
 

@@ -400,8 +400,20 @@ def _reference_kernel(desc, pt, points):
     return sn ** (desc.u_power - desc.n) * tn ** (desc.v_power - desc.m)
 
 
+def _reference_payload(f, points):
+    # the bump as the product of its per-axis factors, a formula of its own;
+    # a piecewise-constant payload from its points form
+    if f.kind != "smooth-bump":
+        return f.evaluate(points)
+    w2 = ((points - np.array(f.center)) / np.array(f.radius)) ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        factors = np.where(w2 < 1.0, np.exp(1.0 - 1.0 / (1.0 - w2)), 0.0)
+    return f.amplitude * np.prod(factors, axis=1)
+
+
 def _reference_grid_value(desc, f, pt, spec, g):
-    # every tensor node as an explicit point; excluded cores masked node by node
+    # every tensor node as an explicit point; excluded cores masked node by
+    # node. Returns the value, the live points and the sum of |terms|.
     plans = [axis[0] for axis in quadrature._inner_plans(f, [[x] for x in pt], spec, g)]
     points = np.stack(
         [c.ravel() for c in np.meshgrid(*[p.nodes for p in plans], indexing="ij")], axis=1
@@ -415,12 +427,51 @@ def _reference_grid_value(desc, f, pt, spec, g):
     for axes in groups:
         if all(plans[i].core.any() for i in axes):
             keep &= ~np.all(core[:, list(axes)], axis=1)
-    fvals = f.evaluate(points)
+    fvals = _reference_payload(f, points)
     idx = np.flatnonzero(keep & (fvals != 0.0))
     if idx.size == 0:
-        return 0.0, points[idx]
-    kvals = _reference_kernel(desc, pt, points[idx])
-    return float(np.sum(weights[idx] * fvals[idx] * kvals)), points[idx]
+        return 0.0, points[idx], 0.0
+    terms = weights[idx] * fvals[idx] * _reference_kernel(desc, pt, points[idx])
+    return float(np.sum(terms)), points[idx], float(np.sum(np.abs(terms)))
+
+
+# The engine contracts the inner tensor axis by axis, and the reference sums
+# its terms at once, so the two differ by rounding. On each side a term takes
+# at most 16 roundings of eps/2 (kernel, weights, payload factors, table);
+# the bump's per-axis factors are the same bits on both. Each sum of the
+# engine is x0 plus numpy's pairwise sum: depth at most 28 over an axis
+# group of at most 512 nodes, and 10 over one node's groups of an axis. The
+# reference's one pairwise sum has depth at most 36 over at most 2^17 terms.
+# At n + m <= 3 that is (2 * 16 + 3 * (28 + 10) + 36) / 2 = 91 eps times the
+# sum of |terms| at most.
+_ROUNDING = 128 * np.finfo(float).eps
+
+_BLOCK_NODES = quadrature._BLOCK_NODES
+
+
+def _assert_within_rounding(got, want, scale):
+    assert abs(got - want) <= _ROUNDING * scale, (got, want, scale)
+
+
+def _passes_under_budgets(desc, f, outer, spec, g, monkeypatch):
+    # the pass at block budgets of 4 nodes (every outer node a block of its
+    # own), the default, and twice the largest inner tensor
+    plans = quadrature._inner_plans(f, outer, spec, g)
+    largest = max(math.prod(len(p.nodes) for p in node) for node in itertools.product(*plans))
+    passes = []
+    for budget in (4, _BLOCK_NODES, 2 * largest):
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+        passes.append(quadrature._grid_conv_values(desc, f, outer, spec, g))
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", _BLOCK_NODES)
+    return passes
+
+
+def _one_node_value(desc, f, pt, spec, g, monkeypatch):
+    # the pass over one outer node, the same bits at every budget
+    got = [values.item() for values, _, _ in
+           _passes_under_budgets(desc, f, [[x] for x in pt], spec, g, monkeypatch)]
+    assert got == [got[0]] * len(got), got
+    return got[0]
 
 
 def _payloads(n, m):
@@ -454,7 +505,7 @@ _POINTS = {  # one u and one v coordinate, repeated over the axes
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2)])
 @pytest.mark.parametrize("where", sorted(_POINTS))
 @pytest.mark.parametrize("payload", ["indicator-box", "smooth-bump", "atom", "custom-sampled"])
-def test_grid_pass_matches_pointwise_reference(n, m, where, payload):
+def test_grid_pass_matches_pointwise_reference(n, m, where, payload, monkeypatch):
     # n+m = 3 needs a coarse cutoff to keep the reference tensor small
     spec = QuadratureSpec(inner_cutoff=-20 if n + m == 2 else -6)
     f = _payloads(n, m)[payload]
@@ -462,22 +513,22 @@ def test_grid_pass_matches_pointwise_reference(n, m, where, payload):
     pt = np.array([x] * n + [y] * m)
     for kind, desc in _kernels(n, m).items():
         for g in (spec.points_per_axis, spec.points_per_axis - 1):
-            got = quadrature._grid_conv_values(desc, f, [[x] for x in pt], spec, g)[0].item()
-            want, live = _reference_grid_value(desc, f, pt, spec, g)
-            assert got == want, (kind, g)
+            got = _one_node_value(desc, f, pt, spec, g, monkeypatch)
+            want, live, scale = _reference_grid_value(desc, f, pt, spec, g)
+            _assert_within_rounding(got, want, scale)
             # the pointwise form of the kernel, as Monte Carlo calls it
             assert np.array_equal(desc.values(pt, live.T), _reference_kernel(desc, pt, live))
 
 
 @pytest.mark.parametrize("x", [2.0, 0.01, 0.5])
-def test_grid_pass_matches_reference_for_riesz(x):
+def test_grid_pass_matches_reference_for_riesz(x, monkeypatch):
     spec = QuadratureSpec(inner_cutoff=-12)
     desc = riesz_kernel(0.5)
     for f in (indicator_box(1, 0, ((0.0, 1.0),)), smooth_bump(1, 0, [0.5], 0.5),
               piecewise_constant(1, 0, [(((0.0, 0.25),), 1.0), (((0.25, 1.0),), -3.0)])):
         pt = np.array([x])
-        got = quadrature._grid_conv_values(desc, f, [[x] for x in pt], spec, 4)[0].item()
-        assert got == _reference_grid_value(desc, f, pt, spec, 4)[0]
+        want, _, scale = _reference_grid_value(desc, f, pt, spec, 4)
+        _assert_within_rounding(_one_node_value(desc, f, pt, spec, 4, monkeypatch), want, scale)
 
 
 @pytest.mark.parametrize("payload", ["indicator-box", "smooth-bump", "atom", "custom-sampled"])
@@ -578,12 +629,8 @@ def test_cell_payload_gather_keeps_the_bits_of_the_mask_loop(payload):
     assert _mask_loop_values(f, [points[:, i] for i in range(f.dim)]).tobytes() == want.tobytes()
     assert 0 < np.count_nonzero(want) < want.size
 
-    tensor_out = np.full(tuple(len(a) for a in axes), np.nan)
-    points_out = np.full(len(points), np.nan)
-    for got in (f.evaluate(axes=axes), f.evaluate(axes=axes, out=tensor_out),
-                f.evaluate(points), f.evaluate(points, out=points_out)):
+    for got in (f.evaluate(axes=axes), f.evaluate(points)):
         assert got.tobytes() == want.tobytes()
-    assert tensor_out.ravel().tobytes() == points_out.tobytes() == want.tobytes()
 
 
 def test_cells_must_lie_within_the_support():
@@ -592,6 +639,71 @@ def test_cells_must_lie_within_the_support():
             kind="piecewise-constant", n=1, m=1, support=((-1.0, 1.0), (-1.0, 1.0)),
             cells=((((0.0, 1.5), (-1.0, 1.0)), 1.0),),
         )
+
+
+def _loop_graded_breakpoints(lo, hi, center, finest, extra=()):
+    # the breakpoints as a set grown point by point, doubling the radius
+    pts = {lo, hi}
+    for e in extra:
+        if lo < e < hi:
+            pts.add(e)
+    dist = max(lo - center, center - hi, 0.0)
+    dmax = max(abs(center - lo), abs(center - hi))
+    r = finest if dist <= finest else dist
+    while r < dmax:
+        for s in (center - r, center + r):
+            if lo < s < hi:
+                pts.add(s)
+        r *= 2.0
+    if dist <= finest and lo < center < hi:
+        pts.add(center)
+    out = np.array(sorted(pts), dtype=float)
+    keep = np.concatenate([[True], np.diff(out) > 1e-15 * (hi - lo)])
+    return out[keep]
+
+
+def _loop_split_wide_cells(breaks, max_cell, within=None):
+    # every cell wider than max_cell cut into equal parts, one cell at a time
+    if max_cell is None or max_cell <= 0:
+        return breaks
+    cuts = breaks.tolist()
+    pts = cuts[:1]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if within is not None and (b <= within[0] or a >= within[1]):
+            pts.append(b)
+            continue
+        parts = int(math.ceil((b - a) / max_cell))
+        if parts > 1:
+            step = (b - a) / parts
+            pts.extend(a + step * j for j in range(1, parts))
+        pts.append(b)
+    return np.array(pts, dtype=float)
+
+
+def test_breakpoints_keep_the_bits_of_the_loop_form():
+    # random intervals and centres inside, outside and on the ends; payload
+    # edges on the ends, on the centre, repeated and as -0.0; cells cut
+    # everywhere, within part of the interval, or not at all
+    rng = np.random.default_rng(23)
+    for case in range(400):
+        lo, hi = sorted(rng.uniform(-4.0, 4.0, 2))
+        if case % 5 == 0:
+            lo, hi = -0.0, abs(hi) + 0.5
+        center = {0: lo, 1: hi, 2: 0.5 * (lo + hi)}.get(case % 7, rng.uniform(-6.0, 6.0))
+        finest = (hi - lo) * 2.0 ** -float(rng.integers(1, 60))
+        extra = tuple(rng.choice([lo, hi, center, 0.0, -0.0, *rng.uniform(lo, hi, 3)],
+                                 size=int(rng.integers(0, 6))))
+        want = _loop_graded_breakpoints(lo, hi, center, finest, extra)
+        got = quadrature._graded_breakpoints(lo, hi, center, finest, extra)
+        assert got.tobytes() == want.tobytes(), case
+        max_cell = [None, 0.0, (hi - lo) / 8, (hi - lo) / 3][case % 4]
+        within = [None, (lo, hi), (lo + 0.25 * (hi - lo), hi)][case % 3]
+        assert (quadrature._split_wide_cells(got, max_cell, within).tobytes()
+                == _loop_split_wide_cells(want, max_cell, within).tobytes()), case
+    # a payload edge -0.0 comes before the radius point 0.25 - 0.25 = +0.0
+    got = quadrature._graded_breakpoints(-1.0, 1.0, 0.25, 0.25, (-0.0,))
+    assert got.tobytes() == _loop_graded_breakpoints(-1.0, 1.0, 0.25, 0.25, (-0.0,)).tobytes()
+    assert np.signbit(got[got == 0.0]).all()
 
 
 def test_axis_plans_are_cached_and_read_only():
@@ -621,8 +733,6 @@ def test_axis_plans_are_cached_and_read_only():
 # ---------------------------------------------------------------------------
 # the batched grid pass: many outer nodes per call
 
-_BLOCK_NODES = quadrature._BLOCK_NODES
-
 
 def _reference_core_flags(desc, f, pt, spec, g):
     # whether the pass at pt alone excludes its u core and its v core
@@ -646,25 +756,31 @@ def test_batched_grid_pass_matches_pointwise_reference(n, m, payload, monkeypatc
     nodes = [np.array(pt) for pt in itertools.product(*outer)]
     for kind, desc in _kernels(n, m).items():
         for g in (spec.points_per_axis, spec.points_per_axis - 1):
-            want = [_reference_grid_value(desc, f, pt, spec, g)[0] for pt in nodes]
+            refs = [_reference_grid_value(desc, f, pt, spec, g) for pt in nodes]
             flags = [_reference_core_flags(desc, f, pt, spec, g) for pt in nodes]
+            alone = [_one_node_value(desc, f, pt, spec, g, monkeypatch) for pt in nodes]
+            for (want, _, scale), got in zip(refs, alone):
+                _assert_within_rounding(got, want, scale)
             plans = quadrature._inner_plans(f, outer, spec, g)
             largest = max(math.prod(len(p.nodes) for p in node)
                           for node in itertools.product(*plans))
-            for budget in (_BLOCK_NODES, 4, 2 * largest):
+            for budget in (4, 2 * largest):
                 monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
-                runs = quadrature._block_runs(outer, plans)
+                runs = quadrature._block_runs(f, outer, plans)
                 if budget == 4:  # every outer node is a block by itself
                     assert [len(axis) for axis in runs] == [picks] * (n + m)
-                if budget == 2 * largest:  # some block holds several outer nodes
+                else:  # some block holds several outer nodes
                     assert any(len(r.outer) > 1 for axis in runs for r in axis)
-                values, core_u, core_v = quadrature._grid_conv_values(desc, f, outer, spec, g)
+            monkeypatch.setattr(quadrature, "_BLOCK_NODES", _BLOCK_NODES)
+            # at every budget each outer node has the bits of its pass alone
+            for values, core_u, core_v in _passes_under_budgets(desc, f, outer, spec, g,
+                                                                monkeypatch):
                 assert values.shape == (picks,) * (n + m)
-                assert values.ravel().tolist() == want, (kind, g, budget)
+                assert values.ravel().tolist() == alone, (kind, g)
                 assert list(zip(core_u.ravel().tolist(), core_v.ravel().tolist())) == flags
 
 
-def test_grid_pass_keeps_a_block_with_one_live_node():
+def test_grid_pass_keeps_a_block_with_one_live_node(monkeypatch):
     # seen from (6, 6) the support [-2, 2] is one graded cell per axis, cut
     # into 8 cells of width 1/2 as for every bump; the bump of radius 0.1
     # around (0.25, 0.25) holds only the centre node of the cell [0, 1/2]
@@ -676,39 +792,47 @@ def test_grid_pass_keeps_a_block_with_one_live_node():
     spec = QuadratureSpec()
     pt = np.array([6.0, 6.0])
     for kind, desc in _kernels(1, 1).items():
-        got = quadrature._grid_conv_values(desc, f, [[x] for x in pt], spec, 3)[0].item()
-        want, live = _reference_grid_value(desc, f, pt, spec, 3)
+        got = _one_node_value(desc, f, pt, spec, 3, monkeypatch)
+        want, live, scale = _reference_grid_value(desc, f, pt, spec, 3)
         assert len(live) == 1, kind
-        assert got == want != 0.0, kind
+        assert got != 0.0, kind
+        _assert_within_rounding(got, want, scale)
 
 
 def _one_node_payload(f, pt, spec, g):
-    # the payload on the inner tensor of one outer node, as its one-node
-    # pass orders it (u core nodes last), and the length of the live prefix
-    outer = [[x] for x in pt]
-    runs = quadrature._block_runs(outer, quadrature._inner_plans(f, outer, spec, g), True)
-    block = [axis[0] for axis in runs]
-    fvals = f.evaluate(axes=[r.nodes for r in block])
-    rows = fvals.size // len(block[0].nodes)
-    return fvals, fvals.size - int(np.count_nonzero(block[0].core)) * rows
+    # the payload on the inner tensor of one outer node with the u core
+    # nodes last, and the number of nodes before them
+    plans = [axis[0] for axis in quadrature._inner_plans(f, [[x] for x in pt], spec, g)]
+    core_last = np.argsort(plans[0].core, kind="stable")
+    fvals = f.evaluate(axes=[plans[0].nodes[core_last]] + [p.nodes for p in plans[1:]])
+    rows = fvals.size // len(core_last)
+    return fvals, fvals.size - int(np.count_nonzero(plans[0].core)) * rows
 
 
-def test_one_node_pass_with_zeros_in_its_live_prefix_sums_the_masked_terms():
+def test_one_node_pass_with_a_payload_that_underflows_to_zero_matches_the_reference(
+        monkeypatch):
     # the cell [-1, -0.99] that the grading toward u = 0.01 leaves at the
-    # support edge holds order-4 nodes where the bump underflows to 0, so
-    # the live terms are not the whole prefix and the masked sum must run;
-    # the order-3 nodes there keep the bump positive and take the prefix sum
+    # support edge holds order-4 nodes where the bump's u factor is
+    # subnormal, so the payload underflows to 0 on some nodes: the reference
+    # drops those terms, while the pass keeps the factor of each axis and
+    # sums them. At order 3 the payload stays positive. Either way the pass
+    # matches the reference, to rounding.
     f = smooth_bump(1, 1)
     spec = QuadratureSpec(inner_cutoff=-40)
     pt = np.array([0.01, 0.3])
     zeros = {}
     for g in (4, 3):
-        fvals, prefix = _one_node_payload(f, pt, spec, g)
-        assert prefix < fvals.size
-        zeros[g] = np.count_nonzero(fvals[:prefix] == 0.0)
+        plans = [axis[0] for axis in quadrature._inner_plans(f, [[x] for x in pt], spec, g)]
+        for i, plan in enumerate(plans):
+            # every node lies inside the bump, where each axis factor is positive
+            factor, slots = f.axis_factor(i, plan.nodes)
+            assert np.all(np.abs(plan.nodes) < 1.0) and np.all(factor > 0.0)
+            assert not slots.any()
+        zeros[g] = np.count_nonzero(f.evaluate(axes=[p.nodes for p in plans]) == 0.0)
         for kind, desc in _kernels(1, 1).items():
-            got = quadrature._grid_conv_values(desc, f, [[x] for x in pt], spec, g)[0].item()
-            assert got == _reference_grid_value(desc, f, pt, spec, g)[0], (kind, g)
+            want, _, scale = _reference_grid_value(desc, f, pt, spec, g)
+            _assert_within_rounding(_one_node_value(desc, f, pt, spec, g, monkeypatch),
+                                    want, scale)
     assert zeros[4] > 0 and zeros[3] == 0, zeros
 
 
@@ -794,54 +918,94 @@ def _outer_rule(box, f, g):
     return points, weights
 
 
-def _reference_lq_mass(desc, f, region, q, spec):
+def _reference_lq_mass(desc, f, region, q, spec, inner):
     # the grid q-mass composed one outer node at a time: the g-order outer
     # rule at inner orders g and g-1, the (g-1)-order outer rule at inner
-    # order g; err is the outer rule disagreement plus the propagated inner err
+    # order g; err is the outer rule disagreement plus the propagated inner
+    # err. inner(pt, g) gives an inner value and how far from it the
+    # engine's may lie; the last two results bound how far that moves the
+    # value and the err. (a + d)^q - a^q bounds |(a +- d)^q - a^q| for a, d
+    # >= 0, so a shift of |v| by b moves w |v|^q by at most w gap(v, b), and
+    # gap(v, e) by at most gap(|v| + e, b + be) + gap(v, b) when e moves by be.
     g = spec.points_per_axis
-    box_terms, rule_terms, prop_terms = [], [], []
+    gap = quadrature._power_gap
+    box_terms, rule_terms, prop_terms, value_slack, err_slack = [], [], [], [], []
     for box, sign in region.signed_boxes():
         pts_hi, w_hi = _outer_rule(box, f, g)
-        inner = []
+        rows = []
         for pt in pts_hi:
-            v_hi = _reference_grid_value(desc, f, pt, spec, g)[0]
-            v_lo = _reference_grid_value(desc, f, pt, spec, g - 1)[0]
+            (v_hi, b_hi), (v_lo, b_lo) = inner(pt, g), inner(pt, g - 1)
             core_err = quadrature._core_error(
                 desc, f, pt, spec, *_reference_core_flags(desc, f, pt, spec, g)
             )
-            inner.append((v_hi, abs(v_hi - v_lo) + core_err))
-        mass_hi = math.fsum(w * abs(v) ** q for w, (v, _) in zip(w_hi, inner))
-        prop = math.fsum(
-            w * ((abs(v) + e) ** q - abs(v) ** q) for w, (v, e) in zip(w_hi, inner)
-        )
+            rows.append((v_hi, b_hi, abs(v_hi - v_lo) + core_err, b_hi + b_lo))
+        mass_hi = math.fsum(w * abs(v) ** q for w, (v, _, _, _) in zip(w_hi, rows))
+        prop = math.fsum(w * gap(v, e, q) for w, (v, _, e, _) in zip(w_hi, rows))
         pts_lo, w_lo = _outer_rule(box, f, g - 1)
-        mass_lo = math.fsum(
-            w * abs(_reference_grid_value(desc, f, pt, spec, g)[0]) ** q
-            for w, pt in zip(w_lo, pts_lo)
-        )
+        lows = [inner(pt, g) for pt in pts_lo]
+        mass_lo = math.fsum(w * abs(v) ** q for w, (v, _) in zip(w_lo, lows))
+        slack_hi = math.fsum(w * gap(v, b, q) for w, (v, b, _, _) in zip(w_hi, rows))
+        slack_lo = math.fsum(w * gap(v, b, q) for w, (v, b) in zip(w_lo, lows))
+        slack_prop = math.fsum(w * (gap(abs(v) + e, b + be, q) + gap(v, b, q))
+                               for w, (v, b, e, be) in zip(w_hi, rows))
         box_terms.append(sign * mass_hi)
         rule_terms.append(abs(mass_hi - mass_lo))
         prop_terms.append(prop)
-    return math.fsum(box_terms), math.fsum(rule_terms) + math.fsum(prop_terms)
+        value_slack.append(slack_hi)
+        err_slack.append(slack_hi + slack_lo + slack_prop)
+    return (math.fsum(box_terms), math.fsum(rule_terms) + math.fsum(prop_terms),
+            math.fsum(value_slack), math.fsum(err_slack))
 
 
-def test_lq_mass_matches_per_node_reference_on_a_shell(grid_spec):
+def _check_lq_mass(got, desc, f, region, q, spec, monkeypatch):
+    # got(): the engine's (value, err). It matches the pointwise reference
+    # to the rounding of every inner value, plus 8 eps for the roundings of
+    # the composition, and at block budgets 4, default and twice the largest
+    # inner tensor it has the bits of a composition of one-node passes.
+    def pointwise(pt, g):
+        value, _, scale = _reference_grid_value(desc, f, pt, spec, g)
+        return value, _ROUNDING * scale
+
+    def alone(pt, g):
+        return quadrature._grid_conv_values(desc, f, [[x] for x in pt], spec, g)[0].item(), 0.0
+
+    value, err = got()
+    want, want_err, value_slack, err_slack = _reference_lq_mass(desc, f, region, q, spec,
+                                                               pointwise)
+    eps = np.finfo(float).eps
+    assert abs(value - want) <= value_slack + 8 * eps * abs(want), (value, want)
+    assert abs(err - want_err) <= err_slack + 8 * eps * want_err, (err, want_err)
+    assert (value, err) == _reference_lq_mass(desc, f, region, q, spec, alone)[:2]
+    largest = 0
+    g = spec.points_per_axis
+    for box, _ in region.signed_boxes():
+        for outer_order, inner_order in ((g, g), (g, g - 1), (g - 1, g)):
+            outer = [p.nodes for p in quadrature._outer_plans(box, f, outer_order)]
+            plans = quadrature._inner_plans(f, outer, spec, inner_order)
+            largest = max(largest, max(math.prod(len(p.nodes) for p in node)
+                                       for node in itertools.product(*plans)))
+    for budget in (4, 2 * largest):
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+        assert got() == (value, err), budget
+
+
+def test_lq_mass_matches_per_node_reference_on_a_shell(grid_spec, monkeypatch):
     cfg = _cfg()
     f = make_signum_atom(1, 1).payload
     shell = Shell(n=1, m=1, k=1, l=0, L=1)
-    want = _reference_lq_mass(flag_kernel(cfg), f, shell, 1.5, grid_spec)
-    assert lq_mass(cfg, f, shell, F(3, 2), grid_spec) == want
+    _check_lq_mass(lambda: lq_mass(cfg, f, shell, F(3, 2), grid_spec),
+                   flag_kernel(cfg), f, shell, 1.5, grid_spec, monkeypatch)
 
 
-def test_lq_mass_matches_per_node_reference_on_a_window(grid_spec):
+def test_lq_mass_matches_per_node_reference_on_a_window(grid_spec, monkeypatch):
     cfg = _cfg()
     f = smooth_bump(1, 1)
     window = Window(n=1, m=1, box=((0.75, 1.5), (0.25, 1.0)))
-    want = _reference_lq_mass(flag_kernel(cfg), f, window, 2.0, grid_spec)
-    assert lq_mass(cfg, f, window, 2, grid_spec) == want
+    _check_lq_mass(lambda: lq_mass(cfg, f, window, 2, grid_spec),
+                   flag_kernel(cfg), f, window, 2.0, grid_spec, monkeypatch)
     ab = derive_ab(cfg)
-    want = _reference_lq_mass(product_kernel(cfg, ab), f, window, 2.0, grid_spec)
-    assert lq_mass_dominating(cfg, ab, f, window, 2, grid_spec) == want
+    _check_lq_mass(lambda: lq_mass_dominating(cfg, ab, f, window, 2, grid_spec),
+                   product_kernel(cfg, ab), f, window, 2.0, grid_spec, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
@@ -977,9 +1141,10 @@ def test_max_grid_nodes_does_not_cap_a_batch(grid_spec, inner_tensor_sizes, monk
         for order, inner in ((g, g), (g, g - 1), (g - 1, g)):
             outer = [p.nodes for p in quadrature._outer_plans(box, f, order)]
             largest = max(largest, int(inner_tensor_sizes(f, outer, grid_spec, inner).max()))
-            runs = quadrature._block_runs(outer, quadrature._inner_plans(f, outer, grid_spec, inner))
+            runs = quadrature._block_runs(f, outer,
+                                          quadrature._inner_plans(f, outer, grid_spec, inner))
             batched = max(batched, max(
-                math.prod(len(r.nodes) for r in block) for block in itertools.product(*runs)
+                math.prod(len(r.offsets) for r in block) for block in itertools.product(*runs)
             ))
     assert batched > largest
     want = lq_mass(cfg, f, shell, 2, grid_spec)

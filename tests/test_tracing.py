@@ -7,6 +7,7 @@ smoke tests (`PYTHONPATH=src python -m pytest -q bench`).
 """
 
 import importlib.util
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,45 +56,45 @@ def test_engine_calls_no_public_kernel_evaluator():
 
 
 @pytest.mark.parametrize("x, y", [(2.0, 0.5), (0.01, 0.3), (0.3, 0.2)])
-def test_payload_nodes_count_both_inner_orders_of_apply(inner_tensor_sizes, x, y):
-    # exterior, near-line and interior: one query evaluates the payload on
-    # its whole inner tensor at orders g and g-1, one call each
+def test_payload_nodes_count_both_inner_orders_of_apply(x, y):
+    # exterior, near-line and interior: a grid pass takes the payload per
+    # axis (TestFunction.axis_factor), which the tracer does not wrap, so a
+    # query reports no payload call and no payload node at either inner
+    # order, and with them no time per node
     tracing = _tracing()
     cfg = ExponentConfig(n=1, m=1, alpha=Fraction(1, 2), beta=Fraction(1, 2), rho=Fraction(2))
-    f = smooth_bump(1, 1)
-    spec = QuadratureSpec(inner_cutoff=-40)
-    g = spec.points_per_axis
-    nodes = sum(int(inner_tensor_sizes(f, [[x], [y]], spec, order).item())
-                for order in (g, g - 1))
     tracer = tracing.Tracer()
     with tracer.installed():
-        flagint.apply_operator(cfg, f, point_pair(x, y), spec)
+        flagint.apply_operator(cfg, smooth_bump(1, 1), point_pair(x, y),
+                               QuadratureSpec(inner_cutoff=-40))
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["quadrature.apply.calls"] == 1
-    assert metrics["quadrature.payload.nodes"] == nodes
-    assert metrics["quadrature.payload.calls"] == 2
+    assert metrics["quadrature.payload.nodes"] == 0
+    assert metrics["quadrature.payload.calls"] == 0
+    assert metrics["quadrature.ns_per_node"] == 0.0
 
 
-def test_payload_nodes_count_every_inner_tensor_of_lq_mass(grid_spec, inner_tensor_sizes):
-    # batching outer nodes changes how many payload calls there are, not the
-    # nodes they evaluate: the g-order outer rule at inner orders g and g-1,
-    # and the (g-1)-order outer rule at inner order g
+def test_payload_nodes_count_every_inner_tensor_of_lq_mass(grid_spec):
+    # the grid passes of lq_mass take the payload per axis too, so the
+    # tracer counts no payload node there; lp_norm still evaluates the
+    # payload on its outer rule at orders g and g-1, one call each
     tracing = _tracing()
     cfg = ExponentConfig(n=1, m=1, alpha=Fraction(1, 2), beta=Fraction(1, 2), rho=Fraction(2))
     f = make_signum_atom(1, 1).payload
-    shell = Shell(n=1, m=1, k=1, l=0, L=1)
-    g = grid_spec.points_per_axis
-    nodes = passes = 0
-    for box, _ in shell.signed_boxes():
-        for outer_order, inner_order in ((g, g), (g, g - 1), (g - 1, g)):
-            outer = [p.nodes for p in quadrature._outer_plans(box, f, outer_order)]
-            sizes = inner_tensor_sizes(f, outer, grid_spec, inner_order)
-            nodes += int(sizes.sum())
-            passes += sizes.size
     tracer = tracing.Tracer()
     with tracer.installed():
-        flagint.lq_mass(cfg, f, shell, 2, grid_spec)
+        flagint.lq_mass(cfg, f, Shell(n=1, m=1, k=1, l=0, L=1), 2, grid_spec)
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["quadrature.lq_mass.calls"] == 1
+    assert metrics["quadrature.payload.nodes"] == metrics["quadrature.payload.calls"] == 0
+
+    g = grid_spec.points_per_axis
+    nodes = sum(math.prod(len(p.nodes) for p in quadrature._outer_plans(f.support, f, order))
+                for order in (g, g - 1))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        flagint.lp_norm(f, 2, grid_spec)
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["quadrature.lp_norm.calls"] == 1
     assert metrics["quadrature.payload.nodes"] == nodes
-    assert metrics["quadrature.payload.calls"] < passes
+    assert metrics["quadrature.payload.calls"] == 2

@@ -12,7 +12,9 @@ larger CLI runs, `--help` of the program and of every subcommand, and the
 Each prints one line: the case name, the exit status, and the SHA-256 of the
 CSV bytes, of the JSON sidecar without its `timestamp` block (with the output
 directory masked), and of stdout. The apply-pool line also counts the
-queries whose value and err equal the reference bit for bit.
+queries whose value and err equal the reference bit for bit, and gives the
+largest |value - reference value| / reference err and |err - reference err|
+/ reference err over the pool, so that a change of algorithm shows its size.
 """
 
 from __future__ import annotations
@@ -123,6 +125,7 @@ def _apply_pool_line():
     spec = flagint.QuadratureSpec(inner_cutoff=_APPLY_INNER_CUTOFF)
     results = []
     equal = 0
+    moved = [0.0, 0.0]  # largest |delta value| / err and |delta err| / err
     for q in pool:
         try:
             value, err = flagint.apply_operator(
@@ -131,8 +134,12 @@ def _apply_pool_line():
             value = err = None
         results.append([value, err])
         equal += [value, err] == [q["value"], q["err"]]
+        if None not in (value, q["value"]):
+            moved = [max(moved[0], abs(value - q["value"]) / q["err"]),
+                     max(moved[1], abs(err - q["err"]) / q["err"])]
     digest = _sha(json.dumps(results).encode())
-    return f"apply-pool equal={equal}/{len(pool)} results={digest}"
+    return (f"apply-pool equal={equal}/{len(pool)} dvalue/err={moved[0]:.3g} "
+            f"derr/err={moved[1]:.3g} results={digest}")
 
 
 def main() -> int:
