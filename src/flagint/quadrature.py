@@ -140,33 +140,15 @@ class TestFunction:
     def breakpoints(self, axis: int) -> Tuple[float, ...]:
         return self._breaks[axis]
 
-    def evaluate(
-        self,
-        points: Optional[np.ndarray] = None,
-        *,
-        axes: Optional[Sequence[np.ndarray]] = None,
-    ) -> np.ndarray:
-        """Payload values at points (N, dim), or on a tensor of per-axis nodes.
-
-        With axes (one 1-d node array per axis) the result holds one value
-        per node of their tensor product, flattened in C order. Both forms
-        run the same formulas: on a tensor each one-axis step runs on that
-        axis's nodes and is broadcast, so it costs one pass per axis.
-        """
-        if (points is None) == (axes is None):
-            raise ValueError("pass exactly one of points and axes")
-        if axes is None:
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            if pts.shape[1] != self.dim:
-                raise ValueError(f"points must have {self.dim} columns")
-            coords = [pts[:, i] for i in range(self.dim)]
-        else:
-            if len(axes) != self.dim:
-                raise ValueError(f"need {self.dim} node arrays, one per axis")
-            coords = [np.asarray(a, dtype=float).ravel() for a in axes]
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Payload values at points (N, dim)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"points must have {self.dim} columns")
+        coords = [pts[:, i] for i in range(self.dim)]
         if self.kind == "smooth-bump":
-            return self._bump_values(coords if axes is None else _axis_views(coords)).ravel()
-        return self._cell_values(coords, axes is not None).ravel()
+            return self._bump_values(coords)
+        return self._cell_table[1][tuple(self._slots(i, z) for i, z in enumerate(coords))]
 
     def axis_factor(self, axis: int, nodes: np.ndarray) -> Tuple[Union[np.ndarray, float],
                                                                   np.ndarray]:
@@ -199,18 +181,10 @@ class TestFunction:
             return inside, np.where(inside, 1.0 - 1.0 / (1.0 - w2), 0.0)
 
     def _bump_values(self, coords: List[np.ndarray]) -> np.ndarray:
-        # coords: one broadcastable coordinate array per axis
+        # amplitude * exp(arg) where inside, +0.0 elsewhere
         within, steps = zip(*(self._bump_step(i, z) for i, z in enumerate(coords)))
-        # amplitude * exp(arg) where inside, +0.0 elsewhere, formed in the
-        # one full-size array that the last axis's step is added into: the
-        # product commutes, so the bits are the same as exp(arg) * amplitude
-        res = np.add(reduce(np.add, steps[:-1], 0.0), steps[-1])
-        np.exp(res, out=res)
-        res *= self.amplitude
-        # a node is outside when it is outside on some axis
-        for inside in within:
-            if not inside.all():
-                np.copyto(res, 0.0, where=~inside)
+        res = np.exp(reduce(np.add, steps)) * self.amplitude
+        res[~reduce(np.logical_and, within)] = 0.0
         return res
 
     @cached_property
@@ -238,17 +212,6 @@ class TestFunction:
     def _slots(self, axis: int, z: np.ndarray) -> np.ndarray:
         # slot -1 is the last slot, as the "wrap" mode of np.take reads it
         return np.searchsorted(self._cell_table[0][axis], z, side="right") - 1
-
-    def _cell_values(self, coords: List[np.ndarray], tensor: bool) -> np.ndarray:
-        # coords: per axis, the nodes of the tensor or the points' column
-        table = self._cell_table[1]
-        slots = [self._slots(i, z) for i, z in enumerate(coords)]
-        if not tensor:
-            return table[tuple(slots)]
-        # one axis at a time: only the last gather has the tensor's size
-        for axis, s in enumerate(slots[:-1]):
-            table = np.take(table, s, axis=axis, mode="wrap")
-        return np.take(table, slots[-1], axis=-1, mode="wrap")
 
     def _scaled_geometry(self, factors: Sequence[float]) -> "TestFunction":
         support = tuple(
@@ -1172,29 +1135,28 @@ def lq_mass_dominating(
 def lp_norm(
     f: TestFunction, p: Union[float, Fraction, str], spec: QuadratureSpec
 ) -> float:
-    """The p-norm of the test function over its support."""
+    """The p-norm of the test function over its support, from the grid outer rule.
+
+    On a tensor of per-axis nodes |f|^p is |payload_table|^p at the nodes'
+    slots times the product of their factors' |.|^p (see axis_factor). So
+    each axis sums its weighted factors per slot, and |payload_table|^p is
+    contracted with those sums one axis at a time: no tensor of the rule's
+    nodes is formed, whatever the dimension.
+    """
     pf = float(as_rational(p, "p"))
     if not pf >= 1:
         raise PreconditionError("lp_norm needs p >= 1")
-    if spec.method == "monte-carlo":
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=spec.seed, spawn_key=(21,))
-        )
-        cols = [
-            rng.uniform(lo, hi, size=spec.samples) for lo, hi in f.support
-        ]
-        pts = np.stack(cols, axis=1)
-        vol = 1.0
-        for lo, hi in f.support:
-            vol *= hi - lo
-        vals = np.abs(f.evaluate(pts)) ** pf
-        mass = vol * float(np.mean(vals))
-        return mass ** (1.0 / pf)
 
     def _mass(g: int) -> float:
-        plans = _outer_plans(f.support, f, g)
-        vals = np.abs(f.evaluate(axes=[p.nodes for p in plans])) ** pf
-        return float(np.sum(_tensor_weights([p.weights for p in plans]).ravel() * vals))
+        mass = np.abs(f.payload_table) ** pf
+        for i, plan in enumerate(_outer_plans(f.support, f, g)):
+            factor, slots = f.axis_factor(i, plan.nodes)
+            size = mass.shape[0]
+            # slot -1 is the last slot, as for the cell payload's gather
+            per_slot = np.bincount(slots % size, weights=plan.weights * np.abs(factor) ** pf,
+                                   minlength=size)
+            mass = np.tensordot(per_slot, mass, axes=1)
+        return float(mass)
 
     hi = _mass(spec.points_per_axis)
     lo = _mass(spec.points_per_axis - 1)

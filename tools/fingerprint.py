@@ -52,6 +52,9 @@ _LARGER = (
     ("shells-default", ["shells", "--jobs", "2"]),
     ("apply-interior", ["apply", "--x", "0.5", "--y", "0.25"]),
     ("dilate-bump", ["dilate", "--deltas", "1,2", "--lams", "1", "--jobs", "2"]),
+    # Monte Carlo q-norms over the p-norm of the grid outer rule
+    ("dilate-bump-mc", ["dilate", "--method", "monte-carlo", "--samples", "2000",
+                        "--deltas", "1,2", "--lams", "2", "--jobs", "2"]),
     ("frontier-2x2", ["frontier", "--alphas", "1/2,9/10", "--betas", "3/10,1/2",
                       "--jobs", "2"]),
     ("hls-bump", ["hls", "--payload", "bump"]),
