@@ -197,7 +197,9 @@ def atom_from_json(text: str) -> Atom:
     for key in ("n", "m", "L", "cells"):
         if key not in doc:
             raise ValueError(f"atom JSON has no key {key!r}")
-    n, m, L = int(doc["n"]), int(doc["m"]), int(doc["L"])
+        if key != "cells" and type(doc[key]) is not int:
+            raise ValueError(f"atom JSON {key!r} must be an integer, not {json.dumps(doc[key])}")
+    n, m, L = doc["n"], doc["m"], doc["L"]
     try:
         cells = tuple(
             (tuple(tuple(iv) for iv in cell["box"]), float(cell["value"]))

@@ -199,12 +199,19 @@ def _load_config_file(path: str, experiment: str) -> Dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    allowed = _COMMON_KEYS | _EXTRA_KEYS[experiment] | {"experiment"}
-    for key in data:
-        if key not in allowed:
+    types = {key: opts.get("type") for key, opts in _COMMON_FLAGS + _EXPERIMENT_FLAGS[experiment][1]}
+    defaults = {**_COMMON_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment]}
+    for key, value in data.items():
+        if key not in types and key != "experiment":
             raise UsageError(
                 f"unknown config key {key!r} for experiment {experiment!r}"
             )
+        # a number flag takes a number or a numeric string; null only where
+        # it is the built-in default, so that it means the same as no key
+        if types.get(key) in (int, float) and (
+                isinstance(value, (bool, list, dict))
+                or value is None and defaults.get(key) is not None):
+            raise UsageError(f"config key {key!r} must be a number, got {json.dumps(value)}")
     declared = data.get("experiment")
     if declared is not None and declared != experiment:
         raise UsageError(
@@ -260,7 +267,7 @@ def _float_list(value, name: str) -> List[float]:
     tokens = _list_tokens(value, name)
     try:
         return [float(Fraction(str(t))) for t in tokens]
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"bad value in {name!r}: {exc}") from exc
 
 
@@ -487,7 +494,7 @@ def _run_shells(merged: Dict, spec: QuadratureSpec):
     elif kind == "indicator":
         subject = noncancelling_counterpart(signum_atom_at_scale(cfg.n, cfg.m, L))
     elif kind == "bump":
-        radius = float(merged.get("radius") or 2.0 ** (L - 1))
+        radius = float(merged.get("radius") or Cube(cfg.n, cfg.m, L).half_side)
         subject = smooth_bump(
             cfg.n, cfg.m, tuple(0.0 for _ in range(cfg.n + cfg.m)), radius, 1.0
         )

@@ -19,6 +19,7 @@ with the same exponents. On a 1-d factor the two norms agree.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -77,6 +78,14 @@ def _sample_boxes(boxes: List[SignedBox], rng: np.random.Generator,
     return lo[pick] + width[pick] * rng.random((lo.shape[1], count)).T
 
 
+def _check_dyadic(*exponents: int) -> None:
+    """Refuse a region whose edges or volumes 2^e leave the normal float range."""
+    lo, hi = sys.float_info.min_exp - 1, sys.float_info.max_exp - 1
+    for e in exponents:
+        if not lo <= e <= hi:
+            raise ValueError(f"2^{e} is outside the normal float range 2^{lo}..2^{hi}")
+
+
 @dataclass(frozen=True)
 class Cube:
     """The max-norm cube Q of side 2^L centered at the origin in R^{n+m}."""
@@ -88,6 +97,9 @@ class Cube:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError("factor dimensions must be >= 1")
+        # the half side, the side, the volume and the relaxed sup bound
+        dim = self.n + self.m
+        _check_dyadic(self.L - 1, self.L, dim * self.L, dim * (1 - self.L))
 
     @property
     def side(self) -> float:
@@ -132,10 +144,12 @@ class Shell:
     L: int
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError("factor dimensions must be >= 1")
+        Cube(self.n, self.m, self.L)
         if self.k < 0 or self.l < 0:
             raise RegionError("shell indices must be >= 0")
+        # the sides 2^(L+k+1), 2^(L+l+1) of the outer box, and its volume
+        ex, ey = self.L + self.k + 1, self.L + self.l + 1
+        _check_dyadic(ex, ey, self.n * ex + self.m * ey)
 
     @property
     def is_cube(self) -> bool:
@@ -327,8 +341,7 @@ class GapRegion:
     L: int
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError("factor dimensions must be >= 1")
+        Shell(self.n, self.m, 0, 0, self.L)  # the cube, and the box (-2^L, 2^L)^(n+m)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         z = np.max(np.abs(np.atleast_2d(np.asarray(points, dtype=float))), axis=1)

@@ -190,6 +190,33 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
     assert err.strip() == "usage error: config file must hold a JSON object"
 
 
+@pytest.mark.parametrize("experiment, doc, message", [
+    ("shells", {"k_max": [3]}, "config key 'k_max' must be a number, got [3]"),
+    ("kernel", {"n": None}, "config key 'n' must be a number, got null"),
+    ("kernel", {"seed": True}, "config key 'seed' must be a number, got true"),
+    ("dilate", {"radius": {"r": 1}}, 'config key \'radius\' must be a number, got {"r": 1}'),
+])
+def test_config_file_rejects_a_number_flag_of_the_wrong_type(
+        tmp_path, capsys, experiment, doc, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    status, out, err = run_cli(capsys, experiment, "--config", str(cfg), "--out", str(tmp_path))
+    assert status == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_config_file_keeps_numeric_strings_floats_and_default_nulls(tmp_path, capsys):
+    # jobs defaults to null, and L has no default under apply
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": "1", "seed": 3.0, "jobs": None, "L": None,
+                               "x": "2", "y": "3"}))
+    status, out, _ = run_cli(capsys, "apply", "--config", str(cfg), "--out", str(tmp_path))
+    assert status == 0
+    assert out.startswith("operator value ")
+    assert (tmp_path / "apply-3.csv").exists()
+
+
 def test_seed_env_var_names_artifacts(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FLAGINT_SEED", "77")
     status, _, _ = run_cli(
@@ -228,6 +255,32 @@ def test_jobs_must_be_positive(tmp_path, capsys):
     )
     assert status == 1
     assert err.strip() == "usage error: jobs must be >= 1"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("counterexample", "--radii", "10,1e400"), "radii"),
+    (("dilate", "--deltas", "1e400"), "deltas"),
+    (("apply", "--x", "1e400", "--y", "0"), "x"),
+])
+def test_number_lists_beyond_float_range_are_usage_errors(tmp_path, capsys, argv, name):
+    status, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith(f"usage error: bad value in {name!r}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("atom-validate", "--L", "5000"),
+    ("atom-validate", "--L", "-5000"),
+    ("shells", "--L", "5000"),
+    ("apply", "--payload", "signum", "--L", "5000", "--x", "1", "--y", "1"),
+])
+def test_dyadic_scales_beyond_float_range_are_errors(tmp_path, capsys, argv):
+    status, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert status == 1
+    assert out == ""
+    assert re.fullmatch(r"error: 2\^-?\d+ is outside the normal float range \S+\n", err)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +376,10 @@ def test_atom_validate_reads_json_file(tmp_path, capsys):
 @pytest.mark.parametrize("doc, message", [
     ({"n": 1, "m": 1, "cells": []}, "error: atom JSON has no key 'L'"),
     ([1, 1, 1], "error: atom JSON must be an object, not list"),
+    ({"n": None, "m": 1, "L": 1, "cells": []}, "error: atom JSON 'n' must be an integer, not null"),
+    ({"n": 1, "m": 1.5, "L": 1, "cells": []}, "error: atom JSON 'm' must be an integer, not 1.5"),
+    ({"n": 1, "m": 1, "L": "1", "cells": []}, "error: atom JSON 'L' must be an integer, not \"1\""),
+    ({"n": 1, "m": 1, "L": True, "cells": []}, "error: atom JSON 'L' must be an integer, not true"),
 ])
 def test_atom_validate_rejects_malformed_json_file(tmp_path, capsys, doc, message):
     atom_file = tmp_path / "atom.json"

@@ -41,6 +41,24 @@ def test_cube_side_and_volume():
     assert qo.volume() == 4.0
 
 
+def test_dyadic_scales_stay_in_the_normal_float_range():
+    # at n = m = 1 the cube's volume 2^(2L) and its relaxed sup bound
+    # 2^(2(1-L)) keep L in [-510, 511]; the gap's outer box (-2^L, 2^L)^2,
+    # of volume 2^(2(L+1)), keeps L <= 510
+    assert Cube(1, 1, 511).volume() == 2.0 ** 1022
+    assert Cube(1, 1, -510).volume() == 2.0 ** -1020
+    assert GapRegion(1, 1, 510).volume() == 3.0 * 2.0 ** 1020
+    for make, L in ((Cube, 512), (Cube, -511), (Cube, 5000), (Cube, -5000),
+                    (GapRegion, 511), (GapRegion, -511)):
+        with pytest.raises(ValueError, match="normal float range"):
+            make(1, 1, L)
+    # a shell's outer box has sides 2^(L+k+1) and 2^(L+l+1)
+    assert Shell(1, 1, 1021, 0, 0).volume() == 2.0 ** 1022
+    for n, k, l, L in ((1, 1022, 0, 0), (1, 0, 1022, 0), (2, 600, 0, 0), (1, 0, 0, 5000)):
+        with pytest.raises(ValueError, match="normal float range"):
+            Shell(n, 1, k, l, L)
+
+
 # ---------------------------------------------------------------------------
 # shell membership
 

@@ -1,4 +1,4 @@
-"""Pointwise kernel values, homogeneity, domination, gradient bounds."""
+"""Pointwise kernel values, homogeneity, domination, one formula with the engine."""
 
 import math
 from fractions import Fraction
@@ -7,15 +7,11 @@ import numpy as np
 import pytest
 
 from flagint import (
-    AccuracyError,
     ExponentConfig,
     FlagKernel,
     SingularityError,
     derive_ab,
     dominating_kernel_eval,
-    gradient_bound_ratio,
-    gradient_bound_ratios_split,
-    gradient_oracle_norm,
     kernel_eval,
     point_pair,
     product_kernel_points,
@@ -230,74 +226,3 @@ def test_public_evaluators_refuse_the_singular_set(n, m):
     assert k.eval_points(on_y_axis)[0] == flag_kernel(cfg).values(
         np.zeros(n + m), [-on_y_axis[:, i] for i in range(n + m)])[0]
 
-
-# ---------------------------------------------------------------------------
-# gradient diagnostics
-
-
-def test_gradient_ratio_pure_power_point():
-    # rho=1, alpha=beta=1/2 at (3, 0): Omega = x^{-1}, so
-    # |Omega'| / (Omega * 1/x) = 1 exactly in the limit
-    k = _kernel(alpha=F(1, 2), beta=F(1, 2), rho=F(1))
-    ratio = gradient_bound_ratio(k, point_pair(3.0, 0.0))
-    assert math.isclose(ratio, 1.0, rel_tol=1e-6)
-
-
-def test_gradient_ratio_reflection_symmetry():
-    k = _kernel(alpha=F(9, 10), beta=F(3, 10))
-    a = gradient_bound_ratio(k, point_pair(1.7, 0.9))
-    b = gradient_bound_ratio(k, point_pair(-1.7, 0.9))
-    assert math.isclose(a, b, rel_tol=1e-10)
-
-
-def test_gradient_ratio_rejects_large_step():
-    k = _kernel()
-    with pytest.raises(AccuracyError):
-        gradient_bound_ratio(k, point_pair(0.001, 1.0), h=0.01)
-
-
-def test_gradient_matches_closed_form_oracle():
-    rng = np.random.default_rng(19)
-    for alpha, beta, rho in [(F(1, 2), F(1, 2), F(2)), (F(9, 10), F(3, 10), F(2))]:
-        k = _kernel(alpha=alpha, beta=beta, rho=rho)
-        for _ in range(50):
-            x = rng.uniform(0.3, 4.0) * rng.choice([-1.0, 1.0])
-            y = rng.uniform(0.3, 4.0) * rng.choice([-1.0, 1.0])
-            pt = point_pair(x, y)
-            oracle = gradient_oracle_norm(k, pt)
-            omega = kernel_eval(k, pt)
-            factor = max(1.0 / abs(x), 1.0 / (abs(x) ** 2 + abs(y)))
-            measured = gradient_bound_ratio(k, pt) * omega * factor
-            assert math.isclose(measured, oracle, rel_tol=1e-5)
-
-
-def test_gradient_ratio_bounded_over_scales():
-    # stability across |x| in [2^-6, 2^6]; the theoretical bound is a
-    # constant depending only on the exponents
-    k = _kernel(alpha=F(9, 10), beta=F(3, 10))
-    rng = np.random.default_rng(23)
-    ratios = []
-    for _ in range(200):
-        x = 2.0 ** rng.uniform(-6, 6)
-        y = rng.uniform(0.1, 4.0)
-        ratios.append(gradient_bound_ratio(k, point_pair(x, y)))
-    assert max(ratios) < 10.0
-
-
-def test_split_ratios_are_dilation_invariant():
-    # each per-factor ratio compares quantities with matching homogeneity
-    # degrees, so (x, y) -> (dx, d^rho y) leaves both unchanged
-    k = _kernel(alpha=F(9, 10), beta=F(3, 10), rho=F(2))
-    base_x, base_y = gradient_bound_ratios_split(k, point_pair(1.3, 0.7))
-    for delta in (0.25, 4.0):
-        rx, ry = gradient_bound_ratios_split(k, point_pair(delta * 1.3, delta ** 2 * 0.7))
-        assert math.isclose(rx, base_x, rel_tol=1e-3)
-        assert math.isclose(ry, base_y, rel_tol=1e-3)
-
-
-def test_split_ratios_refine_the_coarse_factor():
-    k = _kernel(alpha=F(9, 10), beta=F(3, 10), rho=F(2))
-    pt = point_pair(0.3, 1.1)
-    rx, ry = gradient_bound_ratios_split(k, pt)
-    assert rx >= 0.0 and ry >= 0.0
-    assert max(rx, ry) < 10.0
