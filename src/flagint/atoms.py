@@ -29,19 +29,20 @@ _EDGE_RTOL = 1e-12
 @dataclass(frozen=True)
 class Atom:
     cube: Cube
-    L: int
     payload: TestFunction
     normalization: str = "strict"
 
     def __post_init__(self) -> None:
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.L != self.cube.L:
-            raise ValueError("atom scale L must match its cube")
         if self.payload.n != self.cube.n or self.payload.m != self.cube.m:
             raise ValueError("payload dimensions must match the cube")
-        if self.payload.kind == "smooth-bump":
+        if self.payload.radius:
             raise ValueError("atom payloads must be piecewise constant")
+
+    @property
+    def L(self) -> int:
+        return self.cube.L
 
     @property
     def n(self) -> int:
@@ -133,7 +134,7 @@ def signum_atom_at_scale(n: int, m: int, L: int) -> Atom:
         (((0.0, h),) + rest, value),
     )
     payload = piecewise_constant(n, m, cells)
-    return Atom(cube=cube, L=L, payload=payload, normalization="relaxed")
+    return Atom(cube=cube, payload=payload, normalization="relaxed")
 
 
 def make_signum_atom(n: int, m: int) -> Atom:
@@ -168,7 +169,7 @@ def make_random_atom(cube: Cube, seed: int) -> Atom:
                 box.append((-quarter, 0.0))
         cells.append((tuple(box), float(raw[idx])))
     payload = piecewise_constant(cube.n, cube.m, tuple(cells))
-    return Atom(cube=cube, L=cube.L, payload=payload, normalization="strict")
+    return Atom(cube=cube, payload=payload, normalization="strict")
 
 
 def noncancelling_counterpart(a: Atom) -> TestFunction:
@@ -213,4 +214,4 @@ def atom_from_json(text: str) -> Atom:
     strict_support = _support_within(payload, cube.half_side / 2.0, slop)
     strict_bound = payload.sup_bound() <= (1.0 / cube.volume()) * (1.0 + _EDGE_RTOL)
     normalization = "strict" if (strict_support and strict_bound) else "relaxed"
-    return Atom(cube=cube, L=L, payload=payload, normalization=normalization)
+    return Atom(cube=cube, payload=payload, normalization=normalization)

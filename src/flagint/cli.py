@@ -352,18 +352,20 @@ def _config_echo(merged: Dict) -> Dict:
 
 
 def _payload_for(merged: Dict, n: int, m: int) -> TestFunction:
-    kind = merged.get("payload", "indicator")
+    # apply's L, radius and atom_seed are null unless given
+    given = {"L": 0, "radius": 1.0, "atom_seed": 0,
+             **{key: value for key, value in merged.items() if value is not None}}
+    kind = merged["payload"]
     if kind == "indicator":
         box = _parse_box(merged.get("box"), n + m)
         return indicator_box(n, m, box)
     if kind == "bump":
-        radius = float(merged.get("radius") or 1.0)
-        return smooth_bump(n, m, tuple(0.0 for _ in range(n + m)), radius, 1.0)
+        return smooth_bump(n, m, radius=float(given["radius"]))
     if kind == "signum":
-        return signum_atom_at_scale(n, m, int(merged.get("L") or 0)).payload
+        return signum_atom_at_scale(n, m, int(given["L"])).payload
     if kind == "random-atom":
-        cube = Cube(n=n, m=m, L=int(merged.get("L") or 0))
-        return make_random_atom(cube, int(merged.get("atom_seed") or 0)).payload
+        cube = Cube(n=n, m=m, L=int(given["L"]))
+        return make_random_atom(cube, int(given["atom_seed"])).payload
     raise UsageError(f"unknown payload kind {kind!r}")
 
 
@@ -452,11 +454,10 @@ def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
                 atom = atom_from_json(fh.read())
         except OSError as exc:
             raise UsageError(f"cannot read atom file: {exc}") from exc
-    elif merged.get("atom", "signum") == "signum":
-        atom = signum_atom_at_scale(n, m, int(merged.get("L") or 1))
+    elif merged["atom"] == "signum":
+        atom = signum_atom_at_scale(n, m, int(merged["L"]))
     else:
-        cube = Cube(n=n, m=m, L=int(merged.get("L") or 0))
-        atom = make_random_atom(cube, int(merged.get("atom_seed") or 0))
+        atom = make_random_atom(Cube(n=n, m=m, L=int(merged["L"])), int(merged["atom_seed"]))
     report = validate_atom(atom, normalization=merged.get("normalization"))
     rows = [
         {"property": name, "value": getattr(report, name), "err": None,
@@ -487,17 +488,14 @@ def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
 
 def _run_shells(merged: Dict, spec: QuadratureSpec):
     cfg = _exponent_config(merged, need_q=True)
-    L = int(merged.get("L") or 0)
-    kind = merged.get("payload", "signum")
+    L = int(merged["L"])
+    kind = merged["payload"]
     if kind == "signum":
         subject = signum_atom_at_scale(cfg.n, cfg.m, L)
     elif kind == "indicator":
         subject = noncancelling_counterpart(signum_atom_at_scale(cfg.n, cfg.m, L))
     elif kind == "bump":
-        radius = float(merged.get("radius") or Cube(cfg.n, cfg.m, L).half_side)
-        subject = smooth_bump(
-            cfg.n, cfg.m, tuple(0.0 for _ in range(cfg.n + cfg.m)), radius, 1.0
-        )
+        subject = smooth_bump(cfg.n, cfg.m, radius=float(merged["radius"]))
     else:
         raise UsageError(f"unknown payload kind {kind!r}")
     result = shell_decay_profile(
@@ -524,8 +522,7 @@ def _run_shells(merged: Dict, spec: QuadratureSpec):
 
 def _run_dilate(merged: Dict, spec: QuadratureSpec):
     cfg = _exponent_config(merged, need_p=True, need_q=True)
-    f = _payload_for({**merged, "payload": merged.get("payload", "bump")},
-                     cfg.n, cfg.m)
+    f = _payload_for(merged, cfg.n, cfg.m)
     deltas = _float_list(merged["deltas"], "deltas")
     lams = _float_list(merged["lams"], "lams")
     result = dilation_scan(cfg, f, deltas, lams, spec, jobs=_jobs(merged))

@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,26 +76,22 @@ def _axis_views(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
 class TestFunction:
     """A bounded, compactly supported payload for the operator.
 
-    kind is piecewise-constant or smooth-bump. A piecewise-constant payload
-    carries explicit cells (box, value) with disjoint interiors: indicators,
-    atoms and sampled payloads alike. The smooth bump is the usual
-    exp(1 - 1/(1-z^2)) profile per axis. support is the bounding box over
-    all n+m axes (m = 0 is allowed for one-variable work); every cell lies
-    within it.
+    A payload is a list of cells (box, value) with disjoint interiors. With
+    a center and a radius per axis its one cell, the support, is multiplied
+    by the profile exp(1 - 1/(1 - w^2)), w = (z - center) / radius, on every
+    axis: the smooth bump, its amplitude in the cell. support is the
+    bounding box over all n+m axes (m = 0 is allowed for one-variable
+    work); every cell lies within it.
     """
 
-    kind: str
     n: int
     m: int
     support: Bounds
-    cells: Tuple[Tuple[Bounds, float], ...] = ()
+    cells: Tuple[Tuple[Bounds, float], ...]
     center: Tuple[float, ...] = ()
     radius: Tuple[float, ...] = ()
-    amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("piecewise-constant", "smooth-bump"):
-            raise ValueError(f"unknown test-function kind {self.kind!r}")
         if self.n < 1 or self.m < 0:
             raise ValueError("need n >= 1 and m >= 0")
         if len(self.support) != self.dim:
@@ -107,10 +103,11 @@ class TestFunction:
             if not all(s_lo <= lo and hi <= s_hi
                        for (lo, hi), (s_lo, s_hi) in zip(box, self.support)):
                 raise ValueError("every cell must lie within the support")
-        if self.kind == "smooth-bump" and (
+        if (self.center or self.radius) and (
             len(self.center) != self.dim or len(self.radius) != self.dim
+            or len(self.cells) != 1 or self.cells[0][0] != self.support
         ):
-            raise ValueError("smooth bump needs center and radius per axis")
+            raise ValueError("profile needs center, radius per axis, one cell that is the support")
 
     @property
     def dim(self) -> int:
@@ -118,17 +115,13 @@ class TestFunction:
 
     @property
     def min_cells_hint(self) -> int:
-        """Cells per axis that a plan over the support has at least: a bump has no edges."""
-        return 8 if self.kind == "smooth-bump" else 1
+        """Cells per axis that a plan over the support has at least: a profile has no edges."""
+        return 8 if self.radius else 1
 
     def sup_bound(self) -> float:
-        if self.kind == "smooth-bump":
-            return abs(self.amplitude)
         return max((abs(v) for _, v in self.cells), default=0.0)
 
     def is_nonnegative(self) -> bool:
-        if self.kind == "smooth-bump":
-            return self.amplitude >= 0.0
         return all(v >= 0.0 for _, v in self.cells)
 
     @cached_property
@@ -146,46 +139,43 @@ class TestFunction:
         if pts.shape[1] != self.dim:
             raise ValueError(f"points must have {self.dim} columns")
         coords = [pts[:, i] for i in range(self.dim)]
-        if self.kind == "smooth-bump":
-            return self._bump_values(coords)
-        return self._cell_table[1][tuple(self._slots(i, z) for i, z in enumerate(coords))]
+        values = self.payload_table[tuple(self._slots(i, z) for i, z in enumerate(coords))]
+        if not self.radius:
+            return values
+        # exp(sum of steps) times the cell where the profile is positive, +0.0 elsewhere
+        within, steps = zip(*(self._profile_step(i, z) for i, z in enumerate(coords)))
+        res = np.exp(reduce(np.add, steps)) * values
+        res[~reduce(np.logical_and, within)] = 0.0
+        return res
 
     def axis_factor(self, axis: int, nodes: np.ndarray) -> Tuple[Union[np.ndarray, float],
                                                                   np.ndarray]:
         """Per node of one axis, its factor of the payload and its slot in payload_table.
 
         On a tensor of per-axis nodes the payload is the product of the
-        nodes' factors times payload_table at their slots. For the bump the
-        factor is exp(step), 0 outside, and every slot is 0; for cells the
-        factor is 1 and the slot is the node's slot of the cell table.
+        nodes' factors times payload_table at their slots. Without a profile
+        the factor is 1 and the slot is the node's slot of the cell table.
+        With one the factor is exp(step), 0 outside, and every slot is 0:
+        the one cell is the support, and slot 0 holds its value.
         """
         z = np.asarray(nodes, dtype=float)
-        if self.kind == "smooth-bump":
-            inside, step = self._bump_step(axis, z)
-            return np.where(inside, np.exp(step), 0.0), np.zeros(z.shape, dtype=np.intp)
-        return 1.0, self._slots(axis, z)
+        if not self.radius:
+            return 1.0, self._slots(axis, z)
+        inside, step = self._profile_step(axis, z)
+        return np.where(inside, np.exp(step), 0.0), np.zeros(z.shape, dtype=np.intp)
 
     @cached_property
     def payload_table(self) -> np.ndarray:
         """The payload's values per tuple of axis slots (see axis_factor)."""
-        if self.kind == "smooth-bump":
-            return np.full((1,) * self.dim, self.amplitude)
         return self._cell_table[1]
 
-    def _bump_step(self, axis: int, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Whether each coordinate lies inside the bump on this axis, and its exponent step."""
+    def _profile_step(self, axis: int, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Whether each coordinate lies inside the profile on this axis, and its exponent step."""
         w = (z - self.center[axis]) / self.radius[axis]
         w2 = w * w
         inside = w2 < 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             return inside, np.where(inside, 1.0 - 1.0 / (1.0 - w2), 0.0)
-
-    def _bump_values(self, coords: List[np.ndarray]) -> np.ndarray:
-        # amplitude * exp(arg) where inside, +0.0 elsewhere
-        within, steps = zip(*(self._bump_step(i, z) for i, z in enumerate(coords)))
-        res = np.exp(reduce(np.add, steps)) * self.amplitude
-        res[~reduce(np.logical_and, within)] = 0.0
-        return res
 
     @cached_property
     def _cell_table(self) -> Tuple[List[np.ndarray], np.ndarray]:
@@ -213,20 +203,15 @@ class TestFunction:
         # slot -1 is the last slot, as the "wrap" mode of np.take reads it
         return np.searchsorted(self._cell_table[0][axis], z, side="right") - 1
 
-    def _scaled_geometry(self, factors: Sequence[float]) -> "TestFunction":
-        support = tuple(
-            (lo * factors[i], hi * factors[i]) for i, (lo, hi) in enumerate(self.support)
-        )
-        cells = tuple(
-            (
-                tuple((lo * factors[i], hi * factors[i]) for i, (lo, hi) in enumerate(box)),
-                v,
-            )
-            for box, v in self.cells
-        )
-        center = tuple(c * factors[i] for i, c in enumerate(self.center))
-        radius = tuple(r * factors[i] for i, r in enumerate(self.radius))
-        return replace(self, support=support, cells=cells, center=center, radius=radius)
+    def _moved(self, move: Callable[[int, float], float],
+               radius: Tuple[float, ...]) -> "TestFunction":
+        """The payload with every coordinate z on axis i (support, cells, center) at move(i, z)."""
+        def moved(box: Bounds) -> Bounds:
+            return tuple((move(i, lo), move(i, hi)) for i, (lo, hi) in enumerate(box))
+        return replace(self, support=moved(self.support),
+                       cells=tuple((moved(box), v) for box, v in self.cells),
+                       center=tuple(move(i, c) for i, c in enumerate(self.center)),
+                       radius=radius)
 
     def dilate(self, delta: float, lam: float = 1.0, rho: float = 1.0) -> "TestFunction":
         """The payload u -> f(u/delta, v/(delta^rho lam)); values unchanged."""
@@ -234,31 +219,23 @@ class TestFunction:
         sy = float(delta) ** float(rho) * float(lam)
         if not (sx > 0 and sy > 0):
             raise ValueError("dilation factors must be positive")
-        return self._scaled_geometry([sx] * self.n + [sy] * self.m)
+        factors = [sx] * self.n + [sy] * self.m
+        return self._moved(lambda i, z: z * factors[i],
+                           tuple(r * factors[i] for i, r in enumerate(self.radius)))
 
     def translate(self, shift: Sequence[float]) -> "TestFunction":
         sh = tuple(float(s) for s in shift)
         if len(sh) != self.dim:
             raise ValueError("shift must have n+m components")
-        support = tuple((lo + sh[i], hi + sh[i]) for i, (lo, hi) in enumerate(self.support))
-        cells = tuple(
-            (tuple((lo + sh[i], hi + sh[i]) for i, (lo, hi) in enumerate(box)), v)
-            for box, v in self.cells
-        )
-        center = tuple(c + sh[i] for i, c in enumerate(self.center))
-        return replace(self, support=support, cells=cells, center=center)
+        return self._moved(lambda i, z: z + sh[i], self.radius)
 
     def scale_values(self, factor: float) -> "TestFunction":
         c = float(factor)
-        return replace(
-            self,
-            amplitude=self.amplitude * c,
-            cells=tuple((box, v * c) for box, v in self.cells),
-        )
+        return replace(self, cells=tuple((box, v * c) for box, v in self.cells))
 
     def exact_lp_mass(self, p: float) -> float:
-        """Integral of |f|^p, closed form; piecewise-constant payloads only."""
-        if self.kind == "smooth-bump":
+        """Integral of |f|^p, closed form; payloads without a profile only."""
+        if self.radius:
             raise ValueError("no closed form for the smooth bump")
         total = 0.0
         for box, v in self.cells:
@@ -270,7 +247,7 @@ class TestFunction:
 
 
 def indicator_box(n: int, m: int, box: Bounds, value: float = 1.0) -> TestFunction:
-    """value on the closed box, 0 elsewhere: a piecewise-constant payload of one cell."""
+    """value on the closed box, 0 elsewhere: a payload of one cell."""
     return piecewise_constant(n, m, [(box, value)])
 
 
@@ -291,10 +268,8 @@ def smooth_bump(
     if any(v <= 0 for v in r):
         raise ValueError("bump radii must be positive")
     support = tuple((c[i] - r[i], c[i] + r[i]) for i in range(dim))
-    return TestFunction(
-        kind="smooth-bump", n=n, m=m, support=support, center=c, radius=r,
-        amplitude=float(amplitude),
-    )
+    return TestFunction(n=n, m=m, support=support, cells=((support, float(amplitude)),),
+                        center=c, radius=r)
 
 
 def _boxes_overlap(a: Bounds, b: Bounds) -> bool:
@@ -317,7 +292,7 @@ def piecewise_constant(n: int, m: int, cells: Sequence[Tuple[Bounds, float]]) ->
         (min(box[i][0] for box, _ in norm_cells), max(box[i][1] for box, _ in norm_cells))
         for i in range(dim)
     )
-    return TestFunction(kind="piecewise-constant", n=n, m=m, support=support, cells=norm_cells)
+    return TestFunction(n=n, m=m, support=support, cells=norm_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_random_atom_supported_in_half_cube():
 def test_biased_payload_fails_the_mean_condition():
     cube = Cube(n=1, m=1, L=0)
     payload = indicator_box(1, 1, ((-0.25, 0.25), (-0.25, 0.25)), value=1.0)
-    a = Atom(cube=cube, L=0, payload=payload)
+    a = Atom(cube=cube, payload=payload)
     report = validate_atom(a)
     assert report.support_ok and report.bound_ok
     assert not report.mean_ok
@@ -103,13 +103,11 @@ def test_atom_constructor_rejections():
     cube = Cube(n=1, m=1, L=0)
     payload = make_random_atom(cube, seed=0).payload
     with pytest.raises(ValueError):
-        Atom(cube=cube, L=1, payload=payload)
+        Atom(cube=cube, payload=payload, normalization="lenient")
     with pytest.raises(ValueError):
-        Atom(cube=cube, L=0, payload=payload, normalization="lenient")
+        Atom(cube=cube, payload=smooth_bump(1, 1, radius=0.25))
     with pytest.raises(ValueError):
-        Atom(cube=cube, L=0, payload=smooth_bump(1, 1, radius=0.25))
-    with pytest.raises(ValueError):
-        Atom(cube=Cube(n=2, m=1, L=0), L=0, payload=payload)
+        Atom(cube=Cube(n=2, m=1, L=0), payload=payload)
 
 
 def test_validate_rejects_unknown_normalization():

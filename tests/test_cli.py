@@ -283,6 +283,24 @@ def test_dyadic_scales_beyond_float_range_are_errors(tmp_path, capsys, argv):
     assert re.fullmatch(r"error: 2\^-?\d+ is outside the normal float range \S+\n", err)
 
 
+@pytest.mark.parametrize("argv, status", [
+    (("atom-validate", "--L", "0"), 0),
+    (("apply", "--payload", "bump", "--radius", "0", "--x", "3", "--y", "0.5"), 1),
+    (("shells", "--payload", "bump", "--radius", "0"), 1),
+], ids=["atom-validate-L0", "apply-bump-radius0", "shells-bump-radius0"])
+def test_a_flag_value_of_zero_is_that_value(tmp_path, capsys, argv, status):
+    # 0 is a value, not an unset flag: the L = 0 signum atom has sup 4, and a
+    # bump of radius 0 is refused
+    got, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert got == status
+    if status == 0:
+        _, payload = read_artifacts(tmp_path, "atom-validate")
+        assert payload["metadata"]["report"]["sup"] == 4.0
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # apply
 

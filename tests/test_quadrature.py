@@ -316,11 +316,11 @@ def test_smooth_bump_peak_and_support():
 
 
 def test_bump_built_directly_gets_the_rule_of_smooth_bump():
-    # the cell cap follows from the kind, not from the constructor
+    # the cell cap follows from the profile, not from the constructor
     made = smooth_bump(1, 1, (0.0, 0.0), 1.0, 1.0)
     direct = quadrature.TestFunction(
-        kind="smooth-bump", n=1, m=1, support=((-1.0, 1.0), (-1.0, 1.0)),
-        center=(0.0, 0.0), radius=(1.0, 1.0),
+        n=1, m=1, support=((-1.0, 1.0), (-1.0, 1.0)),
+        cells=((((-1.0, 1.0), (-1.0, 1.0)), 1.0),), center=(0.0, 0.0), radius=(1.0, 1.0),
     )
     assert direct == made
     assert (direct.min_cells_hint, _sgn_payload().min_cells_hint) == (8, 1)
@@ -403,13 +403,14 @@ def _reference_kernel(desc, pt, points):
 
 def _reference_payload(f, points):
     # the bump as the product of its per-axis factors, a formula of its own;
-    # a piecewise-constant payload from its points form
-    if f.kind != "smooth-bump":
+    # a payload without a profile from its points form
+    if not f.radius:
         return f.evaluate(points)
     w2 = ((points - np.array(f.center)) / np.array(f.radius)) ** 2
     with np.errstate(divide="ignore", over="ignore"):
         factors = np.where(w2 < 1.0, np.exp(1.0 - 1.0 / (1.0 - w2)), 0.0)
-    return f.amplitude * np.prod(factors, axis=1)
+    ((_, amplitude),) = f.cells
+    return amplitude * np.prod(factors, axis=1)
 
 
 def _tensor_points(axes):
@@ -604,7 +605,7 @@ _CELL_PAYLOADS = {
        for n, m in ((1, 1), (2, 1), (2, 2))},
     # one cell inside a support declared wider on both ends of both axes
     "wide-indicator": quadrature.TestFunction(
-        kind="piecewise-constant", n=1, m=1, support=((-2.0, 2.0), (-1.0, 3.0)),
+        n=1, m=1, support=((-2.0, 2.0), (-1.0, 3.0)),
         cells=((((-1.0, 0.5), (0.0, 1.0)), 1.5),),
     ),
 }
@@ -634,9 +635,26 @@ def test_cell_payload_gather_keeps_the_bits_of_the_mask_loop(payload):
 def test_cells_must_lie_within_the_support():
     with pytest.raises(ValueError, match="within the support"):
         quadrature.TestFunction(
-            kind="piecewise-constant", n=1, m=1, support=((-1.0, 1.0), (-1.0, 1.0)),
+            n=1, m=1, support=((-1.0, 1.0), (-1.0, 1.0)),
             cells=((((0.0, 1.5), (-1.0, 1.0)), 1.0),),
         )
+
+
+_SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("fields", [
+    # a profile over two cells
+    {"cells": ((((-1.0, 0.0), (-1.0, 1.0)), 1.0), (((0.0, 1.0), (-1.0, 1.0)), 1.0)),
+     "center": (0.0, 0.0), "radius": (1.0, 1.0)},
+    # a profile whose one cell is not its support
+    {"cells": ((((-0.5, 0.5), (-1.0, 1.0)), 1.0),), "center": (0.0, 0.0), "radius": (1.0, 1.0)},
+    # a center without a radius
+    {"cells": ((_SQUARE, 1.0),), "center": (0.0, 0.0)},
+], ids=["two-cells", "cell-not-support", "center-no-radius"])
+def test_a_profile_needs_one_cell_that_is_its_support(fields):
+    with pytest.raises(ValueError, match="one cell that is the support"):
+        quadrature.TestFunction(n=1, m=1, support=_SQUARE, **fields)
 
 
 def _loop_graded_breakpoints(lo, hi, center, finest, extra=()):
@@ -784,8 +802,8 @@ def test_grid_pass_keeps_a_block_with_one_live_node(monkeypatch):
     # around (0.25, 0.25) holds only the centre node of the cell [0, 1/2]
     # at order 3, so the pass has one block with one live node
     f = quadrature.TestFunction(
-        kind="smooth-bump", n=1, m=1, support=((-2.0, 2.0), (-2.0, 2.0)),
-        center=(0.25, 0.25), radius=(0.1, 0.1),
+        n=1, m=1, support=((-2.0, 2.0), (-2.0, 2.0)),
+        cells=((((-2.0, 2.0), (-2.0, 2.0)), 1.0),), center=(0.25, 0.25), radius=(0.1, 0.1),
     )
     spec = QuadratureSpec()
     pt = np.array([6.0, 6.0])
@@ -935,7 +953,7 @@ def test_lp_norm_grid_mass_matches_point_tensor_reference(payload):
         except AccuracyError as exc:
             err = exc.err
         assert abs(err - abs(hi - lo)) <= _LP_ROUNDING * (hi_scale + lo_scale), (p, err)
-        if f.kind == "smooth-bump":
+        if f.radius:
             assert err > 0.0
 
 

@@ -8,13 +8,16 @@ empty diff means every case below gave the same bytes.
 
 Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, twelve
 larger CLI runs, `--help` of the program and of every subcommand, and the
-900-point apply pool of `bench/reference.json` (read, never written).
-Each prints one line: the case name, the exit status, and the SHA-256 of the
+900-point apply pool of `bench/reference.json` (read, never written), and
+one line for payloads moved by translate, dilate and scale_values.
+Each CLI case prints one line: the case name, the exit status, and the SHA-256 of the
 CSV bytes, of the JSON sidecar without its `timestamp` block (with the output
 directory masked), and of stdout. The apply-pool line also counts the
 queries whose value and err equal the reference bit for bit, and gives the
 largest |value - reference value| / reference err and |err - reference err|
 / reference err over the pool, so that a change of algorithm shows its size.
+The payload line hashes the support, sup_bound() and the bytes of evaluate
+on a fixed grid, for a bump and a random (2, 1) atom after each move.
 """
 
 from __future__ import annotations
@@ -145,6 +148,26 @@ def _apply_pool_line():
             f"derr/err={moved[1]:.3g} results={digest}")
 
 
+def _payload_line():
+    import numpy as np
+
+    import flagint
+
+    axis = np.linspace(-3.0, 3.0, 25)
+    points = np.stack([c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij")],
+                      axis=1)
+    digest = hashlib.sha256()
+    for f in (flagint.smooth_bump(2, 1, (0.25, -0.5, 0.0), (1.0, 0.75, 1.5), -1.75),
+              flagint.make_random_atom(flagint.Cube(2, 1, 1), seed=3).payload):
+        for step in (lambda g: g.translate((0.5, -0.25, 0.125)),
+                     lambda g: g.dilate(1.5, 2.0, 2.0),
+                     lambda g: g.scale_values(-3.0)):
+            f = step(f)
+            digest.update(repr((f.support, f.sup_bound())).encode())
+            digest.update(f.evaluate(points).tobytes())
+    return f"payload-moves support+sup+values={digest.hexdigest()}"
+
+
 def main() -> int:
     from flagint import cli
 
@@ -157,6 +180,7 @@ def main() -> int:
     for sub in cli.EXPERIMENTS:
         print(_help_line(f"help-{sub}", [sub, "--help"]))
     print(_apply_pool_line())
+    print(_payload_line())
     return 0
 
 
