@@ -11,6 +11,7 @@ Nothing here integrates over an unbounded region.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import threading
@@ -31,17 +32,17 @@ Bounds = Tuple[Tuple[float, float], ...]
 # beyond it the cost is exponential and Monte Carlo is required.
 MAX_GRID_DIMENSION = 4
 
-# Hard cap on the inner tensor nodes of one outer node, to fail loudly
-# instead of swapping.
+# Hard cap on the inner tensor columns of one outer node (its nodes, mirrored
+# ones folded), to fail loudly instead of swapping.
 MAX_GRID_NODES = 12_000_000
 
-# Inner tensor nodes evaluated together when a pass batches outer nodes, and
+# Inner tensor columns evaluated together when a pass batches outer nodes, and
 # Monte Carlo samples drawn together (at least one stratum's worth).
 _BLOCK_NODES = 2 ** 14
 
 # Largest block tensor whose kernel a thread forms in the memory it keeps
-# (one float64 tensor, 8 MB at this size). An apply query's inner tensor has
-# about 110k nodes (332 x 332 at cutoff 2^-40); a larger block allocates its
+# (one float64 tensor, 8 MB at this size). An interior apply query's inner
+# tensor has 172 x 168 columns at cutoff 2^-40; a larger block allocates its
 # own tensor.
 _WORKSPACE_NODES = 2 ** 20
 
@@ -305,7 +306,9 @@ class QuadratureSpec:
 
     inner_cutoff is a dyadic exponent: the smallest resolved distance from
     the singular coordinate is 2^inner_cutoff times the support side of the
-    axis, and everything inside it is bounded analytically.
+    axis, and everything inside it is bounded analytically. The grading is
+    built in offsets from the point, so that distance holds at every
+    allowed cutoff, far below the spacing of floats near the point.
 
     samples is the Monte Carlo budget of one inner integral. Each stratum
     takes max(2, samples // strata) samples, so a query with many strata
@@ -373,28 +376,36 @@ def _leggauss(g: int) -> Tuple[np.ndarray, np.ndarray]:
 def _graded_breakpoints(
     lo: float, hi: float, center: float, finest: float, extra: Sequence[float] = ()
 ) -> np.ndarray:
-    """Dyadic breakpoints of [lo, hi] graded toward center.
+    """Dyadic breakpoints of [lo, hi] graded toward center, as offsets z - center.
 
     Radii run finest, 2*finest, ... (starting from the actual distance when
     center lies outside the interval), so cells roughly double away from the
-    singular coordinate. extra points (payload edges) are merged in.
+    singular coordinate. As offsets the radii are exact at any finest, and
+    the cells on the two sides of the center mirror each other bit for bit.
+    extra points (payload edges) are merged in, but one within rounding of a
+    radius point or an end is taken to lie on it; no radius is dropped.
     """
     if not lo < hi:
         raise ValueError("empty interval")
-    dist = max(lo - center, center - hi, 0.0)
-    dmax = max(abs(center - lo), abs(center - hi))
+    a, b = lo - center, hi - center
+    dist = max(a, -b, 0.0)
+    dmax = max(-a, b)
     r = finest if dist <= finest else dist
     # r * 2^k for every k with r * 2^k < dmax; doubling a float is exact
     radii = np.ldexp(r, np.arange(max(0, math.ceil(math.log2(dmax) - math.log2(r))) + 2))
-    radii = radii[radii < dmax]
-    inner = np.concatenate([extra, center - radii, center + radii,
-                            [center] if dist <= finest else []])
-    # a stable sort keeps the first of equal values (0.0 and -0.0 are equal)
-    out = np.sort(np.concatenate([[lo, hi], inner[(lo < inner) & (inner < hi)]]),
-                  kind="stable")
-    # drop copies, and degenerate cells from near-duplicate breakpoints
-    keep = np.concatenate([[True], np.diff(out) > 1e-15 * (hi - lo)])
-    return out[keep]
+    # the radii inside (-b, -a) are cuts below the center, those inside (a, b) above it
+    first, stop = np.searchsorted(radii, (-b, a), side="right"), np.searchsorted(radii, (-a, b))
+    fixed = np.concatenate([[a], -radii[first[0]:stop[0]][::-1], [0.0] if a < 0.0 < b else [],
+                            radii[first[1]:stop[1]], [b]])
+    tol = 1e-15 * max(abs(lo), abs(hi), abs(center))
+    cuts = fixed.tolist()
+    edges = set()
+    for t in (e - center for e in extra):
+        # cuts[k - 1] < t <= cuts[k], both ends of the interval among the cuts
+        k = bisect.bisect_left(cuts, t)
+        if 0 < k < len(cuts) and min(t - cuts[k - 1], cuts[k] - t) > tol:
+            edges.add(t)
+    return np.sort(np.concatenate([fixed, list(edges)])) if edges else fixed
 
 
 def _split_wide_cells(
@@ -402,29 +413,42 @@ def _split_wide_cells(
     max_cell: Optional[float],
     within: Optional[Tuple[float, float]] = None,
 ) -> np.ndarray:
-    """breaks with every cell wider than max_cell cut into equal parts, within a span only."""
+    """breaks with every cell wider than max_cell cut into equal parts, within a span only.
+
+    breaks are offsets from a center that no cell straddles. Each cell is cut
+    from its end nearer the center, so mirrored cells are cut alike.
+    """
     if max_cell is None or max_cell <= 0:
         return breaks
     a, b = breaks[:-1], breaks[1:]
-    width = b - a
-    parts = np.ceil(width / max_cell)
+    parts = np.ceil((b - a) / max_cell)
     if within is not None:
         parts[(b <= within[0]) | (a >= within[1])] = 1.0
-    step = width / parts
-    counts = parts.astype(np.intp)
-    ends = np.cumsum(counts)
-    # per cell: a + step * j for j = 1, ..., parts - 1, then b
-    cell = np.repeat(np.arange(len(a)), counts)
-    j = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
-    pts = a[cell] + step[cell] * j
-    pts[ends - 1] = b
-    return np.concatenate([breaks[:1], pts])
+    # the few wide cells one by one: a + step * j for j = 1, ..., parts - 1,
+    # and below the center the same points as b - step * (parts - j)
+    pieces, start = [], 0
+    for k in np.flatnonzero(parts > 1.0).tolist():
+        lo, hi, count = float(a[k]), float(b[k]), int(parts[k])
+        step = (hi - lo) / count
+        pieces += [breaks[start:k + 1],
+                   [hi - step * (count - j) if hi <= 0.0 else lo + step * j
+                    for j in range(1, count)]]
+        start = k + 1
+    return np.concatenate(pieces + [breaks[start:]]) if pieces else breaks
 
 
 @dataclass(frozen=True)
 class _AxisPlan:
+    """The Gauss nodes of one axis, graded toward a center.
+
+    Mirrored nodes, on the two sides of the center, have the same distance
+    from it to the bit. Where there are such nodes the plan lists its nodes
+    by distance, so nodes of the same distance are neighbours.
+    """
+
     breaks: np.ndarray    # cell boundaries, sorted
-    nodes: np.ndarray     # Gauss nodes over all cells
+    offsets: np.ndarray   # per node, its exact distance |node - center|
+    nodes: np.ndarray     # per node, center plus its signed offset, rounded
     weights: np.ndarray
     core: np.ndarray      # per-node: node lies in a cell touching the center
     has_core: bool        # some node does
@@ -443,17 +467,21 @@ def _axis_breaks(
     extra: Sequence[float],
     max_cell: Optional[float],
     split_within: Optional[Tuple[float, float]],
-) -> np.ndarray:
-    """The cell boundaries of an axis plan; they do not depend on the order.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The cell boundaries of an axis plan as offsets from center, and as coordinates.
 
-    Every pass asks for the plans of orders g and g-1 on the same cells, so
-    the second order finds its breakpoints here. Read-only, as they are shared.
+    They do not depend on the order. Every pass asks for the plans of orders
+    g and g-1 on the same cells, so the second order finds its breakpoints
+    here. Read-only, as they are shared.
     """
-    breaks = _split_wide_cells(
-        _graded_breakpoints(lo, hi, center, finest, extra), max_cell, split_within
+    within = None if split_within is None else tuple(z - center for z in split_within)
+    cuts = _split_wide_cells(
+        _graded_breakpoints(lo, hi, center, finest, extra), max_cell, within
     )
-    breaks.flags.writeable = False
-    return breaks
+    breaks = center + cuts
+    for arr in (cuts, breaks):
+        arr.flags.writeable = False
+    return cuts, breaks
 
 
 @lru_cache(maxsize=_AXIS_PLAN_CACHE)
@@ -467,22 +495,31 @@ def _axis_plan(
     max_cell: Optional[float] = None,
     split_within: Optional[Tuple[float, float]] = None,
 ) -> _AxisPlan:
-    breaks = _axis_breaks(lo, hi, center, finest, extra, max_cell, split_within)
+    cuts, breaks = _axis_breaks(lo, hi, center, finest, extra, max_cell, split_within)
     ref_nodes, ref_weights = _leggauss(g)
-    a = breaks[:-1]
-    b = breaks[1:]
+    a = cuts[:-1]
+    b = cuts[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    nodes = (mid[:, None] + half[:, None] * ref_nodes[None, :]).ravel()
-    weights = (half[:, None] * ref_weights[None, :]).ravel()
+    # per cell its nodes' distances, from |mid| so that mirrored cells give
+    # them the same bits
+    dist = np.abs(mid)[:, None] + half[:, None] * ref_nodes
+    weights = half[:, None] * ref_weights
     # the two cells flanking the center are the analytic-core cells
-    cell_dist = np.maximum(np.maximum(a - center, center - b), 0.0)
-    cell_core = cell_dist < finest * (1.0 - 1e-12)
-    core = np.repeat(cell_core, g)
+    cell_core = np.maximum(np.maximum(a, -b), 0.0) < finest * (1.0 - 1e-12)
+    if cuts[0] < 0.0 < cuts[-1]:
+        # cells on both sides: the nodes by distance, so mirrored ones are neighbours
+        order = np.argsort(dist, axis=None, kind="stable")
+        offsets, weights = dist.ravel()[order], weights.ravel()[order]
+        nodes = center + np.copysign(dist, mid[:, None]).ravel()[order]
+        core = np.repeat(cell_core, g)[order]
+    else:
+        offsets, weights, core = dist.ravel(), weights.ravel(), np.repeat(cell_core, g)
+        nodes = center - offsets if cuts[0] < 0.0 else center + offsets
     # plans are cached and shared, so no caller may write into them
-    for arr in (nodes, weights, core):
+    for arr in (offsets, nodes, weights, core):
         arr.flags.writeable = False
-    return _AxisPlan(breaks=breaks, nodes=nodes, weights=weights, core=core,
+    return _AxisPlan(breaks=breaks, offsets=offsets, nodes=nodes, weights=weights, core=core,
                      has_core=bool(cell_core.any()))
 
 
@@ -584,17 +621,31 @@ def _core_eps(f: TestFunction, spec: QuadratureSpec, axes: range) -> float:
 class _Run:
     """Consecutive outer coordinates of one axis, with their inner plans joined.
 
-    The joined nodes split into groups: runs of consecutive nodes with the
-    same outer coordinate, payload slot and core flag.
+    Within one outer coordinate the nodes with the same distance from it,
+    payload slot and core flag are one column: the kernel takes the same
+    value on them. The columns split into groups: runs of consecutive
+    columns with the same outer coordinate, payload slot and core flag.
     """
 
     outer: range          # the outer indices
-    offsets: np.ndarray   # per node, outer coordinate minus inner node
-    scale: np.ndarray     # per node, its weight times its payload factor
-    starts: np.ndarray    # per group, its first node
+    offsets: np.ndarray   # per column, the distance of its nodes from the outer coordinate
+    scale: np.ndarray     # per column, the sum of its nodes' weights times payload factors
+    starts: np.ndarray    # per group, its first column
     slots: np.ndarray     # per group, its payload slot
     core: np.ndarray      # per group, whether its nodes are core nodes
     owners: np.ndarray    # per outer coordinate, its first group
+    widths: List[int]     # per outer coordinate, its number of columns
+
+    def part(self, a: int, b: int) -> "_Run":
+        """The run of the outer coordinates a, ..., b-1 of this one, which starts at 0."""
+        if (a, b) == (0, len(self.outer)):
+            return self
+        g0, g1 = np.append(self.owners, len(self.starts))[[a, b]]
+        c0, c1 = sum(self.widths[:a]), sum(self.widths[:b])
+        return _Run(outer=range(a, b), offsets=self.offsets[c0:c1], scale=self.scale[c0:c1],
+                    starts=self.starts[g0:g1] - c0, slots=self.slots[g0:g1],
+                    core=self.core[g0:g1], owners=self.owners[a:b] - g0,
+                    widths=self.widths[a:b])
 
 
 def _split_runs(lengths: Sequence[int], cap: float) -> List[Tuple[int, int]]:
@@ -613,41 +664,69 @@ def _split_runs(lengths: Sequence[int], cap: float) -> List[Tuple[int, int]]:
     return runs
 
 
-def _join_run(f: TestFunction, i: int, xs: Sequence[float], plans: Sequence[_AxisPlan],
-              a: int, b: int) -> _Run:
-    """The run of outer indices a, ..., b-1 on axis i, with its groups."""
-    part = plans[a:b]
-    nodes, weights, core = (np.concatenate([getattr(p, name) for p in part])
-                            for name in ("nodes", "weights", "core"))
-    offsets = np.concatenate([x - p.nodes for x, p in zip(xs[a:b], part)])
+def _join_run(f: TestFunction, i: int, plans: Sequence[_AxisPlan]) -> _Run:
+    """The run of every outer coordinate on axis i, its mirrored nodes folded.
+
+    In each plan nodes of the same distance are neighbours, so after a
+    stable sort by (outer coordinate, slot) the nodes of a column are
+    neighbours, in the same order whatever else the run holds.
+    """
+    if len(plans) == 1:
+        (p,) = plans
+        nodes, offsets, weights, core, owner = p.nodes, p.offsets, p.weights, p.core, 0
+    else:
+        nodes, offsets, weights, core = (np.concatenate([getattr(p, name) for p in plans])
+                                         for name in ("nodes", "offsets", "weights", "core"))
+        owner = np.repeat(np.arange(len(plans)), [len(p.nodes) for p in plans])
     factor, slots = f.axis_factor(i, nodes)
-    firsts = list(itertools.accumulate((len(p.nodes) for p in part[:-1]), initial=0))
-    new = np.empty(len(nodes), dtype=bool)
-    np.not_equal(slots[1:], slots[:-1], out=new[1:])
-    new[1:] |= core[1:] != core[:-1]
-    new[firsts] = True
-    starts = np.flatnonzero(new)
-    return _Run(outer=range(a, b), offsets=offsets, scale=weights * factor, starts=starts,
-                slots=slots[starts], core=core[starts], owners=np.searchsorted(starts, firsts))
+    # the sort key: outer index, then slot (slot -1 is the last slot, as for
+    # the cell payload's gather)
+    size = f.payload_table.shape[i]
+    key = owner * size + slots % size
+    order = np.argsort(key, kind="stable")
+    key, offsets, core = key[order], offsets[order], core[order]
+    # a group starts where the key or the core flag changes, a column also
+    # where the distance does
+    group = np.empty(len(key), dtype=bool)
+    group[0] = True
+    np.not_equal(key[1:], key[:-1], out=group[1:])
+    group[1:] |= core[1:] != core[:-1]
+    column = group.copy()
+    column[1:] |= offsets[1:] != offsets[:-1]
+    columns = np.flatnonzero(column)
+    starts = np.flatnonzero(group[columns])
+    firsts = columns[starts]
+    return _Run(outer=range(len(plans)), offsets=offsets[columns],
+                scale=np.add.reduceat((weights * factor)[order], columns),
+                starts=starts, slots=key[firsts] % size, core=core[firsts],
+                owners=np.searchsorted(key[firsts], np.arange(len(plans)) * size),
+                widths=np.bincount(key[columns] // size, minlength=len(plans)).tolist())
 
 
-def _block_runs(f: TestFunction, outer_axes: Sequence[Sequence[float]],
-                plans: List[List[_AxisPlan]]) -> List[List[_Run]]:
+def _block_runs(f: TestFunction, plans: List[List[_AxisPlan]]) -> List[List[_Run]]:
     """Per axis, the runs whose tensor products are the blocks of one pass.
 
-    Axes take their runs from the fewest inner nodes up, each an equal share
-    of what is left of _BLOCK_NODES, so a short axis is one run and leaves
-    the rest to the long ones. A block's tensor fits the budget unless one
-    outer node's tensor alone does not; such a node is never split.
+    Axes take their runs from the fewest columns up, each an equal share of
+    what is left of _BLOCK_NODES, so a short axis is one run and leaves the
+    rest to the long ones. A block's tensor fits the budget unless one outer
+    node's tensor alone does not; such a node is never split. Raises
+    UsageError when an outer node's tensor has more than MAX_GRID_NODES
+    columns.
     """
-    lengths = [[len(p.nodes) for p in axis] for axis in plans]
-    order = sorted(range(len(plans)), key=lambda i: sum(lengths[i]))
+    joined = [_join_run(f, i, axis) for i, axis in enumerate(plans)]
+    if math.prod(max(r.widths) for r in joined) > MAX_GRID_NODES:
+        sizes = reduce(np.multiply.outer, [np.array(r.widths, dtype=np.int64) for r in joined])
+        raise UsageError(
+            f"grid tensor would need {int(sizes.flat[np.argmax(sizes > MAX_GRID_NODES)])} "
+            "nodes; use monte-carlo or a coarser cutoff"
+        )
+    order = sorted(range(len(plans)), key=lambda i: sum(joined[i].widths))
     left = float(_BLOCK_NODES)
     out: List[List[_Run]] = [[] for _ in plans]
     for k, i in enumerate(order):
-        cap = max(max(lengths[i]), left ** (1.0 / (len(order) - k)))
-        out[i] = [_join_run(f, i, outer_axes[i], plans[i], a, b)
-                  for a, b in _split_runs(lengths[i], cap)]
+        widths = joined[i].widths
+        cap = max(max(widths), left ** (1.0 / (len(order) - k)))
+        out[i] = [joined[i].part(a, b) for a, b in _split_runs(widths, cap)]
         left /= max(len(r.offsets) for r in out[i])
     return out
 
@@ -680,15 +759,15 @@ def _block_values(kernel: Kernel, table: np.ndarray, block: Sequence[_Run]) -> n
     """The inner values of a block's outer nodes, in the shape of their tensor.
 
     Only the kernel couples the axes; weights and payload factors are per
-    axis. So the kernel tensor, formed in the thread's workspace, is
-    contracted axis by axis, the last first: multiplied by the axis's scale
-    and summed over each group. Its factor of |u| alone is applied with the
-    scale of the last u axis, once the v axes are summed. The groups of an
-    excluded core are then set to 0 by selection (the kernel may overflow
-    there), each group is multiplied by the payload table at its slots, and
-    the groups of each outer node are summed, again axis by axis. Every sum
-    runs over the nodes or groups of one outer node, so the values do not
-    depend on the blocking.
+    axis. So the kernel tensor over the runs' columns, formed in the
+    thread's workspace, is contracted axis by axis, the last first:
+    multiplied by the axis's scale and summed over each group. Its factor of
+    |u| alone is applied with the scale of the last u axis, once the v axes
+    are summed. The groups of an excluded core are then set to 0 by
+    selection (the kernel may overflow there), each group is multiplied by
+    the payload table at its slots, and the groups of each outer node are
+    summed, again axis by axis. Every sum runs over the columns or groups of
+    one outer node, so the values do not depend on the blocking.
     """
     shape = tuple(len(r.offsets) for r in block)
     scales = _axis_views([r.scale for r in block])
@@ -702,7 +781,6 @@ def _block_values(kernel: Kernel, table: np.ndarray, block: Sequence[_Run]) -> n
         for axes, singular in _core_groups(kernel):
             if singular:
                 np.copyto(t, 0.0, where=reduce(np.logical_and, [cores[i] for i in axes]))
-        # slot -1 is the last slot, as for the cell payload's gather
         t *= table[np.ix_(*(r.slots for r in block))]
     for i, r in enumerate(block):
         t = np.add.reduceat(t, r.owners, axis=i)
@@ -732,19 +810,12 @@ def _grid_conv_values(
             f"grid quadrature supports n+m <= {MAX_GRID_DIMENSION}; use monte-carlo"
         )
     plans = _inner_plans(f, outer_axes, spec, g)
-    sizes = reduce(np.multiply.outer,
-                   [np.array([len(p.nodes) for p in axis], dtype=np.int64) for axis in plans])
-    over = np.flatnonzero(sizes > MAX_GRID_NODES)
-    if over.size:
-        raise UsageError(
-            f"grid tensor would need {int(sizes.flat[over[0]])} nodes; "
-            "use monte-carlo or a coarser cutoff"
-        )
-    shape = sizes.shape
+    runs = _block_runs(f, plans)
+    shape = tuple(len(axis) for axis in plans)
     has_core = _axis_views([np.array([p.has_core for p in axis]) for axis in plans])
     core_u, core_v = (np.broadcast_to(c, shape) for c in _core_flags(kernel, has_core))
     values = np.empty(shape)
-    for block in itertools.product(*_block_runs(f, outer_axes, plans)):
+    for block in itertools.product(*runs):
         values[tuple(slice(r.outer.start, r.outer.stop) for r in block)] = _block_values(
             kernel, f.payload_table, block)
     return values, core_u, core_v

@@ -46,18 +46,26 @@ def mc_spec():
     )
 
 
+def _columns(f, i, plan):
+    # the nodes of one axis plan with distinct (core flag, payload slot,
+    # distance from the outer coordinate): nodes that share all three are
+    # one column of the inner tensor
+    slots = f.axis_factor(i, plan.nodes)[1] % f.payload_table.shape[i]
+    return len(set(zip(plan.core.tolist(), slots.tolist(), plan.offsets.tolist())))
+
+
 def _inner_tensor_sizes(f, outer_axes, spec, g):
-    # inner tensor nodes of each outer node, from the lengths of the axis
-    # plans the grid pass requests: graded toward the outer coordinate,
-    # finest cell 2^inner_cutoff times the support side
+    # inner tensor columns of each outer node, from the axis plans the grid
+    # pass requests: graded toward the outer coordinate, finest cell
+    # 2^inner_cutoff times the support side
     lengths = []
     for i, xs in enumerate(outer_axes):
         lo, hi = f.support[i]
         side = hi - lo
         max_cell = side / f.min_cells_hint if f.min_cells_hint > 1 else None
         lengths.append(np.array([
-            len(quadrature._axis_plan(lo, hi, float(x), 2.0 ** spec.inner_cutoff * side,
-                                      f.breakpoints(i), g, max_cell).nodes)
+            _columns(f, i, quadrature._axis_plan(lo, hi, float(x), 2.0 ** spec.inner_cutoff * side,
+                                                 f.breakpoints(i), g, max_cell))
             for x in xs
         ], dtype=np.int64))
     return functools.reduce(np.multiply.outer, lengths)

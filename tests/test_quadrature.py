@@ -209,9 +209,10 @@ def test_lq_mass_dilation_identity(grid_spec):
 @pytest.mark.parametrize("delta", [1.0 / 3.0, 3.0])
 def test_lq_mass_dilation_holds_within_err_off_the_dyadic_scales(grid_spec, delta):
     # a delta that is not a power of two does not scale the nodes exactly,
-    # so the two masses come from different rules and the identity holds
-    # only to within the errors they report; with the bump the masses differ
-    # by far more than rounding (with the indicator they agree to rounding)
+    # so the two masses come from different rules and the identity holds to
+    # within the errors they report. The inner rules are graded in offsets
+    # from each outer node, so the kernel sees no rounding of x - u near the
+    # point, and the masses agree to rounding as well, as at a dyadic delta
     cfg, _, window = _scan_setup()
     f = smooth_bump(1, 1)
     base, base_err = lq_mass(cfg, f, window, 2, grid_spec)
@@ -220,7 +221,7 @@ def test_lq_mass_dilation_holds_within_err_off_the_dyadic_scales(grid_spec, delt
     )
     factor = delta ** (2.0 * (0.9 + 2.0 * 0.3) + 1.0 + 2.0)
     assert abs(scaled - factor * base) <= err + factor * base_err
-    assert abs(scaled - factor * base) > 1e-9 * factor * base
+    assert math.isclose(scaled, factor * base, rel_tol=1e-12)
 
 
 def test_lq_mass_lambda_lower_bound(grid_spec):
@@ -388,13 +389,13 @@ def test_sufficient_inner_cutoff_bound_holds():
 # the factored grid pass against a brute-force reference
 
 
-def _reference_kernel(desc, pt, points):
-    # the kernel node by node, from the formulas of the paper
-    s = pt[None, : desc.n] - points[:, : desc.n]
+def _reference_kernel(desc, diffs):
+    # the kernel at offsets (N, dim) node by node, from the formulas of the paper
+    s = diffs[:, : desc.n]
     sn = np.sqrt(np.sum(s * s, axis=1))
     if desc.kind == "riesz":
         return sn ** (desc.u_power - desc.n)
-    t = pt[None, desc.n:] - points[:, desc.n:]
+    t = diffs[:, desc.n:]
     tn = np.sqrt(np.sum(t * t, axis=1))
     if desc.kind == "flag":
         return sn ** (desc.u_power - desc.n) * (sn ** desc.rho + tn) ** (desc.v_power - desc.m)
@@ -419,10 +420,12 @@ def _tensor_points(axes):
 
 
 def _reference_grid_value(desc, f, pt, spec, g):
-    # every tensor node as an explicit point; excluded cores masked node by
-    # node. Returns the value, the live points and the sum of |terms|.
+    # every tensor node as an explicit point, the kernel at its offset from pt
+    # as the plans give it (exact, unlike pt - node); excluded cores masked
+    # node by node. Returns the value, the live points and the sum of |terms|.
     plans = [axis[0] for axis in quadrature._inner_plans(f, [[x] for x in pt], spec, g)]
     points = _tensor_points([p.nodes for p in plans])
+    offsets = _tensor_points([p.offsets for p in plans])
     core = _tensor_points([p.core for p in plans])
     weights = functools.reduce(np.multiply.outer, [p.weights for p in plans]).ravel()
     keep = np.ones(len(points), dtype=bool)
@@ -434,19 +437,20 @@ def _reference_grid_value(desc, f, pt, spec, g):
     idx = np.flatnonzero(keep & (fvals != 0.0))
     if idx.size == 0:
         return 0.0, points[idx], 0.0
-    terms = weights[idx] * fvals[idx] * _reference_kernel(desc, pt, points[idx])
+    terms = weights[idx] * fvals[idx] * _reference_kernel(desc, offsets[idx])
     return float(np.sum(terms)), points[idx], float(np.sum(np.abs(terms)))
 
 
 # The engine contracts the inner tensor axis by axis, and the reference sums
 # its terms at once, so the two differ by rounding. On each side a term takes
-# at most 16 roundings of eps/2 (kernel, weights, payload factors, table);
-# the bump's per-axis factors are the same bits on both. Each sum of the
-# engine is x0 plus numpy's pairwise sum: depth at most 28 over an axis
-# group of at most 512 nodes, and 10 over one node's groups of an axis. The
-# reference's one pairwise sum has depth at most 36 over at most 2^17 terms.
-# At n + m <= 3 that is (2 * 16 + 3 * (28 + 10) + 36) / 2 = 91 eps times the
-# sum of |terms| at most.
+# at most 16 roundings of eps/2 (kernel, weights, payload factors, table),
+# and on the engine's one more per axis where a column adds its mirrored
+# nodes' scales; the bump's per-axis factors are the same bits on both. Each
+# sum of the engine is x0 plus numpy's pairwise sum: depth at most 28 over
+# an axis group of at most 512 nodes, and 10 over one node's groups of an
+# axis. The reference's one pairwise sum has depth at most 36 over at most
+# 2^17 terms. At n + m <= 3 that is (2 * 16 + 3 + 3 * (28 + 10) + 36) / 2
+# < 93 eps times the sum of |terms| at most.
 _ROUNDING = 128 * np.finfo(float).eps
 
 _BLOCK_NODES = quadrature._BLOCK_NODES
@@ -520,7 +524,7 @@ def test_grid_pass_matches_pointwise_reference(n, m, where, payload, monkeypatch
             want, live, scale = _reference_grid_value(desc, f, pt, spec, g)
             _assert_within_rounding(got, want, scale)
             # the pointwise form of the kernel, as Monte Carlo calls it
-            assert np.array_equal(desc.values(pt, live.T), _reference_kernel(desc, pt, live))
+            assert np.array_equal(desc.values(pt, live.T), _reference_kernel(desc, pt - live))
 
 
 @pytest.mark.parametrize("x", [2.0, 0.01, 0.5])
@@ -658,28 +662,33 @@ def test_a_profile_needs_one_cell_that_is_its_support(fields):
 
 
 def _loop_graded_breakpoints(lo, hi, center, finest, extra=()):
-    # the breakpoints as a set grown point by point, doubling the radius
-    pts = {lo, hi}
-    for e in extra:
-        if lo < e < hi:
-            pts.add(e)
-    dist = max(lo - center, center - hi, 0.0)
-    dmax = max(abs(center - lo), abs(center - hi))
+    # the breakpoints as offsets from center, a set grown point by point,
+    # doubling the radius; a payload edge within 1e-15 times the largest of
+    # |lo|, |hi| and |center| of a radius point or an end is not added
+    a, b = lo - center, hi - center
+    pts = {a, b}
+    dist = max(a, -b, 0.0)
+    dmax = max(-a, b)
     r = finest if dist <= finest else dist
     while r < dmax:
-        for s in (center - r, center + r):
-            if lo < s < hi:
+        for s in (-r, r):
+            if a < s < b:
                 pts.add(s)
         r *= 2.0
-    if dist <= finest and lo < center < hi:
-        pts.add(center)
-    out = np.array(sorted(pts), dtype=float)
-    keep = np.concatenate([[True], np.diff(out) > 1e-15 * (hi - lo)])
-    return out[keep]
+    if a < 0.0 < b:
+        pts.add(0.0)
+    fixed = sorted(pts)
+    tol = 1e-15 * max(abs(lo), abs(hi), abs(center))
+    for e in extra:
+        t = e - center
+        if a < t < b and all(abs(t - p) > tol for p in fixed):
+            pts.add(t)
+    return np.array(sorted(pts), dtype=float)
 
 
 def _loop_split_wide_cells(breaks, max_cell, within=None):
-    # every cell wider than max_cell cut into equal parts, one cell at a time
+    # every cell wider than max_cell cut into equal parts, one cell at a
+    # time, counting the steps from the cell's end nearer the offset 0
     if max_cell is None or max_cell <= 0:
         return breaks
     cuts = breaks.tolist()
@@ -691,7 +700,10 @@ def _loop_split_wide_cells(breaks, max_cell, within=None):
         parts = int(math.ceil((b - a) / max_cell))
         if parts > 1:
             step = (b - a) / parts
-            pts.extend(a + step * j for j in range(1, parts))
+            if b <= 0.0:
+                pts.extend(b - step * (parts - j) for j in range(1, parts))
+            else:
+                pts.extend(a + step * j for j in range(1, parts))
         pts.append(b)
     return np.array(pts, dtype=float)
 
@@ -714,12 +726,20 @@ def test_breakpoints_keep_the_bits_of_the_loop_form():
         assert got.tobytes() == want.tobytes(), case
         max_cell = [None, 0.0, (hi - lo) / 8, (hi - lo) / 3][case % 4]
         within = [None, (lo, hi), (lo + 0.25 * (hi - lo), hi)][case % 3]
+        within = None if within is None else (within[0] - center, within[1] - center)
         assert (quadrature._split_wide_cells(got, max_cell, within).tobytes()
                 == _loop_split_wide_cells(want, max_cell, within).tobytes()), case
-    # a payload edge -0.0 comes before the radius point 0.25 - 0.25 = +0.0
+    # the payload edge -0.0 lies on the radius point 0.25 below the center
+    # 0.25, and the center is the offset +0.0
     got = quadrature._graded_breakpoints(-1.0, 1.0, 0.25, 0.25, (-0.0,))
     assert got.tobytes() == _loop_graded_breakpoints(-1.0, 1.0, 0.25, 0.25, (-0.0,)).tobytes()
-    assert np.signbit(got[got == 0.0]).all()
+    assert got.tolist() == [-1.25, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75]
+    assert not np.signbit(got[got == 0.0]).any()
+    # 0.55 - 0.3 is 0.25 plus an ulp of 0.55: the edge lies on the radius
+    # point 0.25, and the points on either side of it stay
+    got = quadrature._graded_breakpoints(-1.0, 1.0, 0.3, 2.0 ** -40, (0.55,))
+    assert 0.55 - 0.3 != 0.25 and 0.55 - 0.3 not in got.tolist()
+    assert {0.125, 0.25, 0.5}.issubset(got.tolist())
 
 
 def test_axis_plans_are_cached_and_read_only():
@@ -744,6 +764,92 @@ def test_axis_plans_are_cached_and_read_only():
     assert not lo.breaks.flags.writeable
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
     assert (len(hi.nodes), len(lo.nodes)) == (4 * hi.cell_count, 3 * hi.cell_count)
+
+
+@pytest.mark.parametrize("cutoff", [-40, -56, -200])
+@pytest.mark.parametrize("center", [0.5, 0.3, 1.0])
+def test_core_cells_are_exact_at_deep_cutoffs(cutoff, center):
+    # graded in offsets from the point, the core cells are [-finest, 0] and
+    # [0, finest] at any cutoff, with the support edge 1.0 keeping only the
+    # first; in coordinates x +- r rounds to ulp(x) once finest is below it
+    f = smooth_bump(1, 1)
+    spec = QuadratureSpec(inner_cutoff=cutoff)
+    g = spec.points_per_axis
+    finest = 2.0 ** cutoff * 2.0
+    nodes, _ = quadrature._leggauss(g)
+    # a core cell's Gauss nodes, as distances from the point
+    want = np.sort(0.5 * finest + 0.5 * finest * nodes)
+    for plans in quadrature._inner_plans(f, [[center], [center]], spec, g):
+        (plan,) = plans
+        got = plan.offsets[plan.core]
+        sides = 1 if center == 1.0 else 2
+        assert plan.has_core and got.size == sides * g, (cutoff, center, got)
+        assert got.tobytes() == np.repeat(want, sides).tobytes(), (cutoff, center)
+        # and every other node lies further out than the core
+        assert plan.offsets[~plan.core].min() > finest
+
+
+def test_deeper_cutoffs_resolve_the_bump_within_the_core_bound():
+    # from -56 to -80 the value moves by no more than the core bound at -56,
+    # and -56 agrees with -40 within the summed err
+    kernel = flag_kernel(_cfg())
+    f = smooth_bump(1, 1)
+    outer = [[0.5], [0.25]]
+    inner = {c: [a.item() for a in quadrature._grid_inner(
+        kernel, f, outer, QuadratureSpec(inner_cutoff=c))] for c in (-40, -56, -80)}
+    (v40, e40, _), (v56, e56, core56), (v80, _, _) = inner[-40], inner[-56], inner[-80]
+    assert abs(v56 - v40) <= e40 + e56
+    assert 0.0 < core56 and abs(v80 - v56) <= core56
+
+
+def _mirrored_cells(cuts):
+    # the cells [a, b] above the point whose mirror [-b, -a] is a cell too
+    cells = set(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+    return [(a, b) for a, b in cells if a >= 0.0 and (-b, -a) in cells]
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_mirrored_nodes_have_the_same_distance_to_the_bit(g):
+    # random intervals, centres inside, outside and on an end, payload
+    # edges, and cells cut within all or part of the interval: wherever a
+    # cell's mirror is a cell too, each of its nodes has a node of the mirror
+    # at the same distance, bit for bit, and no other nodes share a distance
+    rng = np.random.default_rng(29 + g)
+    paired = 0
+    for case in range(200):
+        lo, hi = sorted(rng.uniform(-3.0, 3.0, 2))
+        center = {0: lo, 1: hi}.get(case % 6, rng.uniform(lo - 1.0, hi + 1.0))
+        finest = (hi - lo) * 2.0 ** -float(rng.integers(1, 70))
+        extra = tuple(sorted(rng.uniform(lo, hi, int(rng.integers(0, 4))))) + (lo, hi)
+        max_cell = [None, (hi - lo) / 8, (hi - lo) / 3][case % 3]
+        within = [(lo, hi), (0.5 * (lo + hi), hi)][case % 2]
+        args = (lo, hi, center, finest, extra, g, max_cell, within)
+        cuts, _ = quadrature._axis_breaks(*args[:5], max_cell, within)
+        plan = quadrature._axis_plan(*args)
+        mirrored = _mirrored_cells(cuts)
+        values, counts = np.unique(plan.offsets, return_counts=True)
+        shared = values[counts > 1]
+        assert counts.max(initial=1) <= 2, case
+        assert len(shared) == g * len(mirrored), case
+        assert all(any(a < d < b for a, b in mirrored) for d in shared.tolist()), case
+        paired += len(mirrored)
+        # each cell is cut from its end nearer the center, so symmetric cuts stay symmetric
+        side = np.sort(rng.uniform(0.0, 3.0, 5))
+        split = quadrature._split_wide_cells(np.concatenate([-side[::-1], [0.0], side]),
+                                             (hi - lo) / 7)
+        assert np.array_equal(split, -split[::-1]), case
+    assert paired > 1000
+
+
+def test_interior_apply_forms_at_most_176_columns_per_axis():
+    # at (0.5, 0.25) each inner plan has 328 nodes, which fold to 172 and
+    # 168 columns
+    f = smooth_bump(1, 1)
+    spec = QuadratureSpec(inner_cutoff=-40)
+    plans = quadrature._inner_plans(f, [[0.5], [0.25]], spec, 4)
+    assert [len(p.nodes) for (p,) in plans] == [328, 328]
+    runs = quadrature._block_runs(f, plans)
+    assert [len(r.offsets) for (r,) in runs] == [172, 168]
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +888,7 @@ def test_batched_grid_pass_matches_pointwise_reference(n, m, payload, monkeypatc
                           for node in itertools.product(*plans))
             for budget in (4, 2 * largest):
                 monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
-                runs = quadrature._block_runs(f, outer, plans)
+                runs = quadrature._block_runs(f, plans)
                 if budget == 4:  # every outer node is a block by itself
                     assert [len(axis) for axis in runs] == [picks] * (n + m)
                 else:  # some block holds several outer nodes
@@ -1222,8 +1328,7 @@ def test_max_grid_nodes_does_not_cap_a_batch(grid_spec, inner_tensor_sizes, monk
         for order, inner in ((g, g), (g, g - 1), (g - 1, g)):
             outer = [p.nodes for p in quadrature._outer_plans(box, f, order)]
             largest = max(largest, int(inner_tensor_sizes(f, outer, grid_spec, inner).max()))
-            runs = quadrature._block_runs(f, outer,
-                                          quadrature._inner_plans(f, outer, grid_spec, inner))
+            runs = quadrature._block_runs(f, quadrature._inner_plans(f, outer, grid_spec, inner))
             batched = max(batched, max(
                 math.prod(len(r.offsets) for r in block) for block in itertools.product(*runs)
             ))

@@ -8,8 +8,9 @@ empty diff means every case below gave the same bytes.
 
 Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, twelve
 larger CLI runs, `--help` of the program and of every subcommand, and the
-900-point apply pool of `bench/reference.json` (read, never written), and
-one line for payloads moved by translate, dilate and scale_values.
+900-point apply pool of `bench/reference.json` (read, never written), one
+line for payloads moved by translate, dilate and scale_values, and one for
+the inner axis plans.
 Each CLI case prints one line: the case name, the exit status, and the SHA-256 of the
 CSV bytes, of the JSON sidecar without its `timestamp` block (with the output
 directory masked), and of stdout. The apply-pool line also counts the
@@ -17,7 +18,10 @@ queries whose value and err equal the reference bit for bit, and gives the
 largest |value - reference value| / reference err and |err - reference err|
 / reference err over the pool, so that a change of algorithm shows its size.
 The payload line hashes the support, sup_bound() and the bytes of evaluate
-on a fixed grid, for a bump and a random (2, 1) atom after each move.
+on a fixed grid, for a bump and a random (2, 1) atom after each move. The
+plans line hashes the offsets, weights and core flags of the bump's inner
+plans of orders 4 and 3, at an interior centre, a support-edge centre and an
+outside centre, each at cutoffs -20, -40 and -56.
 """
 
 from __future__ import annotations
@@ -168,6 +172,22 @@ def _payload_line():
     return f"payload-moves support+sup+values={digest.hexdigest()}"
 
 
+def _plans_line():
+    import flagint
+    from flagint import quadrature
+
+    f = flagint.smooth_bump(1, 1, (0.0, 0.0), 1.0, 1.0)
+    digest = hashlib.sha256()
+    for cutoff in (-20, -40, -56):
+        spec = flagint.QuadratureSpec(inner_cutoff=cutoff)
+        for center in (0.3, 1.0, 2.5):
+            for g in (4, 3):
+                for (plan,) in quadrature._inner_plans(f, [[center], [center]], spec, g):
+                    for arr in (plan.offsets, plan.weights, plan.core):
+                        digest.update(arr.tobytes())
+    return f"plans offsets+weights+core={digest.hexdigest()}"
+
+
 def main() -> int:
     from flagint import cli
 
@@ -181,6 +201,7 @@ def main() -> int:
         print(_help_line(f"help-{sub}", [sub, "--help"]))
     print(_apply_pool_line())
     print(_payload_line())
+    print(_plans_line())
     return 0
 
 
