@@ -307,8 +307,10 @@ class QuadratureSpec:
     inner_cutoff is a dyadic exponent: the smallest resolved distance from
     the singular coordinate is 2^inner_cutoff times the support side of the
     axis, and everything inside it is bounded analytically. The grading is
-    built in offsets from the point, so that distance holds at every
-    allowed cutoff, far below the spacing of floats near the point.
+    built in offsets from the point, so that distance holds far below the
+    spacing of floats near the point. A grid pass whose kernel overflows
+    at the nodes nearest the point (their squared distance underflows
+    below about 2^-537) raises UsageError.
 
     samples is the Monte Carlo budget of one inner integral. Each stratum
     takes max(2, samples // strata) samples, so a query with many strata
@@ -671,13 +673,9 @@ def _join_run(f: TestFunction, i: int, plans: Sequence[_AxisPlan]) -> _Run:
     stable sort by (outer coordinate, slot) the nodes of a column are
     neighbours, in the same order whatever else the run holds.
     """
-    if len(plans) == 1:
-        (p,) = plans
-        nodes, offsets, weights, core, owner = p.nodes, p.offsets, p.weights, p.core, 0
-    else:
-        nodes, offsets, weights, core = (np.concatenate([getattr(p, name) for p in plans])
-                                         for name in ("nodes", "offsets", "weights", "core"))
-        owner = np.repeat(np.arange(len(plans)), [len(p.nodes) for p in plans])
+    nodes, offsets, weights, core = (np.concatenate([getattr(p, name) for p in plans])
+                                     for name in ("nodes", "offsets", "weights", "core"))
+    owner = np.repeat(np.arange(len(plans)), [len(p.nodes) for p in plans])
     factor, slots = f.axis_factor(i, nodes)
     # the sort key: outer index, then slot (slot -1 is the last slot, as for
     # the cell payload's gather)
@@ -818,6 +816,11 @@ def _grid_conv_values(
     for block in itertools.product(*runs):
         values[tuple(slice(r.outer.start, r.outer.stop) for r in block)] = _block_values(
             kernel, f.payload_table, block)
+    if not np.isfinite(values).all():
+        raise UsageError(
+            f"the kernel overflows on the grid at inner_cutoff 2^{spec.inner_cutoff}; "
+            "use monte-carlo or a coarser cutoff"
+        )
     return values, core_u, core_v
 
 
@@ -860,7 +863,9 @@ def _mc_conv_value(
     def per_stratum_rows(per_axis: List[np.ndarray]) -> np.ndarray:
         return np.stack([a.ravel() for a in np.meshgrid(*per_axis, indexing="ij")], axis=1)
 
-    breaks = _merge_axis_cells([p.breaks for p in plans], MAX_MC_STRATA)
+    # in coordinates the cells nearer the point than the spacing of floats
+    # there have no width; they are no strata
+    breaks = _merge_axis_cells([np.unique(p.breaks) for p in plans], MAX_MC_STRATA)
     los = per_stratum_rows([b[:-1] for b in breaks])
     sides = per_stratum_rows([np.diff(b) for b in breaks])
     n_strata = len(los)

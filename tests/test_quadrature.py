@@ -802,6 +802,57 @@ def test_deeper_cutoffs_resolve_the_bump_within_the_core_bound():
     assert 0.0 < core56 and abs(v80 - v56) <= core56
 
 
+@pytest.mark.parametrize("n, m, cutoff, refused", [
+    (0, 0, -500, None),
+    (0, 0, -1060, "overflows"),
+    (1, 1, -500, None),
+    (1, 1, -600, "overflows"),
+    (1, 1, -1060, "would need"),
+    (1, 2, -1060, "would need"),
+    (2, 1, -1060, "would need"),
+])
+def test_deep_cutoffs_give_finite_values_or_refuse(n, m, cutoff, refused):
+    # the non-core nodes nearest the point lie about 2^cutoff from it; below
+    # about 2^-537 their squared distance underflows and the kernel is inf
+    # there, which the grid refuses rather than return inf or nan (n = 0:
+    # the riesz kernel in one variable)
+    spec = QuadratureSpec(inner_cutoff=cutoff)
+    if n == 0:
+        def run():
+            return apply_riesz_1d(F(1, 2), smooth_bump(1, 0), 0.3, spec), 0.0
+    else:
+        cfg = ExponentConfig(n=n, m=m, alpha=F(n, 2), beta=F(m, 2), rho=F(2))
+        pt = point_pair([0.3] * n, [0.3] * m)
+
+        def run():
+            return apply_operator(cfg, smooth_bump(n, m), pt, spec)
+    if refused is None:
+        value, err = run()
+        assert value > 0.0 and math.isfinite(value) and math.isfinite(err)
+    else:
+        with pytest.raises(UsageError, match=refused):
+            run()
+
+
+def test_monte_carlo_strata_have_width_at_deep_cutoffs(monkeypatch):
+    # at 2^-80 the cells nearest the point have no width in coordinates, and
+    # no stratum is made of them
+    merge, merged = quadrature._merge_axis_cells, []
+
+    def record(breaks, cap):
+        out = merge(breaks, cap)
+        merged.extend(out)
+        return out
+
+    monkeypatch.setattr(quadrature, "_merge_axis_cells", record)
+    spec = QuadratureSpec(method="monte-carlo", inner_cutoff=-80, samples=2)
+    value, err, _, _ = quadrature._mc_conv_value(
+        flag_kernel(_cfg()), smooth_bump(1, 1), np.array([0.5, 0.25]), spec, (0,))
+    assert len(merged) == 2 and math.isfinite(value) and math.isfinite(err)
+    for b in merged:
+        assert (np.diff(b) > 0.0).all()
+
+
 def _mirrored_cells(cuts):
     # the cells [a, b] above the point whose mirror [-b, -a] is a cell too
     cells = set(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
