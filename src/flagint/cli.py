@@ -275,22 +275,28 @@ def _rational_list(value, name: str) -> List[Fraction]:
     return [as_rational(t, name) for t in _list_tokens(value, name)]
 
 
+def _box_pair(pair) -> Tuple[float, float]:
+    """(lo, hi) from a list of two numbers or numeric strings; true and false are no numbers."""
+    if not isinstance(pair, (list, tuple)) or any(isinstance(c, bool) for c in pair):
+        raise TypeError(f"not a pair of numbers: {pair!r}")
+    lo, hi = pair
+    return float(lo), float(hi)
+
+
 def _parse_box(value, dim: int, name: str = "box"):
+    """Per-axis (lo, hi) from "lo:hi" pairs, comma separated, or a JSON array of pairs."""
     if value is None:
         return tuple((-1.0, 1.0) for _ in range(dim))
     if isinstance(value, str):
-        pairs = [t.strip() for t in value.split(",") if t.strip()]
-        try:
-            box = tuple(
-                (float(lo), float(hi))
-                for lo, hi in (pair.split(":") for pair in pairs)
-            )
-        except ValueError as exc:
-            raise UsageError(f"bad {name}: expected lo:hi pairs, got {value!r}") from exc
+        pairs = [t.split(":") for t in value.split(",") if t.strip()]
     elif isinstance(value, (list, tuple)):
-        box = tuple((float(lo), float(hi)) for lo, hi in value)
+        pairs = value
     else:
         raise UsageError(f"{name!r} must be a comma string or a JSON array")
+    try:
+        box = tuple(_box_pair(pair) for pair in pairs)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {name}: expected lo:hi pairs, got {value!r}") from exc
     if len(box) != dim:
         raise UsageError(f"{name!r} needs {dim} axes, got {len(box)}")
     return box
@@ -448,9 +454,12 @@ def _run_apply(merged: Dict, spec: QuadratureSpec):
 
 def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
     n, m = int(merged["n"]), int(merged["m"])
-    if merged.get("atom_json"):
+    path = merged.get("atom_json")
+    if path is not None and not isinstance(path, str):
+        raise UsageError(f"'atom_json' must be a path string, got {json.dumps(path)}")
+    if path:
         try:
-            with open(merged["atom_json"], "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 atom = atom_from_json(fh.read())
         except OSError as exc:
             raise UsageError(f"cannot read atom file: {exc}") from exc

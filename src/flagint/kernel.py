@@ -75,14 +75,14 @@ class Kernel:
             return su * (sn ** self.rho + tn) ** (self.v_power - self.m)
         return su * tn ** (self.v_power - self.m)
 
-    def split_offsets(self, diffs: Sequence[np.ndarray], *,
-                      out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def split_offsets(self, diffs: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
         """The kernel at offsets pt - z (one broadcastable array per axis) as (u, rest).
 
         The kernel is their product, up to rounding. u = |u|^(u_power - n)
-        varies along the u axes only; rest is the remainder, formed in out
+        varies along the u axes only; rest is the remainder, a new array
         over the whole tensor (1 for the riesz kernel, which has no other).
         """
+        out = np.empty(np.broadcast_shapes(*(np.shape(d) for d in diffs)))
         sn = _norm(diffs[: self.n])
         if self.kind == "riesz":
             out.fill(1.0)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -32,6 +31,11 @@ Bounds = Tuple[Tuple[float, float], ...]
 # beyond it the cost is exponential and Monte Carlo is required.
 MAX_GRID_DIMENSION = 4
 
+# Largest Gauss-Legendre order a spec may ask for. leggauss(g) forms a g x g
+# matrix before any other check (a 32 MB peak at g = 2000); the orders in use
+# are 4 to 12.
+MAX_POINTS_PER_AXIS = 64
+
 # Hard cap on the inner tensor columns of one outer node (its nodes, mirrored
 # ones folded), to fail loudly instead of swapping.
 MAX_GRID_NODES = 12_000_000
@@ -39,12 +43,6 @@ MAX_GRID_NODES = 12_000_000
 # Inner tensor columns evaluated together when a pass batches outer nodes, and
 # Monte Carlo samples drawn together (at least one stratum's worth).
 _BLOCK_NODES = 2 ** 14
-
-# Largest block tensor whose kernel a thread forms in the memory it keeps
-# (one float64 tensor, 8 MB at this size). An interior apply query's inner
-# tensor has 172 x 168 columns at cutoff 2^-40; a larger block allocates its
-# own tensor.
-_WORKSPACE_NODES = 2 ** 20
 
 # Monte Carlo strata are merged (pairwise, per axis) down to this count.
 MAX_MC_STRATA = 65_536
@@ -329,8 +327,8 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.method not in ("grid", "monte-carlo"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.points_per_axis < 4:
-            raise ValueError("points_per_axis must be >= 4")
+        if not (4 <= self.points_per_axis <= MAX_POINTS_PER_AXIS):
+            raise ValueError(f"points_per_axis must lie in [4, {MAX_POINTS_PER_AXIS}]")
         if self.samples <= 0:
             raise ValueError("samples must be positive")
         if not (0 <= self.seed < 2 ** 64):
@@ -729,36 +727,12 @@ def _block_runs(f: TestFunction, plans: List[List[_AxisPlan]]) -> List[List[_Run
     return out
 
 
-class _Workspace(threading.local):
-    """One thread's float64 buffer, in which each block forms its kernel tensor.
-
-    It grows to the largest block its thread has run, up to
-    _WORKSPACE_NODES. Memory reused is not faulted in again, as a fresh
-    full-size array is on every pass once the allocator has handed it back
-    to the system.
-    """
-
-    def __init__(self) -> None:
-        self.held = np.empty(0)
-
-    def tensor(self, shape: Tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        if size > _WORKSPACE_NODES:
-            return np.empty(shape)
-        if self.held.size < size:
-            self.held = np.empty(size)
-        return self.held[:size].reshape(shape)
-
-
-_WORKSPACE = _Workspace()
-
-
 def _block_values(kernel: Kernel, table: np.ndarray, block: Sequence[_Run]) -> np.ndarray:
     """The inner values of a block's outer nodes, in the shape of their tensor.
 
     Only the kernel couples the axes; weights and payload factors are per
-    axis. So the kernel tensor over the runs' columns, formed in the
-    thread's workspace, is contracted axis by axis, the last first:
+    axis. So the kernel tensor over the runs' columns, the one array of the
+    block's full size, is contracted axis by axis, the last first:
     multiplied by the axis's scale and summed over each group. Its factor of
     |u| alone is applied with the scale of the last u axis, once the v axes
     are summed. The groups of an excluded core are then set to 0 by
@@ -767,12 +741,10 @@ def _block_values(kernel: Kernel, table: np.ndarray, block: Sequence[_Run]) -> n
     summed, again axis by axis. Every sum runs over the columns or groups of
     one outer node, so the values do not depend on the blocking.
     """
-    shape = tuple(len(r.offsets) for r in block)
     scales = _axis_views([r.scale for r in block])
     cores = _axis_views([r.core for r in block])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u, t = kernel.split_offsets(_axis_views([r.offsets for r in block]),
-                                    out=_WORKSPACE.tensor(shape))
+        u, t = kernel.split_offsets(_axis_views([r.offsets for r in block]))
         for i in reversed(range(len(block))):
             t *= u * scales[i] if i == kernel.n - 1 else scales[i]
             t = np.add.reduceat(t, block[i].starts, axis=i)
@@ -783,6 +755,13 @@ def _block_values(kernel: Kernel, table: np.ndarray, block: Sequence[_Run]) -> n
     for i, r in enumerate(block):
         t = np.add.reduceat(t, r.owners, axis=i)
     return t
+
+
+def _require_grid_dimension(f: TestFunction) -> None:
+    if f.dim > MAX_GRID_DIMENSION:
+        raise UsageError(
+            f"grid quadrature supports n+m <= {MAX_GRID_DIMENSION}; use monte-carlo"
+        )
 
 
 def _grid_conv_values(
@@ -803,10 +782,7 @@ def _grid_conv_values(
     over their joined plans, contracted at once (_block_values); a pass over
     one outer node is a block of one.
     """
-    if f.dim > MAX_GRID_DIMENSION:
-        raise UsageError(
-            f"grid quadrature supports n+m <= {MAX_GRID_DIMENSION}; use monte-carlo"
-        )
+    _require_grid_dimension(f)
     plans = _inner_plans(f, outer_axes, spec, g)
     runs = _block_runs(f, plans)
     shape = tuple(len(axis) for axis in plans)
@@ -1088,8 +1064,10 @@ def _lq_mass_grid(
 
     An inner value does not depend on the outer nodes it is computed with,
     so each box reads its own part of the product's tensors in C order, and
-    its three sums are those of a pass over that box alone.
+    its three sums are those of a pass over that box alone. The dimension is
+    checked first, before the outer rule's weight tensor is formed.
     """
+    _require_grid_dimension(f)
     g = spec.points_per_axis
     boxes = region.signed_boxes()
     masses = []

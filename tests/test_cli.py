@@ -13,10 +13,11 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from flagint import cli
+from flagint import cli, quadrature
 from flagint.atoms import atom_to_json, signum_atom_at_scale
 
 
@@ -206,6 +207,31 @@ def test_config_file_rejects_a_number_flag_of_the_wrong_type(
     assert err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("experiment, doc, message", [
+    ("apply", {"box": [1, 2]}, "bad box: expected lo:hi pairs, got [1, 2]"),
+    ("apply", {"box": [[0, None], [0, 1]]},
+     "bad box: expected lo:hi pairs, got [[0, None], [0, 1]]"),
+    ("apply", {"box": [[0, 1, 2], [0, 1]]},
+     "bad box: expected lo:hi pairs, got [[0, 1, 2], [0, 1]]"),
+    ("atom-validate", {"atom_json": True}, "'atom_json' must be a path string, got true"),
+    ("atom-validate", {"atom_json": 0}, "'atom_json' must be a path string, got 0"),
+    ("atom-validate", {"atom_json": ["a.json"]},
+     "'atom_json' must be a path string, got [\"a.json\"]"),
+], ids=["box-flat", "box-null", "box-triple", "atom-json-true", "atom-json-0",
+        "atom-json-list"])
+def test_config_file_rejects_a_box_or_atom_path_of_the_wrong_type(
+        tmp_path, capsys, experiment, doc, message):
+    # open(True) would read and close stdout, and a falsy 0 would pick the
+    # signum atom in place of a file
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"x": "3", "y": "3", **doc} if experiment == "apply" else doc))
+    status, out, err = run_cli(capsys, experiment, "--config", str(cfg), "--out", str(tmp_path))
+    assert status == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_config_file_keeps_numeric_strings_floats_and_default_nulls(tmp_path, capsys):
     # jobs defaults to null, and L has no default under apply
     cfg = tmp_path / "run.json"
@@ -301,6 +327,21 @@ def test_a_flag_value_of_zero_is_that_value(tmp_path, capsys, argv, status):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_points_per_axis_beyond_the_cap_is_refused_before_any_rule(tmp_path, capsys):
+    # leggauss(100000) alone would form an 80 GB matrix
+    tracemalloc.start()
+    try:
+        status, out, err = run_cli(capsys, "apply", "--x", "3", "--y", "3",
+                                   "--points-per-axis", "100000", "--out", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    assert out == ""
+    assert err == f"error: points_per_axis must lie in [4, {quadrature.MAX_POINTS_PER_AXIS}]\n"
+    assert peak < 2 ** 20, peak
+
+
 # ---------------------------------------------------------------------------
 # apply
 
@@ -356,6 +397,35 @@ def test_apply_exterior_point_passes(tmp_path, capsys):
     assert "UNRESOLVED" not in out
     csv_text, _ = read_artifacts(tmp_path, "apply")
     assert ",apply,\r\n" in csv_text
+
+
+def test_apply_box_string_reads_as_the_same_json_pairs(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"box": [[0, 1], [-0.5, 0.5]]}))
+    query = ("apply", "--x", "3", "--y", "0.25")
+    status, want, _ = run_cli(capsys, *query, "--config", str(cfg),
+                              "--out", str(tmp_path / "json"))
+    assert status == 0
+    status, out, _ = run_cli(capsys, *query, "--box", "0:1, -0.5:0.5",
+                             "--out", str(tmp_path / "flag"))
+    assert status == 0
+    assert out == want
+    assert out.startswith("operator value ")
+
+
+@pytest.mark.parametrize("box, message", [
+    ("0:1", "'box' needs 2 axes, got 1"),
+    ("0:1,0:1,0:1", "'box' needs 2 axes, got 3"),
+    ("0:1:2,0:1", "bad box: expected lo:hi pairs, got '0:1:2,0:1'"),
+    ("0-1,0:1", "bad box: expected lo:hi pairs, got '0-1,0:1'"),
+    ("0:a,0:1", "bad box: expected lo:hi pairs, got '0:a,0:1'"),
+], ids=["one-axis", "three-axes", "triple", "no-colon", "not-a-number"])
+def test_apply_box_string_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys, box, message):
+    status, out, err = run_cli(capsys, "apply", "--x", "3", "--y", "3", "--box", box,
+                               "--out", str(tmp_path))
+    assert status == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ from flagint import (
     Window,
     apply_operator,
     apply_riesz_1d,
+    centered_window,
     derive_ab,
+    heisenberg_map,
     indicator_box,
     kernel_eval,
     lp_norm,
@@ -363,6 +365,8 @@ def test_dilate_tracks_both_axes():
         {"inner_cutoff": 0},
         {"inner_cutoff": -2000},
         {"target_rel_error": 0.0},
+        # leggauss(g) forms a g x g matrix, so the order is capped
+        {"points_per_axis": quadrature.MAX_POINTS_PER_AXIS + 1},
     ],
 )
 def test_quadrature_spec_validation(kwargs):
@@ -972,16 +976,6 @@ def test_grid_pass_keeps_a_block_with_one_live_node(monkeypatch):
         _assert_within_rounding(got, want, scale)
 
 
-def _one_node_payload(f, pt, spec, g):
-    # the payload on the inner tensor of one outer node with the u core
-    # nodes last, and the number of nodes before them
-    plans = [axis[0] for axis in quadrature._inner_plans(f, [[x] for x in pt], spec, g)]
-    core_last = np.argsort(plans[0].core, kind="stable")
-    fvals = f.evaluate(_tensor_points([plans[0].nodes[core_last]] + [p.nodes for p in plans[1:]]))
-    rows = fvals.size // len(core_last)
-    return fvals, fvals.size - int(np.count_nonzero(plans[0].core)) * rows
-
-
 def test_one_node_pass_with_a_payload_that_underflows_to_zero_matches_the_reference(
         monkeypatch):
     # the cell [-1, -0.99] that the grading toward u = 0.01 leaves at the
@@ -1010,7 +1004,6 @@ def test_one_node_pass_with_a_payload_that_underflows_to_zero_matches_the_refere
 
 
 def test_apply_queries_in_two_threads_match_their_serial_values():
-    # each thread forms its passes in its own workspace
     cfg = _cfg()
     f = smooth_bump(1, 1)
     spec = QuadratureSpec(inner_cutoff=-40)
@@ -1037,32 +1030,6 @@ def test_apply_queries_in_two_threads_match_their_serial_values():
     assert not any(t.is_alive() for t in threads)
     for i, values in enumerate(got):
         assert values == [want[i]] * 50, i
-
-
-def test_apply_query_allocates_less_than_half_an_inner_tensor(inner_tensor_sizes):
-    # after a warm-up query with a tensor at least as large, a query whose
-    # live terms are a prefix forms its passes in memory the thread holds
-    # and sums them without a masked copy, which would take nearly one
-    # tensor's float64 bytes; half of them bounds what the query allocates
-    cfg = _cfg()
-    f = smooth_bump(1, 1)
-    spec = QuadratureSpec(inner_cutoff=-40)
-    g = spec.points_per_axis
-    warm, pt = np.array([0.01, 0.3]), np.array([0.5, 0.25])
-    size = int(inner_tensor_sizes(f, [[x] for x in pt], spec, g).item())
-    assert size <= int(inner_tensor_sizes(f, [[x] for x in warm], spec, g).item())
-    for order in (g, g - 1):
-        fvals, prefix = _one_node_payload(f, pt, spec, order)
-        assert prefix < fvals.size and np.count_nonzero(fvals[:prefix]) == prefix
-    apply_operator(cfg, f, point_pair(*warm), spec)
-    tracemalloc.start()
-    try:
-        value, err = apply_operator(cfg, f, point_pair(*pt), spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert type(value) is float and type(err) is float
-    assert peak < 4 * size, (peak, size)
 
 
 # lp_norm contracts the outer rule axis by axis, and the reference sums its
@@ -1387,6 +1354,29 @@ def test_max_grid_nodes_does_not_cap_a_batch(grid_spec, inner_tensor_sizes, monk
     want = lq_mass(cfg, f, shell, 2, grid_spec)
     monkeypatch.setattr(quadrature, "MAX_GRID_NODES", largest)
     assert lq_mass(cfg, f, shell, 2, grid_spec) == want
+
+
+@pytest.mark.parametrize("entry", ["apply_operator", "lq_mass"])
+def test_grid_refuses_more_than_max_grid_dimension_before_forming_a_rule(entry):
+    # heisenberg_map(2, ...) has n + m = 5; over the bump's default window
+    # (twice its support) the outer rule would have 40 nodes per axis, a
+    # weight tensor of 40^5 float64 (819 MB), so the refusal comes first
+    cfg = heisenberg_map(2, F(1, 2), F(1, 2))
+    f = smooth_bump(cfg.n, cfg.m)
+    window = centered_window(cfg.n, cfg.m, 2.0, 2.0)
+    spec = QuadratureSpec()
+    assert f.dim > quadrature.MAX_GRID_DIMENSION
+    assert [len(p.nodes) for p in quadrature._outer_plans(window.box, f, 4)] == [40] * 5
+    run = {"apply_operator": lambda: apply_operator(cfg, f, point_pair([0.5] * 4, 0.25), spec),
+           "lq_mass": lambda: lq_mass(cfg, f, window, 2, spec)}[entry]
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="use monte-carlo"):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------

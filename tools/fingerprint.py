@@ -6,7 +6,7 @@ Run it once in a checkout of the parent commit and once in the change, each
 with that checkout's `src` on PYTHONPATH, and `diff` the two outputs: an
 empty diff means every case below gave the same bytes.
 
-Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, twelve
+Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, fourteen
 larger CLI runs, `--help` of the program and of every subcommand, and the
 900-point apply pool of `bench/reference.json` (read, never written), one
 line for payloads moved by translate, dilate and scale_values, and one for
@@ -80,6 +80,9 @@ _LARGER = (
     # a payload whose outer plans split wide cells, on every shell and the gap
     ("shells-bump", ["shells", "--payload", "bump", "--jobs", "2"]),
     ("apply-random-atom", ["apply", "--payload", "random-atom", "--x", "2", "--y", "3"]),
+    # an indicator box given as a --box string, at a point inside it
+    ("apply-box", ["apply", "--box", "0.25:1, -0.5:0.75", "--x", "0.5", "--y", "0.25",
+                   "--inner-cutoff", "-40"]),
 )
 
 # the apply-points client of the benchmark (bench/child.py)
