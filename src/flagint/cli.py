@@ -199,7 +199,9 @@ def _load_config_file(path: str, experiment: str) -> Dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    types = {key: opts.get("type") for key, opts in _COMMON_FLAGS + _EXPERIMENT_FLAGS[experiment][1]}
+    flags = _COMMON_FLAGS + _EXPERIMENT_FLAGS[experiment][1]
+    types = {key: opts.get("type") for key, opts in flags}
+    choices = {key: opts["choices"] for key, opts in flags if "choices" in opts}
     defaults = {**_COMMON_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment]}
     for key, value in data.items():
         if key not in types and key != "experiment":
@@ -212,6 +214,13 @@ def _load_config_file(path: str, experiment: str) -> Dict:
                 isinstance(value, (bool, list, dict))
                 or value is None and defaults.get(key) is not None):
             raise UsageError(f"config key {key!r} must be a number, got {json.dumps(value)}")
+        # a choice flag takes one of its choices, and null where that is the default
+        if key in choices and value not in choices[key] and (
+                value is not None or defaults.get(key) is not None):
+            raise UsageError(
+                f"config key {key!r} must be one of {', '.join(choices[key])}, "
+                f"got {json.dumps(value)}"
+            )
     declared = data.get("experiment")
     if declared is not None and declared != experiment:
         raise UsageError(
@@ -591,21 +600,11 @@ def _run_frontier(merged: Dict, spec: QuadratureSpec):
 def _run_hls(merged: Dict, spec: QuadratureSpec):
     cfg = _exponent_config(merged, need_p=True, need_q=True)
     f = _payload_for(merged, cfg.n, cfg.m)
-    report = hls_iteration_check(cfg, f, spec)
-    row = {
-        "left": report.left, "left_err": report.left_err,
-        "right": report.right, "right_err": report.right_err,
-        "a": report.a, "b": report.b,
-        "value": report.gap, "err": report.left_err + report.right_err,
-        "label": "DOMINATED" if report.ok else "VIOLATION", "case": "",
-    }
-    result = _one_row("hls", row, spec)
-    result.metadata["report"] = report.as_dict()
-    summary = (
-        f"hls: left {report.left!r} <= right {report.right!r} "
-        f"({'PASS' if report.ok else 'FAIL'})"
-    )
-    return result, summary, 0 if report.ok else 2
+    result = hls_iteration_check(cfg, f, spec, jobs=_jobs(merged))
+    row = result.rows[0]
+    ok = row["label"] == "DOMINATED"
+    summary = f"hls: left {row['left']!r} <= right {row['right']!r} ({'PASS' if ok else 'FAIL'})"
+    return result, summary, 0 if ok else 2
 
 
 _RUNNERS = {

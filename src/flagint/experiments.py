@@ -808,33 +808,12 @@ def frontier_map(
 # product-kernel domination
 
 
-@dataclass(frozen=True)
-class HlsReport:
-    """Both sides of the domination inequality |I f|_q <= |P * f|_q."""
-
-    left: float
-    left_err: float
-    right: float
-    right_err: float
-    a: Fraction
-    b: Fraction
-    ok: bool
-
-    @property
-    def gap(self) -> float:
-        return self.right - self.left
-
-    def as_dict(self) -> Dict:
-        return {
-            "left": self.left,
-            "left_err": self.left_err,
-            "right": self.right,
-            "right_err": self.right_err,
-            "a": str(self.a),
-            "b": str(self.b),
-            "ok": self.ok,
-            "gap": self.gap,
-        }
+def _hls_side(task) -> Tuple[float, float]:
+    """|I f|_q^q over the window: flag kernel, or the product kernel of the pair ab."""
+    cfg, ab, f, window, spec = task
+    if ab is None:
+        return lq_mass(cfg, f, window, cfg.q, spec)
+    return lq_mass_dominating(cfg, ab, f, window, cfg.q, spec)
 
 
 def hls_iteration_check(
@@ -842,12 +821,14 @@ def hls_iteration_check(
     f: TestFunction,
     spec: QuadratureSpec,
     window: Optional[Window] = None,
-) -> HlsReport:
+    jobs: int = 1,
+) -> ScanResult:
     """Check that the flag kernel's image is dominated by the product kernel's.
 
     The flag kernel is bounded pointwise by |x|^{a-n}|y|^{b-m} with (a, b)
     the derived pair, so for f >= 0 the q-norms over any window are ordered.
-    Both numbers are reported with their quadrature errors.
+    Both numbers are reported with their quadrature errors, in one row whose
+    value is right - left.
     """
     if not check_formula_one(cfg):
         raise PreconditionError("hls_iteration_check needs a Formula-One configuration")
@@ -858,13 +839,22 @@ def hls_iteration_check(
     ab = derive_ab(cfg)
     if window is None:
         window = _default_window(cfg, f)
-    q = float(cfg.q)
-    left_mass, left_mass_err = lq_mass(cfg, f, window, cfg.q, spec)
-    right_mass, right_mass_err = lq_mass_dominating(cfg, ab, f, window, cfg.q, spec)
-    left, left_err = _norm_from_mass(left_mass, left_mass_err, q)
-    right, right_err = _norm_from_mass(right_mass, right_mass_err, q)
+    t0 = time.perf_counter()
+    masses = _run_rows(_hls_side, [(cfg, None, f, window, spec), (cfg, ab, f, window, spec)],
+                       jobs)
+    (left, left_err), (right, right_err) = (_norm_from_mass(*m, float(cfg.q)) for m in masses)
     ok = left <= right + left_err + right_err
-    return HlsReport(
-        left=left, left_err=left_err, right=right, right_err=right_err,
-        a=ab.a, b=ab.b, ok=ok,
+    row = {
+        "left": left, "left_err": left_err, "right": right, "right_err": right_err,
+        "a": ab.a, "b": ab.b, "value": right - left, "err": left_err + right_err,
+        "label": "DOMINATED" if ok else "VIOLATION", "case": "",
+    }
+    report = {k: row[k] for k in ("left", "left_err", "right", "right_err")}
+    report.update(a=str(ab.a), b=str(ab.b), ok=ok, gap=right - left)
+    return ScanResult(
+        experiment="hls",
+        columns=tuple(row),
+        rows=[row],
+        metadata={"seed": spec.seed, "report": report},
+        wall_time_s=time.perf_counter() - t0,
     )

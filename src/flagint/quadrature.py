@@ -199,8 +199,9 @@ class TestFunction:
         return edges, table
 
     def _slots(self, axis: int, z: np.ndarray) -> np.ndarray:
-        # slot -1 is the last slot, as the "wrap" mode of np.take reads it
-        return np.searchsorted(self._cell_table[0][axis], z, side="right") - 1
+        # nodes below the first edge wrap to the last slot, with those above and NaN
+        edges = self._cell_table[0][axis]
+        return (np.searchsorted(edges, z, side="right") - 1) % len(edges)
 
     def _moved(self, move: Callable[[int, float], float],
                radius: Tuple[float, ...]) -> "TestFunction":
@@ -675,10 +676,9 @@ def _join_run(f: TestFunction, i: int, plans: Sequence[_AxisPlan]) -> _Run:
                                      for name in ("nodes", "offsets", "weights", "core"))
     owner = np.repeat(np.arange(len(plans)), [len(p.nodes) for p in plans])
     factor, slots = f.axis_factor(i, nodes)
-    # the sort key: outer index, then slot (slot -1 is the last slot, as for
-    # the cell payload's gather)
+    # the sort key: outer index, then slot
     size = f.payload_table.shape[i]
-    key = owner * size + slots % size
+    key = owner * size + slots
     order = np.argsort(key, kind="stable")
     key, offsets, core = key[order], offsets[order], core[order]
     # a group starts where the key or the core flag changes, a column also
@@ -1180,10 +1180,8 @@ def lp_norm(
         mass = np.abs(f.payload_table) ** pf
         for i, plan in enumerate(_outer_plans(f.support, f, g)):
             factor, slots = f.axis_factor(i, plan.nodes)
-            size = mass.shape[0]
-            # slot -1 is the last slot, as for the cell payload's gather
-            per_slot = np.bincount(slots % size, weights=plan.weights * np.abs(factor) ** pf,
-                                   minlength=size)
+            per_slot = np.bincount(slots, weights=plan.weights * np.abs(factor) ** pf,
+                                   minlength=mass.shape[0])
             mass = np.tensordot(per_slot, mass, axes=1)
         return float(mass)
 

@@ -232,6 +232,39 @@ def test_config_file_rejects_a_box_or_atom_path_of_the_wrong_type(
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("experiment, doc, message", [
+    ("atom-validate", {"atom": "signun"},
+     'config key \'atom\' must be one of signum, random, got "signun"'),
+    ("atom-validate", {"atom": 3}, "config key 'atom' must be one of signum, random, got 3"),
+    ("atom-validate", {"normalization": "loose"},
+     'config key \'normalization\' must be one of strict, relaxed, got "loose"'),
+    ("kernel", {"x": "2", "y": "3", "method": "mc"},
+     'config key \'method\' must be one of grid, monte-carlo, got "mc"'),
+    # signum is a payload of shells and apply, not of dilate
+    ("dilate", {"payload": "signum"},
+     'config key \'payload\' must be one of bump, indicator, got "signum"'),
+], ids=["atom-typo", "atom-number", "normalization", "method", "payload-of-another"])
+def test_config_file_rejects_a_value_outside_its_choices(
+        tmp_path, capsys, experiment, doc, message):
+    # argparse checks the choices of a flag, not of a config-file value
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    status, out, err = run_cli(capsys, experiment, "--config", str(cfg), "--out", str(tmp_path))
+    assert status == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_file_keeps_a_null_choice_where_the_default_is_null(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"normalization": None}))
+    status, out, _ = run_cli(capsys, "atom-validate", "--config", str(cfg),
+                             "--out", str(tmp_path))
+    assert status == 0
+    assert out.startswith("atom VALID")
+
+
 def test_config_file_keeps_numeric_strings_floats_and_default_nulls(tmp_path, capsys):
     # jobs defaults to null, and L has no default under apply
     cfg = tmp_path / "run.json"

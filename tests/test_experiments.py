@@ -330,13 +330,22 @@ def test_frontier_map_small_grid(grid_spec):
 
 def test_hls_iteration_check_passes(grid_spec):
     cfg = _scan_cfg()
-    report = hls_iteration_check(cfg, _payload(), grid_spec)
-    assert report.ok
-    assert report.left <= report.right + report.left_err + report.right_err
-    assert report.a == F(1, 2) and report.b == F(1, 2)
-    assert math.isclose(report.gap, report.right - report.left, rel_tol=1e-15)
-    doc = report.as_dict()
+    result = hls_iteration_check(cfg, _payload(), grid_spec)
+    (row,) = result.rows
+    assert row["label"] == "DOMINATED"
+    assert row["left"] <= row["right"] + row["left_err"] + row["right_err"]
+    assert row["a"] == F(1, 2) and row["b"] == F(1, 2)
+    assert math.isclose(row["value"], row["right"] - row["left"], rel_tol=1e-15)
+    doc = result.metadata["report"]
     assert doc["a"] == "1/2" and doc["ok"] is True
+
+
+def test_hls_pool_rows_match_the_in_process_rows(grid_spec):
+    # the flag-kernel and dominating-kernel norms are two tasks of one pool
+    serial, pooled = (hls_iteration_check(_scan_cfg(), _payload(), grid_spec, jobs=jobs)
+                      for jobs in (1, 2))
+    assert serial.to_csv_text() == pooled.to_csv_text()
+    assert serial.metadata == pooled.metadata
 
 
 def test_hls_rejects_unsuitable_inputs(grid_spec):

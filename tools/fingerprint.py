@@ -6,7 +6,7 @@ Run it once in a checkout of the parent commit and once in the change, each
 with that checkout's `src` on PYTHONPATH, and `diff` the two outputs: an
 empty diff means every case below gave the same bytes.
 
-Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, fourteen
+Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, fifteen
 larger CLI runs, `--help` of the program and of every subcommand, and the
 900-point apply pool of `bench/reference.json` (read, never written), one
 line for payloads moved by translate, dilate and scale_values, and one for
@@ -65,6 +65,8 @@ _LARGER = (
     ("frontier-2x2", ["frontier", "--alphas", "1/2,9/10", "--betas", "3/10,1/2",
                       "--jobs", "2"]),
     ("hls-bump", ["hls", "--payload", "bump"]),
+    # the two q-norms of hls in the main process; at the default --jobs they are pool rows
+    ("hls-jobs1", ["hls", "--jobs", "1"]),
     # a resolved bump query whose u core is excluded, and an n = 2 query
     ("apply-bump-core", ["apply", "--x", "0.5", "--y", "0.25", "--inner-cutoff", "-40",
                          "--payload", "bump"]),
