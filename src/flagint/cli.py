@@ -331,14 +331,18 @@ def _exponent_config(merged: Dict, need_p: bool = False, need_q: bool = False) -
 
 
 def _quadrature_spec(merged: Dict) -> QuadratureSpec:
-    return QuadratureSpec(
-        method=str(merged["method"]),
-        points_per_axis=int(merged["points_per_axis"]),
-        samples=int(merged["samples"]),
-        seed=int(merged["seed"]),
-        inner_cutoff=int(merged["inner_cutoff"]),
-        target_rel_error=float(merged["target_rel_error"]),
-    )
+    try:
+        return QuadratureSpec(
+            method=str(merged["method"]),
+            points_per_axis=int(merged["points_per_axis"]),
+            samples=int(merged["samples"]),
+            seed=int(merged["seed"]),
+            inner_cutoff=int(merged["inner_cutoff"]),
+            target_rel_error=float(merged["target_rel_error"]),
+        )
+    except ValueError as exc:
+        # a setting the spec refuses is a bad flag or config value
+        raise UsageError(str(exc)) from exc
 
 
 def _jobs(merged: Dict) -> int:

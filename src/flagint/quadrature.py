@@ -49,11 +49,11 @@ MAX_MC_STRATA = 65_536
 
 _RELATIVE_FLOOR = 1e-300
 
-# Axis plans kept by _axis_plan, and breakpoint sets by _axis_breaks. One
-# grid pass requests each inner plan once per outer coordinate and axis;
-# plans recur across lq_mass calls whose boxes share a factor interval, as
-# consecutive dyadic shells do, so the cache must hold the plans of a few
-# neighbouring boxes.
+# Axis plans kept by _axis_plan: only those of the outer rules and of the
+# Monte Carlo strata. Breakpoint sets kept by _axis_breaks: also one per
+# outer coordinate and axis of each inner pass. Both recur across lq_mass
+# calls whose boxes share a factor interval, as consecutive dyadic shells do,
+# so each cache must hold the sets of a few neighbouring boxes.
 _AXIS_PLAN_CACHE = 256
 
 
@@ -471,9 +471,9 @@ def _axis_breaks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The cell boundaries of an axis plan as offsets from center, and as coordinates.
 
-    They do not depend on the order. Every pass asks for the plans of orders
-    g and g-1 on the same cells, so the second order finds its breakpoints
-    here. Read-only, as they are shared.
+    They do not depend on the order: the outer plans of orders g and g-1
+    share them here, and an inner pass takes the nodes of both from one
+    call. Read-only, as they are shared.
     """
     within = None if split_within is None else tuple(z - center for z in split_within)
     cuts = _split_wide_cells(
@@ -483,6 +483,23 @@ def _axis_breaks(
     for arr in (cuts, breaks):
         arr.flags.writeable = False
     return cuts, breaks
+
+
+def _cell_nodes(a: np.ndarray, b: np.ndarray, center, finest, ref_nodes: np.ndarray,
+                ref_weights: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The Gauss nodes of the cells [a, b], given as offsets from center.
+
+    Returns per cell and reference node the node's distance |node - center|,
+    its weight and its coordinate, and per cell whether it is a core cell
+    (one within finest of the center). center broadcasts against the
+    (cell, node) arrays and finest against the cells.
+    """
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    # the distances from |mid|, so that mirrored cells give them the same bits
+    dist = np.abs(mid)[:, None] + half[:, None] * ref_nodes
+    nodes = center + np.copysign(dist, mid[:, None])
+    cell_core = np.maximum(np.maximum(a, -b), 0.0) < finest * (1.0 - 1e-12)
+    return dist, half[:, None] * ref_weights, nodes, cell_core
 
 
 @lru_cache(maxsize=_AXIS_PLAN_CACHE)
@@ -497,26 +514,14 @@ def _axis_plan(
     split_within: Optional[Tuple[float, float]] = None,
 ) -> _AxisPlan:
     cuts, breaks = _axis_breaks(lo, hi, center, finest, extra, max_cell, split_within)
-    ref_nodes, ref_weights = _leggauss(g)
-    a = cuts[:-1]
-    b = cuts[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    # per cell its nodes' distances, from |mid| so that mirrored cells give
-    # them the same bits
-    dist = np.abs(mid)[:, None] + half[:, None] * ref_nodes
-    weights = half[:, None] * ref_weights
-    # the two cells flanking the center are the analytic-core cells
-    cell_core = np.maximum(np.maximum(a, -b), 0.0) < finest * (1.0 - 1e-12)
+    dist, weights, nodes, cell_core = _cell_nodes(cuts[:-1], cuts[1:], center, finest,
+                                                  *_leggauss(g))
+    offsets, weights, nodes, core = (dist.ravel(), weights.ravel(), nodes.ravel(),
+                                     np.repeat(cell_core, g))
     if cuts[0] < 0.0 < cuts[-1]:
         # cells on both sides: the nodes by distance, so mirrored ones are neighbours
-        order = np.argsort(dist, axis=None, kind="stable")
-        offsets, weights = dist.ravel()[order], weights.ravel()[order]
-        nodes = center + np.copysign(dist, mid[:, None]).ravel()[order]
-        core = np.repeat(cell_core, g)[order]
-    else:
-        offsets, weights, core = dist.ravel(), weights.ravel(), np.repeat(cell_core, g)
-        nodes = center - offsets if cuts[0] < 0.0 else center + offsets
+        order = np.argsort(offsets, kind="stable")
+        offsets, weights, nodes, core = (arr[order] for arr in (offsets, weights, nodes, core))
     # plans are cached and shared, so no caller may write into them
     for arr in (offsets, nodes, weights, core):
         arr.flags.writeable = False
@@ -556,36 +561,28 @@ def _box_tail_bound(box: Bounds, point: np.ndarray, power: float, dim: int) -> f
 # the convolution engine
 
 
-def _payload_plans(f: TestFunction, i: int, span: Tuple[float, float],
-                   centers: Sequence[float], finest: float, g: int) -> List[_AxisPlan]:
-    """The plans of axis i over span, one per grading centre; every grid rule is built here.
+def _payload_grading(f: TestFunction, i: int) -> Tuple:
+    """The extra, max_cell and split_within of every plan on axis i, which the payload fixes.
 
-    The payload fixes the rest: its edges on the axis are breakpoints, and
-    cells inside its support are at most side / min_cells_hint wide.
+    Its edges are breakpoints, and cells in its support are at most side /
+    min_cells_hint wide.
     """
     lo, hi = f.support[i]
-    extra = f.breakpoints(i)
-    max_cell = (hi - lo) / f.min_cells_hint if f.min_cells_hint > 1 else None
-    return [
-        _axis_plan(span[0], span[1], float(c), finest, extra, g, max_cell, f.support[i])
-        for c in centers
-    ]
+    return f.breakpoints(i), (hi - lo) / f.min_cells_hint if f.min_cells_hint > 1 else None, \
+        (lo, hi)
+
+
+def _payload_plan(f: TestFunction, i: int, span: Tuple[float, float], center: float,
+                  finest: float, g: int) -> _AxisPlan:
+    """The plan of axis i over span, graded toward center: the outer rules and the strata."""
+    extra, max_cell, within = _payload_grading(f, i)
+    return _axis_plan(span[0], span[1], float(center), finest, extra, g, max_cell, within)
 
 
 def _resolved(f: TestFunction, spec: QuadratureSpec, i: int) -> float:
     """The smallest resolved distance from the singular coordinate on axis i."""
     lo, hi = f.support[i]
     return 2.0 ** spec.inner_cutoff * (hi - lo)
-
-
-def _inner_plans(
-    f: TestFunction, outer_axes: Sequence[Sequence[float]], spec: QuadratureSpec, g: int
-) -> List[List[_AxisPlan]]:
-    """Per axis, the inner plan at each outer coordinate of that axis."""
-    return [
-        _payload_plans(f, i, f.support[i], xs, _resolved(f, spec, i), g)
-        for i, xs in enumerate(outer_axes)
-    ]
 
 
 def _tensor_weights(weights: Sequence[np.ndarray]) -> np.ndarray:
@@ -665,64 +662,102 @@ def _split_runs(lengths: Sequence[int], cap: float) -> List[Tuple[int, int]]:
     return runs
 
 
-def _join_run(f: TestFunction, i: int, plans: Sequence[_AxisPlan]) -> _Run:
-    """The run of every outer coordinate on axis i, its mirrored nodes folded.
+def _inner_runs(f: TestFunction, outer_axes: Sequence[Sequence[float]], spec: QuadratureSpec,
+                orders: Sequence[int]) -> Tuple[List[List[_Run]], List[np.ndarray]]:
+    """Per order, the run of each axis over all its outer coordinates, mirrored nodes folded.
 
-    In each plan nodes of the same distance are neighbours, so after a
-    stable sort by (outer coordinate, slot) the nodes of a column are
-    neighbours, in the same order whatever else the run holds.
+    Also returns per axis whether the plan at each outer coordinate has core
+    cells. The plans of every order, axis and outer coordinate are built at
+    once: each outer coordinate's cells come from _axis_breaks and take the
+    Gauss nodes of every order in one array. A plan's nodes are sorted as
+    _axis_plan sorts them, by distance where it has cells on both sides of
+    the outer coordinate and cell by cell otherwise, then stably by payload
+    slot. So the nodes of a column are neighbours, and each column and each
+    group sums its nodes in the order of a run of that plan alone.
     """
-    nodes, offsets, weights, core = (np.concatenate([getattr(p, name) for p in plans])
-                                     for name in ("nodes", "offsets", "weights", "core"))
-    owner = np.repeat(np.arange(len(plans)), [len(p.nodes) for p in plans])
-    factor, slots = f.axis_factor(i, nodes)
-    # the sort key: outer index, then slot
-    size = f.payload_table.shape[i]
-    key = owner * size + slots
-    order = np.argsort(key, kind="stable")
-    key, offsets, core = key[order], offsets[order], core[order]
+    cuts, centers, finests, bounds = [], [], [], [0]
+    for i, xs in enumerate(outer_axes):
+        finest, grading = _resolved(f, spec, i), _payload_grading(f, i)
+        cuts += [_axis_breaks(*f.support[i], float(x), finest, *grading)[0] for x in xs]
+        centers += [float(x) for x in xs]
+        finests += [finest] * len(xs)
+        bounds.append(len(cuts))
+    plans, counts = len(cuts), [len(c) - 1 for c in cuts]
+    rows = list(itertools.accumulate([0] + counts))  # per plan its first cell, then the end
+    cell_plan = np.repeat(np.arange(plans, dtype=np.int32), counts)
+    dist, weights, nodes, cell_core = _cell_nodes(
+        np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts]),
+        np.repeat(centers, counts)[:, None], np.repeat(finests, counts),
+        *(np.concatenate(rule) for rule in zip(*map(_leggauss, orders))))
+    has_core = np.logical_or.reduceat(cell_core, rows[:-1])
+    # the sort key: plan (order, then axis and outer coordinate), then payload slot
+    size = max(f.payload_table.shape)
+    key = np.repeat(np.arange(len(orders), dtype=np.int32) * np.int32(plans), orders)
+    key = (key + cell_plan[:, None]) * np.int32(size)
+    for i in range(len(outer_axes)):
+        axis = slice(rows[bounds[i]], rows[bounds[i + 1]])
+        factor, slots = f.axis_factor(i, nodes[axis])
+        key[axis] += slots
+        weights[axis] *= factor
+    # within a plan by distance where it has cells on both sides, else cell by cell
+    n = key.size
+    position = np.arange(n).reshape(key.shape)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(dist, axis=None, kind="stable")] = position.ravel()
+    two_sided = np.array([c[0] < 0.0 < c[-1] for c in cuts])[cell_plan, None]
+    order = np.argsort(key * np.int64(n) + np.where(two_sided, rank.reshape(key.shape), position),
+                       axis=None, kind="stable")
+    del nodes, rank, position
+    core = cell_core[order // key.shape[1]]
+    key, dist, terms = key.ravel()[order], dist.ravel()[order], weights.ravel()[order]
+    del weights, order
     # a group starts where the key or the core flag changes, a column also
     # where the distance does
-    group = np.empty(len(key), dtype=bool)
-    group[0] = True
-    np.not_equal(key[1:], key[:-1], out=group[1:])
-    group[1:] |= core[1:] != core[:-1]
-    column = group.copy()
-    column[1:] |= offsets[1:] != offsets[:-1]
-    columns = np.flatnonzero(column)
+    group = np.concatenate([[True], (key[1:] != key[:-1]) | (core[1:] != core[:-1])])
+    columns = np.flatnonzero(group | np.append(False, dist[1:] != dist[:-1]))
     starts = np.flatnonzero(group[columns])
     firsts = columns[starts]
-    return _Run(outer=range(len(plans)), offsets=offsets[columns],
-                scale=np.add.reduceat((weights * factor)[order], columns),
-                starts=starts, slots=key[firsts] % size, core=core[firsts],
-                owners=np.searchsorted(key[firsts], np.arange(len(plans)) * size),
-                widths=np.bincount(key[columns] // size, minlength=len(plans)).tolist())
+    offsets, scale = dist[columns], np.add.reduceat(terms, columns)
+    slots, core = key[firsts] % size, core[firsts]
+    # per plan its first column and its first group, then the ends
+    cols = np.searchsorted(key[columns], np.arange(len(orders) * plans + 1) * size)
+    owners = np.searchsorted(starts, cols)
+    widths, cols, firsts = np.diff(cols).tolist(), cols.tolist(), owners.tolist()
+
+    def run(p0: int, p1: int) -> _Run:
+        c0, c1, g0, g1 = cols[p0], cols[p1], firsts[p0], firsts[p1]
+        return _Run(outer=range(p1 - p0), offsets=offsets[c0:c1], scale=scale[c0:c1],
+                    starts=starts[g0:g1] - c0, slots=slots[g0:g1], core=core[g0:g1],
+                    owners=owners[p0:p1] - g0, widths=widths[p0:p1])
+
+    axes = list(zip(bounds, bounds[1:]))
+    return ([[run(k * plans + a, k * plans + b) for a, b in axes] for k in range(len(orders))],
+            [has_core[a:b] for a, b in axes])
 
 
-def _block_runs(f: TestFunction, plans: List[List[_AxisPlan]]) -> List[List[_Run]]:
-    """Per axis, the runs whose tensor products are the blocks of one pass.
+def _blocks(runs: Sequence[_Run]) -> List[List[_Run]]:
+    """Per axis, the parts of its run whose tensor products are the blocks of one pass.
 
-    Axes take their runs from the fewest columns up, each an equal share of
-    what is left of _BLOCK_NODES, so a short axis is one run and leaves the
+    Axes take their parts from the fewest columns up, each an equal share of
+    what is left of _BLOCK_NODES, so a short axis is one part and leaves the
     rest to the long ones. A block's tensor fits the budget unless one outer
     node's tensor alone does not; such a node is never split. Raises
     UsageError when an outer node's tensor has more than MAX_GRID_NODES
     columns.
     """
-    joined = [_join_run(f, i, axis) for i, axis in enumerate(plans)]
-    if math.prod(max(r.widths) for r in joined) > MAX_GRID_NODES:
-        sizes = reduce(np.multiply.outer, [np.array(r.widths, dtype=np.int64) for r in joined])
+    if math.prod(max(r.widths) for r in runs) > MAX_GRID_NODES:
+        sizes = reduce(np.multiply.outer, [np.array(r.widths, dtype=np.int64) for r in runs])
         raise UsageError(
             f"grid tensor would need {int(sizes.flat[np.argmax(sizes > MAX_GRID_NODES)])} "
             "nodes; use monte-carlo or a coarser cutoff"
         )
-    order = sorted(range(len(plans)), key=lambda i: sum(joined[i].widths))
+    order = sorted(range(len(runs)), key=lambda i: len(runs[i].offsets))
     left = float(_BLOCK_NODES)
-    out: List[List[_Run]] = [[] for _ in plans]
+    out: List[List[_Run]] = [[] for _ in runs]
     for k, i in enumerate(order):
-        widths = joined[i].widths
+        widths = runs[i].widths
         cap = max(max(widths), left ** (1.0 / (len(order) - k)))
-        out[i] = [joined[i].part(a, b) for a, b in _split_runs(widths, cap)]
+        out[i] = [runs[i].part(a, b) for a, b in _split_runs(widths, cap)]
         left /= max(len(r.offsets) for r in out[i])
     return out
 
@@ -769,13 +804,13 @@ def _grid_conv_values(
     f: TestFunction,
     outer_axes: Sequence[Sequence[float]],
     spec: QuadratureSpec,
-    g: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The inner g-order grid value at every node of an outer tensor.
+    orders: Sequence[int],
+) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+    """The inner grid values of each order at every node of an outer tensor.
 
     outer_axes holds one array of outer coordinates per axis. Returns the
-    values and, per node, whether its u core and its v core were excluded,
-    each in the shape of the outer tensor.
+    values of each order and, per node, whether its u core and its v core
+    were excluded, each in the shape of the outer tensor.
 
     The inner plan of axis i depends only on outer coordinate i, so the
     inner tensors of a block of outer nodes are the blocks of one tensor
@@ -783,21 +818,23 @@ def _grid_conv_values(
     one outer node is a block of one.
     """
     _require_grid_dimension(f)
-    plans = _inner_plans(f, outer_axes, spec, g)
-    runs = _block_runs(f, plans)
-    shape = tuple(len(axis) for axis in plans)
-    has_core = _axis_views([np.array([p.has_core for p in axis]) for axis in plans])
-    core_u, core_v = (np.broadcast_to(c, shape) for c in _core_flags(kernel, has_core))
-    values = np.empty(shape)
-    for block in itertools.product(*runs):
-        values[tuple(slice(r.outer.start, r.outer.stop) for r in block)] = _block_values(
-            kernel, f.payload_table, block)
-    if not np.isfinite(values).all():
-        raise UsageError(
-            f"the kernel overflows on the grid at inner_cutoff 2^{spec.inner_cutoff}; "
-            "use monte-carlo or a coarser cutoff"
-        )
-    return values, core_u, core_v
+    runs, has_core = _inner_runs(f, outer_axes, spec, orders)
+    shape = tuple(len(xs) for xs in outer_axes)
+    core_u, core_v = (np.zeros(shape, dtype=bool) | c
+                      for c in _core_flags(kernel, _axis_views(has_core)))
+    out = []
+    for axes in runs:
+        values = np.empty(shape)
+        for block in itertools.product(*_blocks(axes)):
+            values[tuple(slice(r.outer.start, r.outer.stop) for r in block)] = _block_values(
+                kernel, f.payload_table, block)
+        if not np.isfinite(values).all():
+            raise UsageError(
+                f"the kernel overflows on the grid at inner_cutoff 2^{spec.inner_cutoff}; "
+                "use monte-carlo or a coarser cutoff"
+            )
+        out.append(values)
+    return out, core_u, core_v
 
 
 def _merge_axis_cells(breaks: Sequence[np.ndarray], cap: int) -> List[np.ndarray]:
@@ -831,7 +868,7 @@ def _mc_conv_value(
     """
     g = spec.points_per_axis
     finest = [_resolved(f, spec, i) for i in range(f.dim)]
-    plans = [_payload_plans(f, i, f.support[i], [x], finest[i], g)[0] for i, x in enumerate(pt)]
+    plans = [_payload_plan(f, i, f.support[i], x, finest[i], g) for i, x in enumerate(pt)]
     core_u, core_v = _core_flags(kernel, [p.has_core for p in plans])
     excluded = [axes for active, (axes, _) in zip((core_u, core_v), _core_groups(kernel))
                 if active]
@@ -917,8 +954,7 @@ def _grid_inner(
     err is the rule disagreement plus the analytic core bound.
     """
     g = spec.points_per_axis
-    hi, core_u, core_v = _grid_conv_values(kernel, f, outer_axes, spec, g)
-    lo = _grid_conv_values(kernel, f, outer_axes, spec, g - 1)[0]
+    (hi, lo), core_u, core_v = _grid_conv_values(kernel, f, outer_axes, spec, (g, g - 1))
     core = np.zeros(hi.shape)
     for node in zip(*np.nonzero(core_u | core_v)):
         # the bound takes the point's numpy coordinates, and with them numpy's power
@@ -996,7 +1032,7 @@ def apply_riesz_1d(
 def _outer_plan(f: TestFunction, i: int, span: Tuple[float, float], g: int) -> _AxisPlan:
     """The plan of span on axis i, graded toward the support's centre."""
     lo, hi = f.support[i]
-    return _payload_plans(f, i, span, [0.5 * (lo + hi)], 0.5 * (hi - lo), g)[0]
+    return _payload_plan(f, i, span, 0.5 * (lo + hi), 0.5 * (hi - lo), g)
 
 
 def _outer_plans(box: Bounds, f: TestFunction, g: int) -> List[_AxisPlan]:
@@ -1076,7 +1112,7 @@ def _lq_mass_grid(
         values, errs, _ = _grid_inner(kernel, f, nodes_hi, spec)
         # the lower outer rule needs only the inner g-order value
         nodes_lo, w_lo, parts_lo = _joined_rule(intervals, f, g - 1)
-        values_lo = _grid_conv_values(kernel, f, nodes_lo, spec, g)[0]
+        (values_lo,), _, _ = _grid_conv_values(kernel, f, nodes_lo, spec, (g,))
         for hi, lo in zip(parts_hi, parts_lo):
             w = w_hi[hi].ravel()
             v = values[hi].ravel().tolist()

@@ -360,18 +360,26 @@ def test_a_flag_value_of_zero_is_that_value(tmp_path, capsys, argv, status):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_points_per_axis_beyond_the_cap_is_refused_before_any_rule(tmp_path, capsys):
-    # leggauss(100000) alone would form an 80 GB matrix
+@pytest.mark.parametrize("flag, value, message", [
+    ("--points-per-axis", "100000",
+     f"points_per_axis must lie in [4, {quadrature.MAX_POINTS_PER_AXIS}]"),
+    ("--samples", "0", "samples must be positive"),
+    ("--inner-cutoff", "5", "inner_cutoff must be a negative dyadic exponent >= -1060"),
+], ids=["points-per-axis", "samples", "inner-cutoff"])
+def test_points_per_axis_beyond_the_cap_is_refused_before_any_rule(tmp_path, capsys, flag,
+                                                                   value, message):
+    # leggauss(100000) alone would form an 80 GB matrix; every setting the
+    # spec refuses is a usage error
     tracemalloc.start()
     try:
         status, out, err = run_cli(capsys, "apply", "--x", "3", "--y", "3",
-                                   "--points-per-axis", "100000", "--out", str(tmp_path))
+                                   flag, value, "--out", str(tmp_path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert status == 1
     assert out == ""
-    assert err == f"error: points_per_axis must lie in [4, {quadrature.MAX_POINTS_PER_AXIS}]\n"
+    assert err == f"usage error: {message}\n"
     assert peak < 2 ** 20, peak
 
 

@@ -423,11 +423,24 @@ def _tensor_points(axes):
     return np.stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
+def _inner_plans(f, outer_axes, spec, g):
+    # per axis, the g-order plan at each outer coordinate of that axis, built
+    # on its own by _axis_plan and graded as an inner pass grades it
+    return [[quadrature._payload_plan(f, i, f.support[i], x, quadrature._resolved(f, spec, i), g)
+             for x in xs] for i, xs in enumerate(outer_axes)]
+
+
+def _conv_values(desc, f, outer, spec, g):
+    # the pass of one order: its values, and its u and v core flags
+    (values,), core_u, core_v = quadrature._grid_conv_values(desc, f, outer, spec, (g,))
+    return values, core_u, core_v
+
+
 def _reference_grid_value(desc, f, pt, spec, g):
     # every tensor node as an explicit point, the kernel at its offset from pt
     # as the plans give it (exact, unlike pt - node); excluded cores masked
     # node by node. Returns the value, the live points and the sum of |terms|.
-    plans = [axis[0] for axis in quadrature._inner_plans(f, [[x] for x in pt], spec, g)]
+    plans = [axis[0] for axis in _inner_plans(f, [[x] for x in pt], spec, g)]
     points = _tensor_points([p.nodes for p in plans])
     offsets = _tensor_points([p.offsets for p in plans])
     core = _tensor_points([p.core for p in plans])
@@ -467,12 +480,12 @@ def _assert_within_rounding(got, want, scale):
 def _passes_under_budgets(desc, f, outer, spec, g, monkeypatch):
     # the pass at block budgets of 4 nodes (every outer node a block of its
     # own), the default, and twice the largest inner tensor
-    plans = quadrature._inner_plans(f, outer, spec, g)
+    plans = _inner_plans(f, outer, spec, g)
     largest = max(math.prod(len(p.nodes) for p in node) for node in itertools.product(*plans))
     passes = []
     for budget in (4, _BLOCK_NODES, 2 * largest):
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
-        passes.append(quadrature._grid_conv_values(desc, f, outer, spec, g))
+        passes.append(_conv_values(desc, f, outer, spec, g))
     monkeypatch.setattr(quadrature, "_BLOCK_NODES", _BLOCK_NODES)
     return passes
 
@@ -783,7 +796,7 @@ def test_core_cells_are_exact_at_deep_cutoffs(cutoff, center):
     nodes, _ = quadrature._leggauss(g)
     # a core cell's Gauss nodes, as distances from the point
     want = np.sort(0.5 * finest + 0.5 * finest * nodes)
-    for plans in quadrature._inner_plans(f, [[center], [center]], spec, g):
+    for plans in _inner_plans(f, [[center], [center]], spec, g):
         (plan,) = plans
         got = plan.offsets[plan.core]
         sides = 1 if center == 1.0 else 2
@@ -897,14 +910,91 @@ def test_mirrored_nodes_have_the_same_distance_to_the_bit(g):
 
 
 def test_interior_apply_forms_at_most_176_columns_per_axis():
-    # at (0.5, 0.25) each inner plan has 328 nodes, which fold to 172 and
-    # 168 columns
+    # at (0.5, 0.25) each inner plan has 328 nodes at order 4, which fold to
+    # 172 and 168 columns; at order 3, 246 nodes fold to 129 and 126
     f = smooth_bump(1, 1)
     spec = QuadratureSpec(inner_cutoff=-40)
-    plans = quadrature._inner_plans(f, [[0.5], [0.25]], spec, 4)
+    plans = _inner_plans(f, [[0.5], [0.25]], spec, 4)
     assert [len(p.nodes) for (p,) in plans] == [328, 328]
-    runs = quadrature._block_runs(f, plans)
-    assert [len(r.offsets) for (r,) in runs] == [172, 168]
+    assert [len(p.nodes) for (p,) in _inner_plans(f, [[0.5], [0.25]], spec, 3)] == [246, 246]
+    runs, _ = quadrature._inner_runs(f, [[0.5], [0.25]], spec, (4, 3))
+    assert [[len(r.offsets) for r in axes] for axes in runs] == [[172, 168], [129, 126]]
+
+
+# ---------------------------------------------------------------------------
+# one build for all the plans of a pass
+
+
+def _reference_fold(f, i, plan):
+    # the plan's nodes stably by payload slot; then, one node at a time,
+    # neighbours with the same slot, core flag and distance summed into one
+    # column: per column its (slot, core flag, distance) and its scale
+    factor, slots = f.axis_factor(i, plan.nodes)
+    terms = plan.weights * factor
+    columns = []
+    for j in np.argsort(slots, kind="stable").tolist():
+        key = (int(slots[j]), bool(plan.core[j]), float(plan.offsets[j]))
+        if columns and columns[-1][0] == key:
+            columns[-1][1].append(float(terms[j]))
+        else:
+            columns.append((key, [float(terms[j])]))
+    return [(key, functools.reduce(lambda a, b: a + b, parts)) for key, parts in columns]
+
+
+def _run_columns(run, k):
+    # the columns of outer coordinate k in a run, in the form of _reference_fold
+    part = run.part(k, k + 1)
+    ends = np.append(part.starts, len(part.offsets)).tolist()
+    return [((int(part.slots[q]), bool(part.core[q]), float(part.offsets[c])),
+             float(part.scale[c]))
+            for q in range(len(part.starts)) for c in range(ends[q], ends[q + 1])]
+
+
+# (n, m) and the outer coordinates of each axis: inside the support (plans
+# with cells on both sides), above and below it (cells on one side), and on
+# a payload edge (the signum atom's u = 0, the supports' ends)
+_FUSED_CASES = {
+    "inside": (1, 1, [[0.4], [0.2]]),
+    "above": (1, 1, [[3.0], [1.5]]),
+    "below": (1, 1, [[-2.5], [-1.75]]),
+    "edge": (1, 1, [[0.0], [-1.0]]),
+    "4x4": (1, 1, [[-2.5, 0.0, 0.4, 3.0], [-1.75, -1.0, 0.2, 1.5]]),
+    "n2m1": (2, 1, [[-2.5, 0.4], [0.0, 1.0], [0.2, 1.5]]),
+}
+
+
+@pytest.mark.parametrize("payload", ["smooth-bump", "atom"])
+@pytest.mark.parametrize("case", sorted(_FUSED_CASES))
+def test_fused_runs_fold_each_plan_as_it_folds_alone(case, payload):
+    # every (order, axis, outer coordinate) of one build has the columns of
+    # the plan _axis_plan builds on its own, folded node by node, bit for bit
+    n, m, outer = _FUSED_CASES[case]
+    f = _payloads(n, m)[payload]
+    spec = QuadratureSpec(inner_cutoff=-20 if n + m == 2 else -6)
+    g = spec.points_per_axis
+    runs, has_core = quadrature._inner_runs(f, outer, spec, (g, g - 1))
+    for order, axes in zip((g, g - 1), runs):
+        for i, (run, plans) in enumerate(zip(axes, _inner_plans(f, outer, spec, order))):
+            assert run.outer == range(len(plans))
+            assert has_core[i].tolist() == [p.has_core for p in plans]
+            for k, plan in enumerate(plans):
+                assert _run_columns(run, k) == _reference_fold(f, i, plan), (order, i, k)
+
+
+@pytest.mark.parametrize("payload", ["smooth-bump", "atom"])
+@pytest.mark.parametrize("case", sorted(_FUSED_CASES))
+def test_fused_pass_gives_each_order_the_bits_of_a_pass_of_its_own(case, payload):
+    n, m, outer = _FUSED_CASES[case]
+    f = _payloads(n, m)[payload]
+    spec = QuadratureSpec(inner_cutoff=-20 if n + m == 2 else -6)
+    g = spec.points_per_axis
+    for kind, desc in _kernels(n, m).items():
+        both, core_u, core_v = quadrature._grid_conv_values(desc, f, outer, spec, (g, g - 1))
+        assert both[0].shape == tuple(len(xs) for xs in outer)
+        for order, values in zip((g, g - 1), both):
+            alone, alone_u, alone_v = _conv_values(desc, f, outer, spec, order)
+            assert values.tobytes() == alone.tobytes(), (kind, order)
+            assert np.array_equal(core_u, alone_u) and np.array_equal(core_v, alone_v), kind
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +1003,7 @@ def test_interior_apply_forms_at_most_176_columns_per_axis():
 
 def _reference_core_flags(desc, f, pt, spec, g):
     # whether the pass at pt alone excludes its u core and its v core
-    plans = [axis[0] for axis in quadrature._inner_plans(f, [[x] for x in pt], spec, g)]
+    plans = [axis[0] for axis in _inner_plans(f, [[x] for x in pt], spec, g)]
     u = all(plans[i].core.any() for i in range(desc.n))
     v = desc.v_singular and all(plans[i].core.any() for i in range(desc.n, f.dim))
     return u, v
@@ -938,12 +1028,12 @@ def test_batched_grid_pass_matches_pointwise_reference(n, m, payload, monkeypatc
             alone = [_one_node_value(desc, f, pt, spec, g, monkeypatch) for pt in nodes]
             for (want, _, scale), got in zip(refs, alone):
                 _assert_within_rounding(got, want, scale)
-            plans = quadrature._inner_plans(f, outer, spec, g)
+            plans = _inner_plans(f, outer, spec, g)
             largest = max(math.prod(len(p.nodes) for p in node)
                           for node in itertools.product(*plans))
             for budget in (4, 2 * largest):
                 monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
-                runs = quadrature._block_runs(f, plans)
+                runs = quadrature._blocks(quadrature._inner_runs(f, outer, spec, (g,))[0][0])
                 if budget == 4:  # every outer node is a block by itself
                     assert [len(axis) for axis in runs] == [picks] * (n + m)
                 else:  # some block holds several outer nodes
@@ -989,7 +1079,7 @@ def test_one_node_pass_with_a_payload_that_underflows_to_zero_matches_the_refere
     pt = np.array([0.01, 0.3])
     zeros = {}
     for g in (4, 3):
-        plans = [axis[0] for axis in quadrature._inner_plans(f, [[x] for x in pt], spec, g)]
+        plans = [axis[0] for axis in _inner_plans(f, [[x] for x in pt], spec, g)]
         for i, plan in enumerate(plans):
             # every node lies inside the bump, where each axis factor is positive
             factor, slots = f.axis_factor(i, plan.nodes)
@@ -1172,7 +1262,7 @@ def _check_lq_mass(got, desc, f, region, q, spec, monkeypatch):
         return value, _ROUNDING * scale
 
     def alone(pt, g):
-        return quadrature._grid_conv_values(desc, f, [[x] for x in pt], spec, g)[0].item(), 0.0
+        return _conv_values(desc, f, [[x] for x in pt], spec, g)[0].item(), 0.0
 
     value, err = got()
     want, want_err, value_slack, err_slack = _reference_lq_mass(desc, f, region, q, spec,
@@ -1186,7 +1276,7 @@ def _check_lq_mass(got, desc, f, region, q, spec, monkeypatch):
     for box, _ in region.signed_boxes():
         for outer_order, inner_order in ((g, g), (g, g - 1), (g - 1, g)):
             outer = [p.nodes for p in quadrature._outer_plans(box, f, outer_order)]
-            plans = quadrature._inner_plans(f, outer, spec, inner_order)
+            plans = _inner_plans(f, outer, spec, inner_order)
             largest = max(largest, max(math.prod(len(p.nodes) for p in node)
                                        for node in itertools.product(*plans)))
     for budget in (4, 2 * largest):
@@ -1240,8 +1330,7 @@ def _per_box_lq_mass(kernel, f, region, q, spec):
         prop = math.fsum(w * quadrature._power_gap(v, e, q) for w, (v, e) in zip(w_hi, inner))
         plans_lo = quadrature._outer_plans(box, f, g - 1)
         w_lo = quadrature._tensor_weights([p.weights for p in plans_lo]).ravel()
-        values_lo = quadrature._grid_conv_values(
-            kernel, f, [p.nodes for p in plans_lo], spec, g)[0]
+        values_lo = _conv_values(kernel, f, [p.nodes for p in plans_lo], spec, g)[0]
         v_lo = math.fsum(w * abs(v) ** q for w, v in zip(w_lo, values_lo.ravel().tolist()))
         box_terms.append(sign * v_hi)
         rule_terms.append(abs(v_hi - v_lo))
@@ -1346,7 +1435,7 @@ def test_max_grid_nodes_does_not_cap_a_batch(grid_spec, inner_tensor_sizes, monk
         for order, inner in ((g, g), (g, g - 1), (g - 1, g)):
             outer = [p.nodes for p in quadrature._outer_plans(box, f, order)]
             largest = max(largest, int(inner_tensor_sizes(f, outer, grid_spec, inner).max()))
-            runs = quadrature._block_runs(f, quadrature._inner_plans(f, outer, grid_spec, inner))
+            runs = quadrature._blocks(quadrature._inner_runs(f, outer, grid_spec, (inner,))[0][0])
             batched = max(batched, max(
                 math.prod(len(r.offsets) for r in block) for block in itertools.product(*runs)
             ))

@@ -184,10 +184,15 @@ def _plans_line():
     f = flagint.smooth_bump(1, 1, (0.0, 0.0), 1.0, 1.0)
     digest = hashlib.sha256()
     for cutoff in (-20, -40, -56):
-        spec = flagint.QuadratureSpec(inner_cutoff=cutoff)
         for center in (0.3, 1.0, 2.5):
             for g in (4, 3):
-                for (plan,) in quadrature._inner_plans(f, [[center], [center]], spec, g):
+                # the plan of each axis as an inner pass grades it: toward the
+                # centre, finest cell 2^cutoff times the side, cells at most
+                # side / min_cells_hint wide within the support
+                for i, (lo, hi) in enumerate(f.support):
+                    plan = quadrature._axis_plan(
+                        lo, hi, center, 2.0 ** cutoff * (hi - lo), f.breakpoints(i), g,
+                        (hi - lo) / f.min_cells_hint, f.support[i])
                     for arr in (plan.offsets, plan.weights, plan.core):
                         digest.update(arr.tobytes())
     return f"plans offsets+weights+core={digest.hexdigest()}"
