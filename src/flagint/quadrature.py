@@ -49,11 +49,10 @@ MAX_MC_STRATA = 65_536
 
 _RELATIVE_FLOOR = 1e-300
 
-# Axis plans kept by _axis_plan: only those of the outer rules and of the
-# Monte Carlo strata. Breakpoint sets kept by _axis_breaks: also one per
-# outer coordinate and axis of each inner pass. Both recur across lq_mass
-# calls whose boxes share a factor interval, as consecutive dyadic shells do,
-# so each cache must hold the sets of a few neighbouring boxes.
+# Axis plans kept by _axis_plan: those of the outer rules. Breakpoint sets kept
+# by _axis_breaks: also one per axis and centre of each inner pass and Monte
+# Carlo query. Both recur across lq_mass calls whose boxes share a factor
+# interval, as consecutive dyadic shells do, so each holds a few boxes' sets.
 _AXIS_PLAN_CACHE = 256
 
 
@@ -239,10 +238,7 @@ class TestFunction:
             raise ValueError("no closed form for the smooth bump")
         total = 0.0
         for box, v in self.cells:
-            vol = 1.0
-            for lo, hi in box:
-                vol *= hi - lo
-            total += abs(v) ** p * vol
+            total += abs(v) ** p * math.prod(hi - lo for lo, hi in box)
         return total
 
 
@@ -374,70 +370,6 @@ def _leggauss(g: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _graded_breakpoints(
-    lo: float, hi: float, center: float, finest: float, extra: Sequence[float] = ()
-) -> np.ndarray:
-    """Dyadic breakpoints of [lo, hi] graded toward center, as offsets z - center.
-
-    Radii run finest, 2*finest, ... (starting from the actual distance when
-    center lies outside the interval), so cells roughly double away from the
-    singular coordinate. As offsets the radii are exact at any finest, and
-    the cells on the two sides of the center mirror each other bit for bit.
-    extra points (payload edges) are merged in, but one within rounding of a
-    radius point or an end is taken to lie on it; no radius is dropped.
-    """
-    if not lo < hi:
-        raise ValueError("empty interval")
-    a, b = lo - center, hi - center
-    dist = max(a, -b, 0.0)
-    dmax = max(-a, b)
-    r = finest if dist <= finest else dist
-    # r * 2^k for every k with r * 2^k < dmax; doubling a float is exact
-    radii = np.ldexp(r, np.arange(max(0, math.ceil(math.log2(dmax) - math.log2(r))) + 2))
-    # the radii inside (-b, -a) are cuts below the center, those inside (a, b) above it
-    first, stop = np.searchsorted(radii, (-b, a), side="right"), np.searchsorted(radii, (-a, b))
-    fixed = np.concatenate([[a], -radii[first[0]:stop[0]][::-1], [0.0] if a < 0.0 < b else [],
-                            radii[first[1]:stop[1]], [b]])
-    tol = 1e-15 * max(abs(lo), abs(hi), abs(center))
-    cuts = fixed.tolist()
-    edges = set()
-    for t in (e - center for e in extra):
-        # cuts[k - 1] < t <= cuts[k], both ends of the interval among the cuts
-        k = bisect.bisect_left(cuts, t)
-        if 0 < k < len(cuts) and min(t - cuts[k - 1], cuts[k] - t) > tol:
-            edges.add(t)
-    return np.sort(np.concatenate([fixed, list(edges)])) if edges else fixed
-
-
-def _split_wide_cells(
-    breaks: np.ndarray,
-    max_cell: Optional[float],
-    within: Optional[Tuple[float, float]] = None,
-) -> np.ndarray:
-    """breaks with every cell wider than max_cell cut into equal parts, within a span only.
-
-    breaks are offsets from a center that no cell straddles. Each cell is cut
-    from its end nearer the center, so mirrored cells are cut alike.
-    """
-    if max_cell is None or max_cell <= 0:
-        return breaks
-    a, b = breaks[:-1], breaks[1:]
-    parts = np.ceil((b - a) / max_cell)
-    if within is not None:
-        parts[(b <= within[0]) | (a >= within[1])] = 1.0
-    # the few wide cells one by one: a + step * j for j = 1, ..., parts - 1,
-    # and below the center the same points as b - step * (parts - j)
-    pieces, start = [], 0
-    for k in np.flatnonzero(parts > 1.0).tolist():
-        lo, hi, count = float(a[k]), float(b[k]), int(parts[k])
-        step = (hi - lo) / count
-        pieces += [breaks[start:k + 1],
-                   [hi - step * (count - j) if hi <= 0.0 else lo + step * j
-                    for j in range(1, count)]]
-        start = k + 1
-    return np.concatenate(pieces + [breaks[start:]]) if pieces else breaks
-
-
 @dataclass(frozen=True)
 class _AxisPlan:
     """The Gauss nodes of one axis, graded toward a center.
@@ -471,14 +403,57 @@ def _axis_breaks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The cell boundaries of an axis plan as offsets from center, and as coordinates.
 
-    They do not depend on the order: the outer plans of orders g and g-1
-    share them here, and an inner pass takes the nodes of both from one
-    call. Read-only, as they are shared.
+    The cuts of [lo, hi] are the radii finest * 2^k (from the distance when
+    center lies outside), exact as offsets, so the cells on the two sides
+    of the center mirror each other bit for bit. A payload edge in extra is
+    merged in unless it lies within rounding of a radius point or an end.
+    Each cell inside split_within wider than max_cell is then cut into
+    equal parts counted from its end nearer the center. The few dozen cuts
+    are built in Python floats; the arrays are read-only, as they are
+    shared, and the orders g and g-1 share them. Raises UsageError when the
+    offsets of lo and hi lose more than 2^-20 of the width to rounding, as
+    they can from about 2^32 widths away.
     """
-    within = None if split_within is None else tuple(z - center for z in split_within)
-    cuts = _split_wide_cells(
-        _graded_breakpoints(lo, hi, center, finest, extra), max_cell, within
-    )
+    if not (lo < hi and finest > 0.0):
+        raise ValueError("need lo < hi and finest > 0")
+    a, b = lo - center, hi - center
+    # written so that a width or a center that is not finite is refused too
+    if not abs((b - a) - (hi - lo)) <= 2.0 ** -20 * (hi - lo):
+        raise UsageError(
+            f"the point {center!r} is too far from [{lo!r}, {hi!r}]: its offsets "
+            "from the point lose more than 2^-20 of the interval's width to rounding"
+        )
+    dist, dmax = max(a, -b, 0.0), max(-a, b)
+    r = finest if dist <= finest else dist
+    radii = []
+    while r < dmax:
+        radii.append(r)
+        r *= 2.0  # doubling a float is exact
+    # the radii inside (-b, -a) are cuts below the center, those inside (a, b) above it
+    below = radii[bisect.bisect_right(radii, -b):bisect.bisect_left(radii, -a)]
+    above = radii[bisect.bisect_right(radii, a):bisect.bisect_left(radii, b)]
+    fixed = [a] + [-s for s in reversed(below)] + ([0.0] if a < 0.0 < b else []) + above + [b]
+    cuts = list(fixed)
+    tol = 1e-15 * max(abs(lo), abs(hi), abs(center))
+    for t in {e - center for e in extra}:
+        # fixed[k - 1] < t <= fixed[k], both ends of the interval among the cuts
+        k = bisect.bisect_left(fixed, t)
+        if 0 < k < len(fixed) and min(t - fixed[k - 1], fixed[k] - t) > tol:
+            bisect.insort(cuts, t)
+    if max_cell is not None and max_cell > 0:
+        w0, w1 = (z - center for z in split_within or (-math.inf, math.inf))
+        split = cuts[:1]
+        for x0, x1 in zip(cuts, cuts[1:]):
+            if x1 - x0 > max_cell and w0 < x1 and x0 < w1:
+                # x0 + step * j for j = 1, ..., count - 1, and below the
+                # center the same points as x1 - step * (count - j)
+                count = math.ceil((x1 - x0) / max_cell)
+                step = (x1 - x0) / count
+                split += [x1 - step * (count - j) if x1 <= 0.0 else x0 + step * j
+                          for j in range(1, count)]
+            split.append(x1)
+        cuts = split
+    cuts = np.array(cuts)
     breaks = center + cuts
     for arr in (cuts, breaks):
         arr.flags.writeable = False
@@ -491,15 +466,19 @@ def _cell_nodes(a: np.ndarray, b: np.ndarray, center, finest, ref_nodes: np.ndar
 
     Returns per cell and reference node the node's distance |node - center|,
     its weight and its coordinate, and per cell whether it is a core cell
-    (one within finest of the center). center broadcasts against the
-    (cell, node) arrays and finest against the cells.
+    (_core_cells). center broadcasts against the (cell, node) arrays and
+    finest against the cells.
     """
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     # the distances from |mid|, so that mirrored cells give them the same bits
     dist = np.abs(mid)[:, None] + half[:, None] * ref_nodes
     nodes = center + np.copysign(dist, mid[:, None])
-    cell_core = np.maximum(np.maximum(a, -b), 0.0) < finest * (1.0 - 1e-12)
-    return dist, half[:, None] * ref_weights, nodes, cell_core
+    return dist, half[:, None] * ref_weights, nodes, _core_cells(a, b, finest)
+
+
+def _core_cells(a: np.ndarray, b: np.ndarray, finest) -> np.ndarray:
+    """Per cell [a, b], given as offsets from a center, whether it lies within finest of it."""
+    return np.maximum(np.maximum(a, -b), 0.0) < finest * (1.0 - 1e-12)
 
 
 @lru_cache(maxsize=_AXIS_PLAN_CACHE)
@@ -550,10 +529,7 @@ def _box_tail_bound(box: Bounds, point: np.ndarray, power: float, dim: int) -> f
     bound = _power_mass_bound(dim, power, far)
     dist = max(max(lo - p, p - hi, 0.0) for p, (lo, hi) in zip(point, box))
     if dist > 0.0:
-        vol = 1.0
-        for lo, hi in box:
-            vol *= hi - lo
-        bound = min(bound, vol * dist ** (power - dim))
+        bound = min(bound, math.prod(hi - lo for lo, hi in box) * dist ** (power - dim))
     return bound
 
 
@@ -570,13 +546,6 @@ def _payload_grading(f: TestFunction, i: int) -> Tuple:
     lo, hi = f.support[i]
     return f.breakpoints(i), (hi - lo) / f.min_cells_hint if f.min_cells_hint > 1 else None, \
         (lo, hi)
-
-
-def _payload_plan(f: TestFunction, i: int, span: Tuple[float, float], center: float,
-                  finest: float, g: int) -> _AxisPlan:
-    """The plan of axis i over span, graded toward center: the outer rules and the strata."""
-    extra, max_cell, within = _payload_grading(f, i)
-    return _axis_plan(span[0], span[1], float(center), finest, extra, g, max_cell, within)
 
 
 def _resolved(f: TestFunction, spec: QuadratureSpec, i: int) -> float:
@@ -866,10 +835,11 @@ def _mc_conv_value(
     from one stream in stratum order (C order over the merged cells), so the
     value does not depend on how many strata a chunk holds.
     """
-    g = spec.points_per_axis
     finest = [_resolved(f, spec, i) for i in range(f.dim)]
-    plans = [_payload_plan(f, i, f.support[i], x, finest[i], g) for i, x in enumerate(pt)]
-    core_u, core_v = _core_flags(kernel, [p.has_core for p in plans])
+    cuts, breaks = zip(*(_axis_breaks(*f.support[i], float(x), finest[i], *_payload_grading(f, i))
+                         for i, x in enumerate(pt)))
+    core_u, core_v = _core_flags(
+        kernel, [_core_cells(c[:-1], c[1:], e).any() for c, e in zip(cuts, finest)])
     excluded = [axes for active, (axes, _) in zip((core_u, core_v), _core_groups(kernel))
                 if active]
 
@@ -878,7 +848,7 @@ def _mc_conv_value(
 
     # in coordinates the cells nearer the point than the spacing of floats
     # there have no width; they are no strata
-    breaks = _merge_axis_cells([np.unique(p.breaks) for p in plans], MAX_MC_STRATA)
+    breaks = _merge_axis_cells([np.unique(b) for b in breaks], MAX_MC_STRATA)
     los = per_stratum_rows([b[:-1] for b in breaks])
     sides = per_stratum_rows([np.diff(b) for b in breaks])
     n_strata = len(los)
@@ -1032,7 +1002,8 @@ def apply_riesz_1d(
 def _outer_plan(f: TestFunction, i: int, span: Tuple[float, float], g: int) -> _AxisPlan:
     """The plan of span on axis i, graded toward the support's centre."""
     lo, hi = f.support[i]
-    return _payload_plan(f, i, span, 0.5 * (lo + hi), 0.5 * (hi - lo), g)
+    extra, max_cell, within = _payload_grading(f, i)
+    return _axis_plan(*span, 0.5 * (lo + hi), 0.5 * (hi - lo), extra, g, max_cell, within)
 
 
 def _outer_plans(box: Bounds, f: TestFunction, g: int) -> List[_AxisPlan]:

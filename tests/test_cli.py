@@ -440,6 +440,18 @@ def test_apply_exterior_point_passes(tmp_path, capsys):
     assert ",apply,\r\n" in csv_text
 
 
+@pytest.mark.parametrize("argv", [
+    ("apply", "--x", "1e20", "--y", "0"),
+    ("apply", "--x", "1e20", "--y", "0", "--method", "monte-carlo", "--samples", "2000"),
+    ("counterexample", "--radii", "1e150", "--jobs", "1"),
+], ids=["apply-grid", "apply-mc", "counterexample"])
+def test_points_too_far_from_the_payload_are_a_usage_error(tmp_path, capsys, argv):
+    status, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("usage error: the point ") and err.count("\n") == 1
+
+
 def test_apply_box_string_reads_as_the_same_json_pairs(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"box": [[0, 1], [-0.5, 0.5]]}))

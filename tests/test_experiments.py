@@ -18,6 +18,7 @@ from flagint import (
     GapRegion,
     PreconditionError,
     ScanResult,
+    UsageError,
     Window,
     counterexample_growth,
     dilation_scan,
@@ -228,6 +229,13 @@ def test_m2_critical_counterexample_grows_on_the_grid(grid_spec):
 def test_growth_scan_rejects_bad_radii(grid_spec):
     with pytest.raises(PreconditionError):
         counterexample_growth(1, 1, F(2), F(2), [0.0, 10.0], grid_spec)
+
+
+def test_growth_scan_refuses_radii_too_far_for_the_inner_plans(grid_spec):
+    # at R = 1e150 the outer nodes lie so far from the atom that their
+    # offsets lose its width; every R from 1e150 on used to read the same F
+    with pytest.raises(UsageError, match="too far"):
+        counterexample_growth(1, 1, F(2), F(2), [10.0, 1e150], grid_spec)
 
 
 # ---------------------------------------------------------------------------

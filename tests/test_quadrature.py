@@ -91,6 +91,29 @@ def test_riesz_interior_default_cutoff_rejected(grid_spec):
     assert isinstance(exc.value.err, float) and exc.value.err > 0.0
 
 
+@pytest.mark.parametrize("x", [1e4, 1e8, 1e12, 3e15])
+def test_riesz_far_points_match_the_closed_form(grid_spec, x):
+    # (x+1)^a - (x-1)^a over a, written so that it does not cancel
+    f = indicator_box(1, 0, ((-1.0, 1.0),))
+    a = 0.5
+    want = x ** a * (math.expm1(a * math.log1p(1 / x)) - math.expm1(a * math.log1p(-1 / x))) / a
+    got = apply_riesz_1d(F(1, 2), f, x, grid_spec)
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+@pytest.mark.parametrize("spec", ["grid_spec", "mc_spec"])
+def test_a_point_whose_offsets_lose_the_support_width_is_refused(spec, request, grid_spec):
+    # from 1e20 the offsets -1 - x and 1 - x round to one float; the grid
+    # read 0 +- 0 there and Monte Carlo divided by zero. A point that is not
+    # finite is refused by the same check
+    for x in (1e20, math.inf, math.nan):
+        with pytest.raises(UsageError, match="too far"):
+            apply_operator(_cfg(), smooth_bump(1, 1), point_pair([x], [0.0]),
+                           request.getfixturevalue(spec))
+    with pytest.raises(UsageError, match="too far"):
+        apply_riesz_1d(F(1, 2), indicator_box(1, 0, ((-1.0, 1.0),)), 1e16, grid_spec)
+
+
 def test_riesz_zero_payload(grid_spec):
     f = indicator_box(1, 0, ((0.0, 1.0),), value=0.0)
     assert apply_riesz_1d(F(1, 2), f, 2.0, grid_spec) == 0.0
@@ -426,8 +449,13 @@ def _tensor_points(axes):
 def _inner_plans(f, outer_axes, spec, g):
     # per axis, the g-order plan at each outer coordinate of that axis, built
     # on its own by _axis_plan and graded as an inner pass grades it
-    return [[quadrature._payload_plan(f, i, f.support[i], x, quadrature._resolved(f, spec, i), g)
-             for x in xs] for i, xs in enumerate(outer_axes)]
+    plans = []
+    for i, xs in enumerate(outer_axes):
+        finest, (extra, max_cell, within) = (quadrature._resolved(f, spec, i),
+                                             quadrature._payload_grading(f, i))
+        plans.append([quadrature._axis_plan(*f.support[i], float(x), finest, extra, g,
+                                            max_cell, within) for x in xs])
+    return plans
 
 
 def _conv_values(desc, f, outer, spec, g):
@@ -730,33 +758,38 @@ def test_breakpoints_keep_the_bits_of_the_loop_form():
     # edges on the ends, on the centre, repeated and as -0.0; cells cut
     # everywhere, within part of the interval, or not at all
     rng = np.random.default_rng(23)
-    for case in range(400):
+    for case in range(2000):
         lo, hi = sorted(rng.uniform(-4.0, 4.0, 2))
         if case % 5 == 0:
             lo, hi = -0.0, abs(hi) + 0.5
         center = {0: lo, 1: hi, 2: 0.5 * (lo + hi)}.get(case % 7, rng.uniform(-6.0, 6.0))
-        finest = (hi - lo) * 2.0 ** -float(rng.integers(1, 60))
+        finest = (hi - lo) * 2.0 ** -float(rng.integers(1, 301))
         extra = tuple(rng.choice([lo, hi, center, 0.0, -0.0, *rng.uniform(lo, hi, 3)],
                                  size=int(rng.integers(0, 6))))
-        want = _loop_graded_breakpoints(lo, hi, center, finest, extra)
-        got = quadrature._graded_breakpoints(lo, hi, center, finest, extra)
-        assert got.tobytes() == want.tobytes(), case
         max_cell = [None, 0.0, (hi - lo) / 8, (hi - lo) / 3][case % 4]
         within = [None, (lo, hi), (lo + 0.25 * (hi - lo), hi)][case % 3]
+        got, _ = quadrature._axis_breaks(lo, hi, center, finest, extra, max_cell, within)
         within = None if within is None else (within[0] - center, within[1] - center)
-        assert (quadrature._split_wide_cells(got, max_cell, within).tobytes()
-                == _loop_split_wide_cells(want, max_cell, within).tobytes()), case
+        want = _loop_split_wide_cells(_loop_graded_breakpoints(lo, hi, center, finest, extra),
+                                      max_cell, within)
+        assert got.tobytes() == want.tobytes(), case
     # the payload edge -0.0 lies on the radius point 0.25 below the center
     # 0.25, and the center is the offset +0.0
-    got = quadrature._graded_breakpoints(-1.0, 1.0, 0.25, 0.25, (-0.0,))
+    got, _ = quadrature._axis_breaks(-1.0, 1.0, 0.25, 0.25, (-0.0,), None, None)
     assert got.tobytes() == _loop_graded_breakpoints(-1.0, 1.0, 0.25, 0.25, (-0.0,)).tobytes()
     assert got.tolist() == [-1.25, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75]
     assert not np.signbit(got[got == 0.0]).any()
     # 0.55 - 0.3 is 0.25 plus an ulp of 0.55: the edge lies on the radius
     # point 0.25, and the points on either side of it stay
-    got = quadrature._graded_breakpoints(-1.0, 1.0, 0.3, 2.0 ** -40, (0.55,))
+    got, _ = quadrature._axis_breaks(-1.0, 1.0, 0.3, 2.0 ** -40, (0.55,), None, None)
     assert 0.55 - 0.3 != 0.25 and 0.55 - 0.3 not in got.tolist()
     assert {0.125, 0.25, 0.5}.issubset(got.tolist())
+    # two payload edges within rounding of each other both stay: each is
+    # checked against the radius points and the ends only
+    pair = (0.2, math.nextafter(0.2, 1.0))
+    got, _ = quadrature._axis_breaks(-1.0, 1.0, 0.3, 2.0 ** -40, pair, None, None)
+    assert got.tobytes() == _loop_graded_breakpoints(-1.0, 1.0, 0.3, 2.0 ** -40, pair).tobytes()
+    assert {e - 0.3 for e in pair}.issubset(got.tolist())
 
 
 def test_axis_plans_are_cached_and_read_only():
@@ -903,8 +936,8 @@ def test_mirrored_nodes_have_the_same_distance_to_the_bit(g):
         paired += len(mirrored)
         # each cell is cut from its end nearer the center, so symmetric cuts stay symmetric
         side = np.sort(rng.uniform(0.0, 3.0, 5))
-        split = quadrature._split_wide_cells(np.concatenate([-side[::-1], [0.0], side]),
-                                             (hi - lo) / 7)
+        split, _ = quadrature._axis_breaks(-3.5, 3.5, 0.0, finest, tuple(side) + tuple(-side),
+                                           (hi - lo) / 7, (-3.5, 3.5))
         assert np.array_equal(split, -split[::-1]), case
     assert paired > 1000
 

@@ -9,8 +9,8 @@ empty diff means every case below gave the same bytes.
 Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, fifteen
 larger CLI runs, `--help` of the program and of every subcommand, and the
 900-point apply pool of `bench/reference.json` (read, never written), one
-line for payloads moved by translate, dilate and scale_values, and one for
-the inner axis plans.
+line for payloads moved by translate, dilate and scale_values, one for the
+inner axis plans, and one for the breakpoints of random axes.
 Each CLI case prints one line: the case name, the exit status, and the SHA-256 of the
 CSV bytes, of the JSON sidecar without its `timestamp` block (with the output
 directory masked), and of stdout. The apply-pool line also counts the
@@ -21,7 +21,11 @@ The payload line hashes the support, sup_bound() and the bytes of evaluate
 on a fixed grid, for a bump and a random (2, 1) atom after each move. The
 plans line hashes the offsets, weights and core flags of the bump's inner
 plans of orders 4 and 3, at an interior centre, a support-edge centre and an
-outside centre, each at cutoffs -20, -40 and -56.
+outside centre, each at cutoffs -20, -40 and -56. The breaks line hashes the
+cuts and breaks of `_axis_breaks` over 2,000 seeded random axes: centres
+inside, on the ends of and up to two sides outside the interval, finest cells
+down to 2^-300 of the side, payload edges including -0.0, and wide cells cut
+everywhere, within part of the interval or not at all.
 """
 
 from __future__ import annotations
@@ -198,6 +202,30 @@ def _plans_line():
     return f"plans offsets+weights+core={digest.hexdigest()}"
 
 
+def _breaks_line():
+    import numpy as np
+
+    from flagint import quadrature
+
+    rng = np.random.default_rng(23)
+    digest = hashlib.sha256()
+    for case in range(2000):
+        lo, hi = sorted(float(z) for z in rng.uniform(-4.0, 4.0, 2))
+        if case % 5 == 0:
+            lo, hi = -0.0, abs(hi) + 0.5
+        side = hi - lo
+        center = {0: lo, 1: hi, 2: 0.5 * (lo + hi)}.get(
+            case % 7, float(rng.uniform(lo - 2.0 * side, hi + 2.0 * side)))
+        finest = side * 2.0 ** -float(rng.integers(1, 301))
+        extra = tuple(float(e) for e in rng.choice(
+            [lo, hi, center, 0.0, -0.0, *rng.uniform(lo, hi, 3)], size=int(rng.integers(0, 6))))
+        max_cell = [None, 0.0, side / 8, side / 3][case % 4]
+        within = [None, (lo, hi), (lo + 0.25 * side, hi)][case % 3]
+        for arr in quadrature._axis_breaks(lo, hi, center, finest, extra, max_cell, within):
+            digest.update(arr.tobytes())
+    return f"breaks cuts+breaks={digest.hexdigest()}"
+
+
 def main() -> int:
     from flagint import cli
 
@@ -212,6 +240,7 @@ def main() -> int:
     print(_apply_pool_line())
     print(_payload_line())
     print(_plans_line())
+    print(_breaks_line())
     return 0
 
 
