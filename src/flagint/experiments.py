@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -204,6 +203,9 @@ def _run_rows(worker, tasks: Sequence, jobs: int) -> List:
     workers = _pool_size(jobs, len(tasks), os.cpu_count())
     if workers == 1:
         return [worker(t) for t in tasks]
+    # imported here: most runs start no pool, and the import takes 10-20 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 

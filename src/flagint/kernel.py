@@ -82,7 +82,7 @@ class Kernel:
         varies along the u axes only; rest is the remainder, a new array
         over the whole tensor (1 for the riesz kernel, which has no other).
         """
-        out = np.empty(np.broadcast_shapes(*(np.shape(d) for d in diffs)))
+        out = np.empty(np.broadcast(*diffs).shape)
         sn = _norm(diffs[: self.n])
         if self.kind == "riesz":
             out.fill(1.0)

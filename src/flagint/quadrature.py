@@ -142,7 +142,10 @@ class TestFunction:
             return values
         # exp(sum of steps) times the cell where the profile is positive, +0.0 elsewhere
         within, steps = zip(*(self._profile_step(i, z) for i, z in enumerate(coords)))
-        res = np.exp(reduce(np.add, steps)) * values
+        total = np.zeros(len(pts))
+        for inside, step in zip(within, steps):
+            total[inside] += step
+        res = np.exp(total) * values
         res[~reduce(np.logical_and, within)] = 0.0
         return res
 
@@ -160,7 +163,9 @@ class TestFunction:
         if not self.radius:
             return 1.0, self._slots(axis, z)
         inside, step = self._profile_step(axis, z)
-        return np.where(inside, np.exp(step), 0.0), np.zeros(z.shape, dtype=np.intp)
+        factor = np.zeros(z.shape)
+        factor[inside] = np.exp(step)
+        return factor, np.zeros(z.shape, dtype=np.intp)
 
     @cached_property
     def payload_table(self) -> np.ndarray:
@@ -168,12 +173,15 @@ class TestFunction:
         return self._cell_table[1]
 
     def _profile_step(self, axis: int, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Whether each coordinate lies inside the profile on this axis, and its exponent step."""
+        """Whether each coordinate lies inside the profile on this axis, and the exponent steps.
+
+        The steps are those of the coordinates inside, in their order; there
+        1 - w^2 >= 2^-53, so no division fails.
+        """
         w = (z - self.center[axis]) / self.radius[axis]
         w2 = w * w
         inside = w2 < 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return inside, np.where(inside, 1.0 - 1.0 / (1.0 - w2), 0.0)
+        return inside, 1.0 - 1.0 / (1.0 - w2[inside])
 
     @cached_property
     def _cell_table(self) -> Tuple[List[np.ndarray], np.ndarray]:
@@ -368,6 +376,18 @@ def sufficient_inner_cutoff(alpha: float, dim: int, target_rel_error: float) -> 
 def _leggauss(g: int) -> Tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(g)
     return nodes, weights
+
+
+@lru_cache(maxsize=64)
+def _gauss_rules(orders: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes and the weights of the Gauss rules of the orders, each joined in one array.
+
+    The arrays are cached and shared, so they are read-only.
+    """
+    rules = tuple(np.concatenate(rule) for rule in zip(*map(_leggauss, orders)))
+    for arr in rules:
+        arr.flags.writeable = False
+    return rules
 
 
 @dataclass(frozen=True)
@@ -584,7 +604,7 @@ def _core_eps(f: TestFunction, spec: QuadratureSpec, axes: range) -> float:
     return max(_resolved(f, spec, i) for i in axes)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Run:
     """Consecutive outer coordinates of one axis, with their inner plans joined.
 
@@ -657,7 +677,7 @@ def _inner_runs(f: TestFunction, outer_axes: Sequence[Sequence[float]], spec: Qu
     dist, weights, nodes, cell_core = _cell_nodes(
         np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts]),
         np.repeat(centers, counts)[:, None], np.repeat(finests, counts),
-        *(np.concatenate(rule) for rule in zip(*map(_leggauss, orders))))
+        *_gauss_rules(tuple(orders)))
     has_core = np.logical_or.reduceat(cell_core, rows[:-1])
     # the sort key: plan (order, then axis and outer coordinate), then payload slot
     size = max(f.payload_table.shape)
@@ -668,15 +688,11 @@ def _inner_runs(f: TestFunction, outer_axes: Sequence[Sequence[float]], spec: Qu
         factor, slots = f.axis_factor(i, nodes[axis])
         key[axis] += slots
         weights[axis] *= factor
-    # within a plan by distance where it has cells on both sides, else cell by cell
-    n = key.size
-    position = np.arange(n).reshape(key.shape)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(dist, axis=None, kind="stable")] = position.ravel()
+    # within a plan by distance where it has cells on both sides, else cell by
+    # cell: lexsort is stable, so nodes of one key and distance keep that order
     two_sided = np.array([c[0] < 0.0 < c[-1] for c in cuts])[cell_plan, None]
-    order = np.argsort(key * np.int64(n) + np.where(two_sided, rank.reshape(key.shape), position),
-                       axis=None, kind="stable")
-    del nodes, rank, position
+    order = np.lexsort((np.where(two_sided, dist, 0.0).ravel(), key.ravel()))
+    del nodes
     core = cell_core[order // key.shape[1]]
     key, dist, terms = key.ravel()[order], dist.ravel()[order], weights.ravel()[order]
     del weights, order
@@ -710,9 +726,9 @@ def _blocks(runs: Sequence[_Run]) -> List[List[_Run]]:
     Axes take their parts from the fewest columns up, each an equal share of
     what is left of _BLOCK_NODES, so a short axis is one part and leaves the
     rest to the long ones. A block's tensor fits the budget unless one outer
-    node's tensor alone does not; such a node is never split. Raises
-    UsageError when an outer node's tensor has more than MAX_GRID_NODES
-    columns.
+    node's tensor alone does not; such a node is never split, and runs of
+    one outer node each are the one block as they are. Raises UsageError
+    when an outer node's tensor has more than MAX_GRID_NODES columns.
     """
     if math.prod(max(r.widths) for r in runs) > MAX_GRID_NODES:
         sizes = reduce(np.multiply.outer, [np.array(r.widths, dtype=np.int64) for r in runs])
@@ -720,6 +736,8 @@ def _blocks(runs: Sequence[_Run]) -> List[List[_Run]]:
             f"grid tensor would need {int(sizes.flat[np.argmax(sizes > MAX_GRID_NODES)])} "
             "nodes; use monte-carlo or a coarser cutoff"
         )
+    if all(len(r.outer) == 1 for r in runs):
+        return [[r] for r in runs]
     order = sorted(range(len(runs)), key=lambda i: len(runs[i].offsets))
     left = float(_BLOCK_NODES)
     out: List[List[_Run]] = [[] for _ in runs]
@@ -755,7 +773,7 @@ def _block_values(kernel: Kernel, table: np.ndarray, block: Sequence[_Run]) -> n
         for axes, singular in _core_groups(kernel):
             if singular:
                 np.copyto(t, 0.0, where=reduce(np.logical_and, [cores[i] for i in axes]))
-        t *= table[np.ix_(*(r.slots for r in block))]
+        t *= table[tuple(_axis_views([r.slots for r in block]))]
     for i, r in enumerate(block):
         t = np.add.reduceat(t, r.owners, axis=i)
     return t

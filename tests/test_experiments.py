@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -295,6 +297,22 @@ def test_shell_profile_hands_the_gap_first_and_writes_it_last(grid_spec, monkeyp
     assert len(handed) == 7 and isinstance(handed[0], GapRegion)
     assert not any(isinstance(r, GapRegion) for r in handed[1:])
     assert recorded.rows == serial.rows
+
+
+def test_importing_the_package_loads_no_pool():
+    # the pool's module is imported when a scan starts a pool, so the
+    # package and its CLI load without it; --jobs 2 above gives the rows of
+    # --jobs 1 through it
+    import flagint
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(flagint.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, flagint, flagint.cli; print('concurrent.futures.process' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src_dir}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

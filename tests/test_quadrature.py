@@ -635,6 +635,31 @@ def test_bump_tensor_keeps_the_bits_of_the_where_form(amplitude):
     assert not np.signbit(got[~inside.ravel()]).any()
 
 
+def test_bump_axis_factor_keeps_the_bits_of_the_where_form():
+    # the factor is formed on the nodes inside the profile only, with no
+    # division by zero on the way; on the support ends, just inside them
+    # (where exp underflows to 0.0), outside them and between them it has
+    # the bits of the full-size where form, on both axes
+    f = smooth_bump(1, 1, center=[0.25, -0.5], radius=[0.75, 1.5])
+    for i, (c, r) in enumerate(zip(f.center, f.radius)):
+        lo, hi = f.support[i]
+        near = [c + s * r * (1.0 - t) for s in (-1.0, 1.0) for t in (2.0 ** -30, 1e-4)]
+        z = np.array([lo, hi, *near, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                      lo - r, hi + r, *np.linspace(lo, hi, 41)])
+        w = (z - c) / r
+        w2 = w * w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(w2 < 1.0, 1.0 - 1.0 / (1.0 - w2), 0.0)
+        want = np.where(w2 < 1.0, np.exp(step), 0.0)
+        with np.errstate(divide="raise", invalid="raise"):
+            factor, slots = f.axis_factor(i, z)
+        assert factor.tobytes() == want.tobytes(), i
+        assert not slots.any()
+        # the ends lie outside; just inside them the factor underflows to 0.0
+        assert (w2[:2] == 1.0).all() and (w2[2:6] < 1.0).all()
+        assert (factor[:10] == 0.0).all() and (factor[10:] > 0.0).any()
+
+
 def _mask_loop_values(f, coords):
     # the cell rule as one full-size mask per cell: half-open cells, closed
     # against the support top, 0 outside the support and at NaN
@@ -1454,6 +1479,23 @@ def test_max_grid_nodes_caps_each_outer_node(grid_spec, inner_tensor_sizes, monk
     with pytest.raises(UsageError) as exc:
         lq_mass(cfg, f, window, 2, grid_spec)
     assert str(exc.value) == _cap_message(int(sizes[sizes > cap][0]))
+
+
+def test_blocks_keep_one_coordinate_runs_and_refuse_first(monkeypatch):
+    # runs of one outer coordinate each are the pass's one block as they
+    # are, but only once the tensor of that node is known to fit the cap
+    f = smooth_bump(1, 1)
+    runs = quadrature._inner_runs(f, [[0.4], [0.2]], QuadratureSpec(inner_cutoff=-40), (4,))[0][0]
+    blocks = quadrature._blocks(runs)
+    assert [len(parts) for parts in blocks] == [1, 1]
+    assert all(parts[0] is run for parts, run in zip(blocks, runs))
+    size = math.prod(len(r.offsets) for r in runs)
+    monkeypatch.setattr(quadrature, "MAX_GRID_NODES", size - 1)
+    with pytest.raises(UsageError) as exc:
+        quadrature._blocks(runs)
+    assert str(exc.value) == _cap_message(size)
+    monkeypatch.setattr(quadrature, "MAX_GRID_NODES", size)
+    assert [parts[0] for parts in quadrature._blocks(runs)] == runs
 
 
 def test_max_grid_nodes_does_not_cap_a_batch(grid_spec, inner_tensor_sizes, monkeypatch):
