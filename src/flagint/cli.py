@@ -65,8 +65,6 @@ _COMMON_FLAGS: Tuple = (
     ("rho", {"help": "scaling exponent, rational >= 1"}),
     ("p", {"help": "source exponent, rational >= 1"}),
     ("q", {"help": "target exponent, rational > 1"}),
-    ("method", {"choices": ("grid", "monte-carlo")}),
-    ("samples", {"type": int}),
     ("points_per_axis", {"type": int}),
     ("seed", {"type": int}),
     ("target_rel_error", {"type": float}),
@@ -333,9 +331,7 @@ def _exponent_config(merged: Dict, need_p: bool = False, need_q: bool = False) -
 def _quadrature_spec(merged: Dict) -> QuadratureSpec:
     try:
         return QuadratureSpec(
-            method=str(merged["method"]),
             points_per_axis=int(merged["points_per_axis"]),
-            samples=int(merged["samples"]),
             seed=int(merged["seed"]),
             inner_cutoff=int(merged["inner_cutoff"]),
             target_rel_error=float(merged["target_rel_error"]),

@@ -3,9 +3,13 @@
 Every region is a list of boxes with disjoint interiors, each of sign +1,
 plus a membership test: `signed_boxes()` is that list (the grid integrates
 it box by box), `contains(points)` tests membership, and `volume()` and
-`sample(rng, count)` (uniform points, for Monte Carlo) both come from the
-list. So every region measures its factors with the max norm |.|_inf: a
-max-norm annulus is a union of boxes, a Euclidean one is not.
+`sample(rng, count)` (uniform points) both come from the list. So every
+region measures its factors with the max norm |.|_inf: a max-norm annulus
+is a union of boxes, a Euclidean one is not.
+
+No engine path draws points. `sample()` stays because the benchmark's
+tracer (bench/tracing.py) wraps it by name on every region, and the tests
+use it to check membership.
 
 The kernel keeps its Euclidean factor norms, and the max-norm regions
 answer the same questions. The truncation {|y|_inf <= R} sits between the

@@ -96,11 +96,6 @@ class Kernel:
             np.copyto(out, _norm(diffs[self.n:]) ** (self.v_power - self.m))
         return sn ** (self.u_power - self.n), out
 
-    def values(self, pt: np.ndarray, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """Kernel at pt - z, with z given as one (N,) coordinate column per axis."""
-        diffs = [pt[i] - coords[i] for i in range(self.n + self.m)]
-        return self.of_norms(_norm(diffs[: self.n]), _norm(diffs[self.n:]) if self.m else None)
-
 
 def _norm(diffs: Sequence[np.ndarray]) -> np.ndarray:
     """Euclidean norm of broadcastable per-axis differences.

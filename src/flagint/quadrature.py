@@ -2,11 +2,11 @@
 
 Strategy: every integral is taken over explicit boxes, subdivided per axis
 into dyadic cells graded toward the singular coordinate (u toward x, v
-toward y), each cell handled by a tensor Gauss-Legendre rule or by
-stratified Monte Carlo. The innermost cells around u = x (where the kernel
-is a pure power) are excluded from the numeric sum and bounded analytically;
-that bound goes into the reported error estimate, never into the value.
-Nothing here integrates over an unbounded region.
+toward y), each cell handled by a tensor Gauss-Legendre rule. The
+innermost cells around u = x (where the kernel is a pure power) are
+excluded from the numeric sum and bounded analytically; that bound goes
+into the reported error estimate, never into the value. Nothing here
+integrates over an unbounded region.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .kernel import Kernel, PointPair, flag_kernel, product_kernel, riesz_kernel
 
 Bounds = Tuple[Tuple[float, float], ...]
 
-# Tensor-grid quadrature is allowed only up to this total dimension;
-# beyond it the cost is exponential and Monte Carlo is required.
+# Tensor-grid quadrature is allowed only up to this total dimension; beyond
+# it the cost is exponential, and such a payload is refused.
 MAX_GRID_DIMENSION = 4
 
 # Largest Gauss-Legendre order a spec may ask for. leggauss(g) forms a g x g
@@ -40,19 +40,15 @@ MAX_POINTS_PER_AXIS = 64
 # ones folded), to fail loudly instead of swapping.
 MAX_GRID_NODES = 12_000_000
 
-# Inner tensor columns evaluated together when a pass batches outer nodes, and
-# Monte Carlo samples drawn together (at least one stratum's worth).
+# Inner tensor columns evaluated together when a pass batches outer nodes.
 _BLOCK_NODES = 2 ** 14
-
-# Monte Carlo strata are merged (pairwise, per axis) down to this count.
-MAX_MC_STRATA = 65_536
 
 _RELATIVE_FLOOR = 1e-300
 
 # Axis plans kept by _axis_plan: those of the outer rules. Breakpoint sets kept
-# by _axis_breaks: also one per axis and centre of each inner pass and Monte
-# Carlo query. Both recur across lq_mass calls whose boxes share a factor
-# interval, as consecutive dyadic shells do, so each holds a few boxes' sets.
+# by _axis_breaks: also one per axis and centre of each inner pass. Both recur
+# across lq_mass calls whose boxes share a factor interval, as consecutive
+# dyadic shells do, so each holds a few boxes' sets.
 _AXIS_PLAN_CACHE = 256
 
 
@@ -315,27 +311,17 @@ class QuadratureSpec:
     at the nodes nearest the point (their squared distance underflows
     below about 2^-537) raises UsageError.
 
-    samples is the Monte Carlo budget of one inner integral. Each stratum
-    takes max(2, samples // strata) samples, so a query with many strata
-    draws more than samples: at the bump's interior points at cutoff -40
-    (6,889 strata), samples 2000 and 20000 both draw 13,778 and give the
-    same value.
+    The grid is deterministic; seed only names a run's output files.
     """
 
-    method: str = "grid"
     points_per_axis: int = 4
-    samples: int = 20000
     seed: int = 0
     inner_cutoff: int = -20
     target_rel_error: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.method not in ("grid", "monte-carlo"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
         if not (4 <= self.points_per_axis <= MAX_POINTS_PER_AXIS):
             raise ValueError(f"points_per_axis must lie in [4, {MAX_POINTS_PER_AXIS}]")
-        if self.samples <= 0:
-            raise ValueError("samples must be positive")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not (-1060 <= self.inner_cutoff <= -1):
@@ -362,8 +348,7 @@ def sufficient_inner_cutoff(alpha: float, dim: int, target_rel_error: float) -> 
     e = min(-4, math.floor(math.log2(rhs) / a))
     if e < -1060:
         raise UsageError(
-            f"alpha={alpha} needs cutoff 2^{e}, below float range; "
-            "use monte-carlo or a looser target"
+            f"alpha={alpha} needs cutoff 2^{e}, below float range; use a looser target"
         )
     return e
 
@@ -485,20 +470,16 @@ def _cell_nodes(a: np.ndarray, b: np.ndarray, center, finest, ref_nodes: np.ndar
     """The Gauss nodes of the cells [a, b], given as offsets from center.
 
     Returns per cell and reference node the node's distance |node - center|,
-    its weight and its coordinate, and per cell whether it is a core cell
-    (_core_cells). center broadcasts against the (cell, node) arrays and
-    finest against the cells.
+    its weight and its coordinate, and per cell whether it is a core cell:
+    it lies within finest of the center. center broadcasts against the
+    (cell, node) arrays and finest against the cells.
     """
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     # the distances from |mid|, so that mirrored cells give them the same bits
     dist = np.abs(mid)[:, None] + half[:, None] * ref_nodes
     nodes = center + np.copysign(dist, mid[:, None])
-    return dist, half[:, None] * ref_weights, nodes, _core_cells(a, b, finest)
-
-
-def _core_cells(a: np.ndarray, b: np.ndarray, finest) -> np.ndarray:
-    """Per cell [a, b], given as offsets from a center, whether it lies within finest of it."""
-    return np.maximum(np.maximum(a, -b), 0.0) < finest * (1.0 - 1e-12)
+    core = np.maximum(np.maximum(a, -b), 0.0) < finest * (1.0 - 1e-12)
+    return dist, half[:, None] * ref_weights, nodes, core
 
 
 @lru_cache(maxsize=_AXIS_PLAN_CACHE)
@@ -591,8 +572,8 @@ def _core_groups(kernel: Kernel) -> Tuple[Tuple[range, bool], ...]:
 def _core_flags(kernel: Kernel, has_core: Sequence) -> List:
     """Per group, whether its core is excluded: every axis of it has core cells.
 
-    has_core[i] says whether the plan of axis i has core cells: a bool, or
-    an array that broadcasts over a tensor of outer nodes.
+    has_core[i] says whether the plan of axis i has core cells, as an array
+    that broadcasts over a tensor of outer nodes.
     """
     return [
         singular and reduce(np.logical_and, [has_core[i] for i in axes], True)
@@ -734,7 +715,7 @@ def _blocks(runs: Sequence[_Run]) -> List[List[_Run]]:
         sizes = reduce(np.multiply.outer, [np.array(r.widths, dtype=np.int64) for r in runs])
         raise UsageError(
             f"grid tensor would need {int(sizes.flat[np.argmax(sizes > MAX_GRID_NODES)])} "
-            "nodes; use monte-carlo or a coarser cutoff"
+            "nodes; use a coarser cutoff"
         )
     if all(len(r.outer) == 1 for r in runs):
         return [[r] for r in runs]
@@ -781,9 +762,7 @@ def _block_values(kernel: Kernel, table: np.ndarray, block: Sequence[_Run]) -> n
 
 def _require_grid_dimension(f: TestFunction) -> None:
     if f.dim > MAX_GRID_DIMENSION:
-        raise UsageError(
-            f"grid quadrature supports n+m <= {MAX_GRID_DIMENSION}; use monte-carlo"
-        )
+        raise UsageError(f"grid quadrature supports n+m <= {MAX_GRID_DIMENSION}, got {f.dim}")
 
 
 def _grid_conv_values(
@@ -818,88 +797,10 @@ def _grid_conv_values(
         if not np.isfinite(values).all():
             raise UsageError(
                 f"the kernel overflows on the grid at inner_cutoff 2^{spec.inner_cutoff}; "
-                "use monte-carlo or a coarser cutoff"
+                "use a coarser cutoff"
             )
         out.append(values)
     return out, core_u, core_v
-
-
-def _merge_axis_cells(breaks: Sequence[np.ndarray], cap: int) -> List[np.ndarray]:
-    """Per axis, the breakpoints left once the stratum tensor fits cap.
-
-    Each step halves the axis with the most cells by merging neighbours
-    pairwise; an odd last cell stays as it is.
-    """
-    breaks = list(breaks)
-    while math.prod(len(b) - 1 for b in breaks) > cap:
-        widest = max(range(len(breaks)), key=lambda i: len(breaks[i]))
-        b = breaks[widest]
-        if len(b) <= 2:
-            break
-        breaks[widest] = b[::2] if len(b) % 2 == 1 else np.append(b[::2], b[-1])
-    return breaks
-
-
-def _mc_conv_value(
-    kernel: Kernel,
-    f: TestFunction,
-    pt: np.ndarray,
-    spec: QuadratureSpec,
-    salt: Tuple[int, ...],
-) -> Tuple[float, float, bool, bool]:
-    """Stratified Monte Carlo over the cells of the axis plans, merged to MAX_MC_STRATA.
-
-    Every stratum takes max(2, samples // strata) uniform samples, all drawn
-    from one stream in stratum order (C order over the merged cells), so the
-    value does not depend on how many strata a chunk holds.
-    """
-    finest = [_resolved(f, spec, i) for i in range(f.dim)]
-    cuts, breaks = zip(*(_axis_breaks(*f.support[i], float(x), finest[i], *_payload_grading(f, i))
-                         for i, x in enumerate(pt)))
-    core_u, core_v = _core_flags(
-        kernel, [_core_cells(c[:-1], c[1:], e).any() for c, e in zip(cuts, finest)])
-    excluded = [axes for active, (axes, _) in zip((core_u, core_v), _core_groups(kernel))
-                if active]
-
-    def per_stratum_rows(per_axis: List[np.ndarray]) -> np.ndarray:
-        return np.stack([a.ravel() for a in np.meshgrid(*per_axis, indexing="ij")], axis=1)
-
-    # in coordinates the cells nearer the point than the spacing of floats
-    # there have no width; they are no strata
-    breaks = _merge_axis_cells([np.unique(b) for b in breaks], MAX_MC_STRATA)
-    los = per_stratum_rows([b[:-1] for b in breaks])
-    sides = per_stratum_rows([np.diff(b) for b in breaks])
-    n_strata = len(los)
-    per_stratum = max(2, spec.samples // n_strata)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=salt))
-
-    means = np.empty(n_strata)
-    variances = np.empty(n_strata)
-    chunk = max(1, _BLOCK_NODES // per_stratum)
-    for start in range(0, n_strata, chunk):
-        rows = slice(start, start + chunk)
-        k = len(los[rows])
-        pts = los[rows, None, :] + rng.random((k, per_stratum, f.dim)) * sides[rows, None, :]
-        pts = pts.reshape(-1, f.dim)
-        keep = np.ones(len(pts), dtype=bool)
-        for axes in excluded:
-            in_core = np.ones(len(pts), dtype=bool)
-            for i in axes:
-                in_core &= np.abs(pts[:, i] - pt[i]) < finest[i]
-            keep &= ~in_core
-        fvals = f.evaluate(pts)
-        vals = np.zeros(len(pts))
-        live = keep & (fvals != 0.0)
-        if np.any(live):
-            vals[live] = fvals[live] * kernel.values(pt, pts[live].T)
-        vals = vals.reshape(k, per_stratum)
-        means[rows] = np.mean(vals, axis=1)
-        variances[rows] = np.var(vals, axis=1, ddof=1)
-
-    vol = np.prod(sides, axis=1)
-    value = math.fsum((vol * means).tolist())
-    stat_err = 3.0 * math.sqrt(math.fsum((vol * vol * variances / per_stratum).tolist()))
-    return value, stat_err, core_u, core_v
 
 
 def _core_error(
@@ -956,17 +857,10 @@ def _apply_kernel(
     f: TestFunction,
     pt: np.ndarray,
     spec: QuadratureSpec,
-    salt: Tuple[int, ...] = (0,),
-    check_target: bool = True,
 ) -> Tuple[float, float]:
-    if spec.method == "grid":
-        value, err, core_err = (a.item() for a in _grid_inner(kernel, f, [[x] for x in pt], spec))
-    else:
-        value, rule_err, core_u, core_v = _mc_conv_value(kernel, f, pt, spec, salt)
-        core_err = _core_error(kernel, f, pt, spec, core_u, core_v)
-        err = rule_err + core_err
+    value, err, core_err = (a.item() for a in _grid_inner(kernel, f, [[x] for x in pt], spec))
     # no core excluded means core_err == 0.0, which never exceeds the target
-    if check_target and core_err > spec.target_rel_error * max(abs(value), _RELATIVE_FLOOR):
+    if core_err > spec.target_rel_error * max(abs(value), _RELATIVE_FLOOR):
         raise AccuracyError(
             f"inner_cutoff 2^{spec.inner_cutoff} too coarse: analytic core bound "
             f"{core_err:.3e} exceeds target {spec.target_rel_error} relative to "
@@ -1078,11 +972,11 @@ def _joined_rule(intervals: Sequence[Sequence[Tuple[float, float]]], f: TestFunc
             list(itertools.product(*parts)))
 
 
-def _lq_mass_grid(
+def _lq_mass(
     kernel: Kernel,
     f: TestFunction,
     region,
-    q: float,
+    q: Union[float, Fraction, str],
     spec: QuadratureSpec,
 ) -> Tuple[float, float]:
     """Each product of the region's boxes takes one inner pass per order.
@@ -1092,6 +986,10 @@ def _lq_mass_grid(
     its three sums are those of a pass over that box alone. The dimension is
     checked first, before the outer rule's weight tensor is formed.
     """
+    _require_dims(f, kernel)
+    q = float(as_rational(q, "q"))
+    if not q > 1:
+        raise PreconditionError("lq_mass needs q > 1")
     _require_grid_dimension(f)
     g = spec.points_per_axis
     boxes = region.signed_boxes()
@@ -1116,48 +1014,6 @@ def _lq_mass_grid(
     return value, err
 
 
-def _lq_mass_mc(
-    kernel: Kernel,
-    f: TestFunction,
-    region,
-    q: float,
-    spec: QuadratureSpec,
-) -> Tuple[float, float]:
-    n_outer = max(32, min(512, spec.samples // 64))
-    inner_spec = replace(spec, samples=max(2048, spec.samples // 8))
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=spec.seed, spawn_key=(11,))
-    )
-    pts = region.sample(rng, n_outer)
-    vol = region.volume()
-    powers = np.empty(n_outer)
-    gaps = np.empty(n_outer)
-    for i, row in enumerate(pts):
-        v, e = _apply_kernel(kernel, f, row, inner_spec, salt=(12, i), check_target=False)
-        powers[i] = abs(v) ** q
-        gaps[i] = _power_gap(v, e, q)
-    value = vol * float(np.mean(powers))
-    stat = 3.0 * vol * float(np.std(powers, ddof=1)) / math.sqrt(n_outer)
-    err = stat + vol * float(np.mean(gaps))
-    return value, err
-
-
-def _lq_mass(
-    kernel: Kernel,
-    f: TestFunction,
-    region,
-    q: Union[float, Fraction, str],
-    spec: QuadratureSpec,
-) -> Tuple[float, float]:
-    _require_dims(f, kernel)
-    qf = float(as_rational(q, "q"))
-    if not qf > 1:
-        raise PreconditionError("lq_mass needs q > 1")
-    if spec.method == "grid":
-        return _lq_mass_grid(kernel, f, region, qf, spec)
-    return _lq_mass_mc(kernel, f, region, qf, spec)
-
-
 def lq_mass(
     cfg: ExponentConfig,
     f: TestFunction,
@@ -1167,9 +1023,9 @@ def lq_mass(
 ) -> Tuple[float, float]:
     """Integral of |If|^q over a bounded region, with composed error estimate.
 
-    region is anything exposing signed_boxes() (grid) or sample()/volume()
-    (monte-carlo): shells, cubes, windows, the counterexample region. Signed
-    integrands enter through their modulus, never signed powers.
+    region is anything exposing signed_boxes(): shells, cubes, windows, the
+    counterexample region. Signed integrands enter through their modulus,
+    never signed powers.
     """
     return _lq_mass(flag_kernel(cfg), f, region, q, spec)
 

@@ -27,19 +27,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def grid_spec():
     return QuadratureSpec(
-        method="grid",
         points_per_axis=4,
-        seed=0,
-        inner_cutoff=-20,
-        target_rel_error=1e-3,
-    )
-
-
-@pytest.fixture(scope="session")
-def mc_spec():
-    return QuadratureSpec(
-        method="monte-carlo",
-        samples=20000,
         seed=0,
         inner_cutoff=-20,
         target_rel_error=1e-3,

@@ -59,7 +59,7 @@ def report(request):
 
 def _default_spec(**overrides):
     base = dict(
-        method="grid", points_per_axis=4, seed=0,
+        points_per_axis=4, seed=0,
         inner_cutoff=-20, target_rel_error=1e-3,
     )
     base.update(overrides)
@@ -378,8 +378,6 @@ _RERUN_CASES = (
     ("check", ["check", "--alpha", "9/10", "--beta", "3/10", "--q", "2"]),
     ("kernel", ["kernel", "--x", "2", "--y", "3"]),
     ("apply", ["apply", "--x", "10", "--y", "0"]),
-    ("apply-mc", ["apply", "--x", "10", "--y", "0",
-                  "--method", "monte-carlo", "--samples", "2000"]),
     ("atom-validate", ["atom-validate"]),
     ("shells", ["shells", "--k-max", "2", "--l-max", "1", "--jobs", "1"]),
     ("dilate", ["dilate", "--payload", "indicator", "--deltas", "0.5,2",

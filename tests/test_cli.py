@@ -163,13 +163,15 @@ def test_explicit_flag_beats_config_file(tmp_path, capsys):
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    # method once chose the quadrature rule; the grid is now the only one
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"experiment": "kernel", "wavelength": 5}))
-    status, _, err = run_cli(capsys, "kernel", "--config", str(cfg))
-    assert status == 1
-    assert err.strip() == (
-        "usage error: unknown config key 'wavelength' for experiment 'kernel'"
-    )
+    for key in ("wavelength", "method"):
+        cfg.write_text(json.dumps({"experiment": "kernel", key: 5}))
+        status, _, err = run_cli(capsys, "kernel", "--config", str(cfg))
+        assert status == 1
+        assert err.strip() == (
+            f"usage error: unknown config key '{key}' for experiment 'kernel'"
+        )
 
 
 def test_config_file_rejects_experiment_mismatch(tmp_path, capsys):
@@ -238,12 +240,10 @@ def test_config_file_rejects_a_box_or_atom_path_of_the_wrong_type(
     ("atom-validate", {"atom": 3}, "config key 'atom' must be one of signum, random, got 3"),
     ("atom-validate", {"normalization": "loose"},
      'config key \'normalization\' must be one of strict, relaxed, got "loose"'),
-    ("kernel", {"x": "2", "y": "3", "method": "mc"},
-     'config key \'method\' must be one of grid, monte-carlo, got "mc"'),
     # signum is a payload of shells and apply, not of dilate
     ("dilate", {"payload": "signum"},
      'config key \'payload\' must be one of bump, indicator, got "signum"'),
-], ids=["atom-typo", "atom-number", "normalization", "method", "payload-of-another"])
+], ids=["atom-typo", "atom-number", "normalization", "payload-of-another"])
 def test_config_file_rejects_a_value_outside_its_choices(
         tmp_path, capsys, experiment, doc, message):
     # argparse checks the choices of a flag, not of a config-file value
@@ -363,9 +363,8 @@ def test_a_flag_value_of_zero_is_that_value(tmp_path, capsys, argv, status):
 @pytest.mark.parametrize("flag, value, message", [
     ("--points-per-axis", "100000",
      f"points_per_axis must lie in [4, {quadrature.MAX_POINTS_PER_AXIS}]"),
-    ("--samples", "0", "samples must be positive"),
     ("--inner-cutoff", "5", "inner_cutoff must be a negative dyadic exponent >= -1060"),
-], ids=["points-per-axis", "samples", "inner-cutoff"])
+], ids=["points-per-axis", "inner-cutoff"])
 def test_points_per_axis_beyond_the_cap_is_refused_before_any_rule(tmp_path, capsys, flag,
                                                                    value, message):
     # leggauss(100000) alone would form an 80 GB matrix; every setting the
@@ -415,12 +414,11 @@ def test_apply_interior_point_is_unresolved_at_default_cutoff(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("method", [[], ["--method", "monte-carlo", "--samples", "2000"]])
-def test_apply_prints_plain_floats_when_the_core_is_excluded(tmp_path, capsys, method):
+def test_apply_prints_plain_floats_when_the_core_is_excluded(tmp_path, capsys):
     # the point sits inside the bump, so err carries the analytic core bound
     status, out, _ = run_cli(
         capsys, "apply", "--x", "0.5", "--y", "0.25", "--inner-cutoff", "-40",
-        "--payload", "bump", *method, "--out", str(tmp_path),
+        "--payload", "bump", "--out", str(tmp_path),
     )
     assert status == 0
     match = re.fullmatch(r"operator value (\S+) \+/- (\S+)", out.strip())
@@ -442,14 +440,24 @@ def test_apply_exterior_point_passes(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("apply", "--x", "1e20", "--y", "0"),
-    ("apply", "--x", "1e20", "--y", "0", "--method", "monte-carlo", "--samples", "2000"),
     ("counterexample", "--radii", "1e150", "--jobs", "1"),
-], ids=["apply-grid", "apply-mc", "counterexample"])
+], ids=["apply-grid", "counterexample"])
 def test_points_too_far_from_the_payload_are_a_usage_error(tmp_path, capsys, argv):
     status, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert status == 1
     assert out == ""
     assert err.startswith("usage error: the point ") and err.count("\n") == 1
+
+
+def test_apply_above_the_grid_dimension_is_a_usage_error_naming_the_limit(tmp_path, capsys):
+    status, out, err = run_cli(capsys, "apply", "--n", "3", "--m", "2", "--x", "0.5,0.5,0.5",
+                               "--y", "0.3,0.3", "--out", str(tmp_path))
+    assert status == 1
+    assert out == ""
+    assert err == (f"usage error: grid quadrature supports "
+                   f"n+m <= {quadrature.MAX_GRID_DIMENSION}, got 5\n")
+    assert "monte" not in err.lower()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_apply_box_string_reads_as_the_same_json_pairs(tmp_path, capsys):

@@ -159,11 +159,11 @@ def test_public_evaluators_match_the_engine_kernel(n, m):
     ab = derive_ab(cfg)
     rng = np.random.default_rng(29 + 3 * n + m)
     pts = rng.uniform(-3.0, 3.0, size=(300, n + m))
-    # the engine takes the kernel at pt - z: pt = 0 and z = -row is the row itself
-    origin = np.zeros(n + m)
-    cols = [-pts[:, i] for i in range(n + m)]
-    flag = flag_kernel(cfg).values(origin, cols)
-    prod = product_kernel(cfg, ab).values(origin, cols)
+    # the engine takes the kernel at offsets pt - z as the product of its
+    # split_offsets factors: with pt = 0 and z = -row the offsets are the row
+    diffs = [pts[:, i] for i in range(n + m)]
+    flag = np.multiply(*flag_kernel(cfg).split_offsets(diffs))
+    prod = np.multiply(*product_kernel(cfg, ab).split_offsets(diffs))
 
     assert np.array_equal(k.eval_points(pts), flag)
     assert np.array_equal(product_kernel_points(k, ab, pts), prod)
@@ -223,6 +223,6 @@ def test_public_evaluators_refuse_the_singular_set(n, m):
             product_kernel_points(k, ab, pts)
         with pytest.raises(SingularityError):
             dominating_kernel_eval(k, ab, point_pair(pts[0, :n], pts[0, n:]))
-    assert k.eval_points(on_y_axis)[0] == flag_kernel(cfg).values(
-        np.zeros(n + m), [-on_y_axis[:, i] for i in range(n + m)])[0]
+    assert k.eval_points(on_y_axis)[0] == np.multiply(*flag_kernel(cfg).split_offsets(
+        [on_y_axis[:, i] for i in range(n + m)]))[0]
 

@@ -101,15 +101,12 @@ def test_riesz_far_points_match_the_closed_form(grid_spec, x):
     assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
-@pytest.mark.parametrize("spec", ["grid_spec", "mc_spec"])
-def test_a_point_whose_offsets_lose_the_support_width_is_refused(spec, request, grid_spec):
+def test_a_point_whose_offsets_lose_the_support_width_is_refused(grid_spec):
     # from 1e20 the offsets -1 - x and 1 - x round to one float; the grid
-    # read 0 +- 0 there and Monte Carlo divided by zero. A point that is not
-    # finite is refused by the same check
+    # read 0 +- 0 there. A point that is not finite is refused by the same check
     for x in (1e20, math.inf, math.nan):
         with pytest.raises(UsageError, match="too far"):
-            apply_operator(_cfg(), smooth_bump(1, 1), point_pair([x], [0.0]),
-                           request.getfixturevalue(spec))
+            apply_operator(_cfg(), smooth_bump(1, 1), point_pair([x], [0.0]), grid_spec)
     with pytest.raises(UsageError, match="too far"):
         apply_riesz_1d(F(1, 2), indicator_box(1, 0, ((-1.0, 1.0),)), 1e16, grid_spec)
 
@@ -146,15 +143,6 @@ def test_apply_exterior_sandwich(grid_spec):
     hi = 4.0 * kernel_eval(k, point_pair(9.0, 0.0))
     assert lo - err <= value <= hi + err
     assert err < 1e-3 * value
-
-
-def test_apply_grid_vs_monte_carlo(grid_spec, mc_spec):
-    cfg = _cfg()
-    f = indicator_box(1, 1, ((-1.0, 1.0), (-1.0, 1.0)))
-    pt = point_pair(10.0, 0.0)
-    vg, eg = apply_operator(cfg, f, pt, grid_spec)
-    vm, em = apply_operator(cfg, f, pt, mc_spec)
-    assert abs(vg - vm) <= eg + em
 
 
 def test_apply_linearity_is_exact_on_grid(grid_spec):
@@ -268,23 +256,6 @@ def test_lq_mass_requires_q_above_one(grid_spec):
         lq_mass(cfg, f, window, 1, grid_spec)
 
 
-def test_lq_mass_monte_carlo_is_deterministic(mc_spec):
-    cfg, f, window = _scan_setup()
-    first = lq_mass(cfg, f, window, 2, mc_spec)
-    second = lq_mass(cfg, f, window, 2, mc_spec)
-    assert first == second
-    reseeded = dataclasses.replace(mc_spec, seed=1)
-    third = lq_mass(cfg, f, window, 2, reseeded)
-    assert third[0] != first[0]
-
-
-def test_lq_mass_monte_carlo_brackets_grid(grid_spec, mc_spec):
-    cfg, f, window = _scan_setup()
-    vg, eg = lq_mass(cfg, f, window, 2, grid_spec)
-    vm, em = lq_mass(cfg, f, window, 2, mc_spec)
-    assert abs(vg - vm) <= eg + em
-
-
 # ---------------------------------------------------------------------------
 # payload norms
 
@@ -309,14 +280,6 @@ def test_lp_norm_bump_matches_gauss_oracle(grid_spec):
     f = smooth_bump(1, 1, radius=1.0)
     got = lp_norm(f, 1, grid_spec)
     assert math.isclose(got, one_d ** 2, rel_tol=1e-3)
-
-
-def test_lp_norm_takes_the_grid_rule_under_monte_carlo(grid_spec, mc_spec):
-    # the p-norm is a payload integral, which the outer rule resolves to its
-    # target at any method; sampling it only added noise without an err
-    for f in (smooth_bump(1, 1, radius=1.0), make_signum_atom(1, 1).payload):
-        for p in (1, 2):
-            assert lp_norm(f, p, mc_spec) == lp_norm(f, p, grid_spec)
 
 
 def test_lp_norm_requires_p_at_least_one(grid_spec):
@@ -381,9 +344,7 @@ def test_dilate_tracks_both_axes():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"method": "trapezoid"},
         {"points_per_axis": 3},
-        {"samples": 0},
         {"seed": -1},
         {"inner_cutoff": 0},
         {"inner_cutoff": -2000},
@@ -566,10 +527,8 @@ def test_grid_pass_matches_pointwise_reference(n, m, where, payload, monkeypatch
     for kind, desc in _kernels(n, m).items():
         for g in (spec.points_per_axis, spec.points_per_axis - 1):
             got = _one_node_value(desc, f, pt, spec, g, monkeypatch)
-            want, live, scale = _reference_grid_value(desc, f, pt, spec, g)
+            want, _, scale = _reference_grid_value(desc, f, pt, spec, g)
             _assert_within_rounding(got, want, scale)
-            # the pointwise form of the kernel, as Monte Carlo calls it
-            assert np.array_equal(desc.values(pt, live.T), _reference_kernel(desc, pt - live))
 
 
 @pytest.mark.parametrize("x", [2.0, 0.01, 0.5])
@@ -907,25 +866,6 @@ def test_deep_cutoffs_give_finite_values_or_refuse(n, m, cutoff, refused):
     else:
         with pytest.raises(UsageError, match=refused):
             run()
-
-
-def test_monte_carlo_strata_have_width_at_deep_cutoffs(monkeypatch):
-    # at 2^-80 the cells nearest the point have no width in coordinates, and
-    # no stratum is made of them
-    merge, merged = quadrature._merge_axis_cells, []
-
-    def record(breaks, cap):
-        out = merge(breaks, cap)
-        merged.extend(out)
-        return out
-
-    monkeypatch.setattr(quadrature, "_merge_axis_cells", record)
-    spec = QuadratureSpec(method="monte-carlo", inner_cutoff=-80, samples=2)
-    value, err, _, _ = quadrature._mc_conv_value(
-        flag_kernel(_cfg()), smooth_bump(1, 1), np.array([0.5, 0.25]), spec, (0,))
-    assert len(merged) == 2 and math.isfinite(value) and math.isfinite(err)
-    for b in merged:
-        assert (np.diff(b) > 0.0).all()
 
 
 def _mirrored_cells(cuts):
@@ -1429,7 +1369,7 @@ def test_lq_mass_grid_keeps_the_bits_of_a_pass_per_box(region, grid_spec):
     kernel = flag_kernel(_cfg(F(9, 10), F(3, 10)))
     f = signum_atom_at_scale(1, 1, 0).payload
     want = _per_box_lq_mass(kernel, f, region, 2.0, grid_spec)
-    assert quadrature._lq_mass_grid(kernel, f, region, 2.0, grid_spec) == want
+    assert quadrature._lq_mass(kernel, f, region, 2.0, grid_spec) == want
 
 
 @pytest.mark.parametrize("payload", ["signum", "indicator", "bump"])
@@ -1453,7 +1393,7 @@ def test_gap_mass_is_the_outer_box_less_the_cube(payload, grid_spec):
 
 
 def _cap_message(nodes):
-    return f"grid tensor would need {nodes} nodes; use monte-carlo or a coarser cutoff"
+    return f"grid tensor would need {nodes} nodes; use a coarser cutoff"
 
 
 def test_max_grid_nodes_caps_each_outer_node(grid_spec, inner_tensor_sizes, monkeypatch):
@@ -1535,66 +1475,9 @@ def test_grid_refuses_more_than_max_grid_dimension_before_forming_a_rule(entry):
            "lq_mass": lambda: lq_mass(cfg, f, window, 2, spec)}[entry]
     tracemalloc.start()
     try:
-        with pytest.raises(UsageError, match="use monte-carlo"):
+        with pytest.raises(UsageError, match=rf"n\+m <= {quadrature.MAX_GRID_DIMENSION}, got 5$"):
             run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
-
-
-# ---------------------------------------------------------------------------
-# stratified Monte Carlo against the grid
-
-
-def _reference_merged_cells(cell_lists, cap):
-    # the cells as (lo, hi) pairs, the widest axis halved pairwise until the
-    # stratum tensor fits cap
-    while math.prod(len(c) for c in cell_lists) > cap:
-        widest = max(range(len(cell_lists)), key=lambda i: len(cell_lists[i]))
-        cells = cell_lists[widest]
-        if len(cells) <= 1:
-            break
-        merged = [(cells[j][0], cells[j + 1][1]) for j in range(0, len(cells) - 1, 2)]
-        cell_lists[widest] = merged + cells[len(merged) * 2:]
-    return cell_lists
-
-
-def test_merged_strata_match_the_pairwise_cell_reference():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        dim = int(rng.integers(1, 5))
-        breaks = [np.unique(rng.random(int(rng.integers(2, 300)))) for _ in range(dim)]
-        cap = int(rng.choice([1, 7, 100, 4096, quadrature.MAX_MC_STRATA]))
-        cells = [list(zip(b[:-1].tolist(), b[1:].tolist())) for b in breaks]
-        got = quadrature._merge_axis_cells(breaks, cap)
-        assert [list(zip(b[:-1].tolist(), b[1:].tolist())) for b in got] == \
-            _reference_merged_cells(cells, cap)
-
-
-_MC_BUMP_SPEC = QuadratureSpec(method="monte-carlo", inner_cutoff=-40)
-
-
-def _mc_bump_queries(spec):
-    cfg = _cfg()
-    f = smooth_bump(1, 1)
-    return [apply_operator(cfg, f, point_pair(x, y), spec) for x, y in _POINTS.values()]
-
-
-def test_monte_carlo_covers_the_grid_value_over_twenty_seeds():
-    # the 3-sigma err of stratified sampling plus the grid err covers the
-    # gap to the grid value at every point and seed
-    grid = _mc_bump_queries(dataclasses.replace(_MC_BUMP_SPEC, method="grid"))
-    ratios = []
-    for seed in range(20):
-        mc = _mc_bump_queries(dataclasses.replace(_MC_BUMP_SPEC, seed=seed))
-        ratios += [abs(vm - vg) / (em + eg) for (vm, em), (vg, eg) in zip(mc, grid)]
-    assert max(ratios) <= 1.0, sorted(ratios)[-5:]
-
-
-@pytest.mark.parametrize("budget", [1, 7, 64])
-def test_monte_carlo_value_does_not_depend_on_the_chunk_size(budget, monkeypatch):
-    # the chunks draw one after another from the one stream of the query
-    want = _mc_bump_queries(_MC_BUMP_SPEC)
-    monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
-    assert _mc_bump_queries(_MC_BUMP_SPEC) == want

@@ -6,7 +6,7 @@ Run it once in a checkout of the parent commit and once in the change, each
 with that checkout's `src` on PYTHONPATH, and `diff` the two outputs: an
 empty diff means every case below gave the same bytes.
 
-Cases: the ten criterion-10 reruns of `tests/test_acceptance.py`, fifteen
+Cases: the nine criterion-10 reruns of `tests/test_acceptance.py`, thirteen
 larger CLI runs, `--help` of the program and of every subcommand, and the
 900-point apply pool of `bench/reference.json` (read, never written), one
 line for payloads moved by translate, dilate and scale_values, one for the
@@ -48,8 +48,6 @@ _CRITERION_10 = (
     ("check", ["check", "--alpha", "9/10", "--beta", "3/10", "--q", "2"]),
     ("kernel", ["kernel", "--x", "2", "--y", "3"]),
     ("apply", ["apply", "--x", "10", "--y", "0"]),
-    ("apply-mc", ["apply", "--x", "10", "--y", "0",
-                  "--method", "monte-carlo", "--samples", "2000"]),
     ("atom-validate", ["atom-validate"]),
     ("shells", ["shells", "--k-max", "2", "--l-max", "1", "--jobs", "1"]),
     ("dilate", ["dilate", "--payload", "indicator", "--deltas", "0.5,2",
@@ -63,9 +61,6 @@ _LARGER = (
     ("shells-default", ["shells", "--jobs", "2"]),
     ("apply-interior", ["apply", "--x", "0.5", "--y", "0.25"]),
     ("dilate-bump", ["dilate", "--deltas", "1,2", "--lams", "1", "--jobs", "2"]),
-    # Monte Carlo q-norms over the p-norm of the grid outer rule
-    ("dilate-bump-mc", ["dilate", "--method", "monte-carlo", "--samples", "2000",
-                        "--deltas", "1,2", "--lams", "2", "--jobs", "2"]),
     ("frontier-2x2", ["frontier", "--alphas", "1/2,9/10", "--betas", "3/10,1/2",
                       "--jobs", "2"]),
     ("hls-bump", ["hls", "--payload", "bump"]),
@@ -75,10 +70,7 @@ _LARGER = (
     ("apply-bump-core", ["apply", "--x", "0.5", "--y", "0.25", "--inner-cutoff", "-40",
                          "--payload", "bump"]),
     ("apply-n2", ["apply", "--n", "2", "--x", "0.5,0.25", "--y", "0.3"]),
-    # Monte Carlo lq_mass: region sampling and strata in three dimensions
-    ("counterexample-m2-mc", ["counterexample", "--m", "2", "--method", "monte-carlo",
-                              "--samples", "4000", "--radii", "10,100", "--jobs", "1"]),
-    # the same counterexample on the grid: one box [2,4] x [-R,R]^2 per radius
+    # the counterexample at m = 2: one box [2,4] x [-R,R]^2 per radius
     ("counterexample-m2-grid", ["counterexample", "--m", "2", "--radii", "10,100",
                                 "--jobs", "2"]),
     # piecewise-constant payloads of one cell and of four cells
