@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,8 +70,6 @@ _COMMON_FLAGS: Tuple = (
     ("inner_cutoff", {"type": int}),
 )
 
-_COMMON_KEYS = {key for key, _ in _COMMON_FLAGS}
-
 # argparse options of the flags that several experiments share
 _XY = (("x", {"help": "comma-separated coordinates"}),
        ("y", {"help": "comma-separated coordinates"}))
@@ -117,10 +114,6 @@ _EXPERIMENT_FLAGS: Dict[str, Tuple[str, Tuple]] = {
 }
 
 EXPERIMENTS = tuple(_EXPERIMENT_FLAGS)
-
-_EXTRA_KEYS: Dict[str, set] = {
-    name: {key for key, _ in flags} for name, (_, flags) in _EXPERIMENT_FLAGS.items()
-}
 
 # alpha, beta, p and q have no common default: they stay out of the merged
 # config unless an experiment, the config file or a flag sets them
@@ -242,10 +235,9 @@ def _merge_config(args: argparse.Namespace) -> Dict:
         except ValueError as exc:
             raise UsageError(f"FLAGINT_SEED must be an integer, got {env_seed!r}") from exc
 
-    keys = _COMMON_KEYS | _EXTRA_KEYS[experiment]
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
+    # the namespace holds the subcommand's flags, besides experiment and config
+    for key, value in vars(args).items():
+        if key not in ("experiment", "config") and value is not None:
             merged[key] = value
 
     for key in _REQUIRED.get(experiment, ()):
@@ -480,21 +472,13 @@ def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
     rows = [
         {"property": name, "value": getattr(report, name), "err": None,
          "label": "atom-validate", "case": report.normalization}
-        for name in ("support_ok", "bound_ok", "mean_ok")
+        for name in ("support_ok", "bound_ok", "mean_ok", "mean", "sup")
     ]
-    rows.append({"property": "mean", "value": report.mean, "err": None,
-                 "label": "atom-validate", "case": report.normalization})
-    rows.append({"property": "sup", "value": report.sup, "err": None,
-                 "label": "atom-validate", "case": report.normalization})
     result = ScanResult(
         experiment="atom-validate",
         columns=("property", "value", "err", "label", "case"),
         rows=rows,
-        metadata={"seed": spec.seed, "report": {
-            "support_ok": report.support_ok, "bound_ok": report.bound_ok,
-            "mean_ok": report.mean_ok, "mean": report.mean, "sup": report.sup,
-            "normalization": report.normalization,
-        }},
+        metadata={"seed": spec.seed, "report": dataclasses.asdict(report)},
     )
     verdict = "VALID" if report.ok else "INVALID"
     summary = (
@@ -630,9 +614,7 @@ def _write_artifacts(result: ScanResult, merged: Dict, spec: QuadratureSpec) -> 
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(result.to_csv_text())
     with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(result.to_json_text(
-            written_at=datetime.now(timezone.utc).isoformat()
-        ))
+        fh.write(result.to_json_text())
     return csv_path, json_path
 
 

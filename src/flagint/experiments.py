@@ -2,10 +2,11 @@
 the boundedness frontier, and the product-kernel domination check.
 
 Every experiment returns a ScanResult whose rows are a pure function of
-(config, quadrature spec, seed); wall-clock timing lives outside the rows
-so emitted CSV bytes are stable run to run. Rows are independent work
-items and can be computed in parallel; results are keyed by parameter
-tuple, so aggregation never depends on scheduling.
+(config, quadrature spec); the seed only names the output files, and
+wall-clock timing lives outside the rows, so emitted CSV bytes are stable
+run to run. Every pool task is one mass, `_mass`: a scan builds its tasks,
+the pool returns their (mass, err) pairs in task order, and the scan does
+its arithmetic on them, so aggregation never depends on scheduling.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .atoms import Atom
+from .atoms import Atom, make_signum_atom
 from .domain import (
     CounterexampleRegion,
     GapRegion,
@@ -99,8 +100,9 @@ def _jsonable(value):
 class ScanResult:
     """Rows plus metadata for one experiment run.
 
-    Rows are deterministic given (config, spec, seed). Timing is kept on
-    the side and only ever written into the JSON timestamp field.
+    Rows are deterministic given (config, spec); the seed only names the
+    files. Timing is kept on the side and only ever written into the JSON
+    timestamp field.
     """
 
     experiment: str
@@ -239,25 +241,33 @@ def _default_window(cfg: ExponentConfig, f: TestFunction) -> Window:
     return centered_window(cfg.n, cfg.m, x_half, y_half)
 
 
-def _dilated_norms(
-    cfg: ExponentConfig, f: TestFunction, window: Window, delta: float, lam: float,
-    p: Union[Fraction, float], spec: QuadratureSpec,
-) -> Tuple[float, float, float]:
-    """(|I f_dl|_q over the dilated window, its error, |f_dl|_p)."""
+def _mass(task) -> Tuple[float, float]:
+    """The one pool task of every scan: (mass, err) of |I f|^q over a region.
+
+    task is (cfg, f, region, q, spec, ab); with ab set the product kernel
+    of the pair ab takes the place of the flag kernel.
+    """
+    cfg, f, region, q, spec, ab = task
+    if ab is None:
+        return lq_mass(cfg, f, region, q, spec)
+    return lq_mass_dominating(cfg, ab, f, region, q, spec)
+
+
+def _dilated(cfg: ExponentConfig, f: TestFunction, window: Window, delta: float, lam: float,
+             spec: QuadratureSpec) -> Tuple[TestFunction, Tuple]:
+    """f_dl, and the mass task of |I f_dl|^q over the window dilated with it."""
     rho = float(cfg.rho)
     fd = f.dilate(delta, lam, rho)
-    wd = window.dilated(delta, lam, rho)
-    mass, mass_err = lq_mass(cfg, fd, wd, cfg.q, spec)
-    qnorm, qnorm_err = _norm_from_mass(mass, mass_err, float(cfg.q))
-    return qnorm, qnorm_err, lp_norm(fd, p, spec)
+    return fd, (cfg, fd, window.dilated(delta, lam, rho), cfg.q, spec, None)
 
 
 # ---------------------------------------------------------------------------
 # dilation scan
 
 
-def _dilation_row(task) -> Dict:
-    cfg, f, window, delta, lam, spec = task
+def _dilation_row(cfg: ExponentConfig, fd: TestFunction, mass: Tuple[float, float],
+                  delta: float, lam: float, spec: QuadratureSpec) -> Dict:
+    """The row of r = |I f_dl|_q / |f_dl|_p from the mass of f_dl = fd."""
     if lam == 1.0 and delta == 1.0:
         case = "baseline"
     elif lam == 1.0:
@@ -267,25 +277,18 @@ def _dilation_row(task) -> Dict:
     else:
         case = "mixed"
     try:
-        qnorm, qnorm_err, pnorm = _dilated_norms(cfg, f, window, delta, lam, cfg.p, spec)
+        pnorm = lp_norm(fd, cfg.p, spec)
     except AccuracyError as exc:
         return {
             "delta": delta, "lambda": lam, "qnorm": None, "qnorm_err": None,
             "pnorm": None, "value": exc.value, "err": exc.err,
             "label": "UNRESOLVED", "case": case,
         }
-    ratio = qnorm / pnorm
-    ratio_err = qnorm_err / pnorm
+    qnorm, qnorm_err = _norm_from_mass(*mass, float(cfg.q))
     return {
-        "delta": delta,
-        "lambda": lam,
-        "qnorm": qnorm,
-        "qnorm_err": qnorm_err,
-        "pnorm": pnorm,
-        "value": ratio,
-        "err": ratio_err,
-        "label": "dilation",
-        "case": case,
+        "delta": delta, "lambda": lam, "qnorm": qnorm, "qnorm_err": qnorm_err,
+        "pnorm": pnorm, "value": qnorm / pnorm, "err": qnorm_err / pnorm,
+        "label": "dilation", "case": case,
     }
 
 
@@ -315,17 +318,14 @@ def dilation_scan(
         window = _default_window(cfg, f)
 
     t0 = time.perf_counter()
-    pairs = []
-    for d in deltas:
-        if (float(d), 1.0) not in pairs:
-            pairs.append((float(d), 1.0))
-    for l in lams:
-        if (1.0, float(l)) not in pairs:
-            pairs.append((1.0, float(l)))
+    pairs = list(dict.fromkeys([(float(d), 1.0) for d in deltas]
+                               + [(1.0, float(l)) for l in lams]))
     if (1.0, 1.0) not in pairs:
         pairs.insert(0, (1.0, 1.0))
-    tasks = [(cfg, f, window, d, l, spec) for d, l in pairs]
-    rows = _run_rows(_dilation_row, tasks, jobs)
+    fds, tasks = zip(*(_dilated(cfg, f, window, d, l, spec) for d, l in pairs))
+    masses = _run_rows(_mass, tasks, jobs)
+    rows = [_dilation_row(cfg, fd, mass, d, l, spec)
+            for fd, mass, (d, l) in zip(fds, masses, pairs)]
 
     by_pair = {(r["delta"], r["lambda"]): r for r in rows}
     base = by_pair[(1.0, 1.0)]
@@ -401,19 +401,6 @@ def dilation_scan(
 # counterexample growth
 
 
-def _growth_row(task) -> Dict:
-    cfg, payload, radius, q, spec, case, label = task
-    region = CounterexampleRegion(n=cfg.n, m=cfg.m, R=radius)
-    mass, err = lq_mass(cfg, payload, region, q, spec)
-    return {
-        "R": radius,
-        "value": mass,
-        "err": err,
-        "label": label,
-        "case": case,
-    }
-
-
 def counterexample_growth(
     n: int,
     m: int,
@@ -433,8 +420,6 @@ def counterexample_growth(
     configuration F should stabilize. The largest decade gets a log fit;
     geometric fill points are added when it holds fewer than 5 samples.
     """
-    from .atoms import make_signum_atom
-
     rho_r = as_rational(rho, "rho")
     q_r = as_rational(q, "q")
     if beta is None:
@@ -467,14 +452,13 @@ def counterexample_growth(
 
     payload = make_signum_atom(n, m).payload
     t0 = time.perf_counter()
-    tasks = [
-        (
-            cfg, payload, r, q_r, spec, case,
-            "growth" if r in user_radii else "decade-fill",
-        )
-        for r in all_radii
+    tasks = [(cfg, payload, CounterexampleRegion(n=n, m=m, R=r), q_r, spec, None)
+             for r in all_radii]
+    rows = [
+        {"R": r, "value": mass, "err": err,
+         "label": "growth" if r in user_radii else "decade-fill", "case": case}
+        for r, (mass, err) in zip(all_radii, _run_rows(_mass, tasks, jobs))
     ]
-    rows = _run_rows(_growth_row, tasks, jobs)
 
     values = [r["value"] for r in rows]
     increasing = all(b > a for a, b in zip(values[:-1], values[1:]))
@@ -530,9 +514,7 @@ def counterexample_growth(
 # shell decay profile
 
 
-def _region_row(task) -> Dict:
-    cfg, payload, region, q, spec = task
-    mass, err = lq_mass(cfg, payload, region, q, spec)
+def _region_row(cfg: ExponentConfig, region, mass: float, err: float) -> Dict:
     if isinstance(region, GapRegion):
         return {"k": None, "l": None, "value": mass, "err": err,
                 "label": "gap", "case": ""}
@@ -583,8 +565,8 @@ def shell_decay_profile(
     # (0,0) cube, the costliest task, second: the gap is the next costliest,
     # so the two workers start on the two largest tasks
     regions = [GapRegion(cfg.n, cfg.m, L)] + shell_family(cfg.n, cfg.m, L, k_max, l_max)
-    gap, *rows = _run_rows(_region_row, [(cfg, payload, r, cfg.q, spec) for r in regions],
-                           jobs)
+    masses = _run_rows(_mass, [(cfg, payload, r, cfg.q, spec, None) for r in regions], jobs)
+    gap, *rows = (_region_row(cfg, r, *mass) for r, mass in zip(regions, masses))
     rows.append(gap)
 
     agg: Dict[int, float] = {}
@@ -659,30 +641,24 @@ def shell_decay_profile(
 # frontier map
 
 
-def _frontier_cell(task) -> Dict:
-    n, m, rho, q, alpha, beta, spec = task
-    cfg = ExponentConfig(n=n, m=m, alpha=alpha, beta=beta, rho=rho, q=q)
+def _frontier_cell(cfg: ExponentConfig, fds: Optional[Sequence[TestFunction]],
+                   masses: Sequence[Tuple[float, float]], spec: QuadratureSpec) -> Dict:
+    """A cell's row from its masses: off the homogeneity line, of the indicators
+    fds dilated by delta 0.5 and 2; on it (fds None), at DEFAULT_GROWTH_RADII."""
+    alpha, beta = cfg.alpha, cfg.beta
     theorem = "THEOREM-BOUNDED" if check_formula_two(cfg) else "THEOREM-UNBOUNDED"
-    ratio_ok = cfg.homogeneity_ratio == 1 - Fraction(1) / q
 
-    if not ratio_ok:
+    if fds is not None:
         # off the homogeneity line: the dilation slope is the witness
-        f = indicator_box(n, m, tuple((-1.0, 1.0) for _ in range(n + m)))
-        window = Window(
-            n=n, m=m,
-            box=tuple((2.0, 4.0) for _ in range(n)) + tuple((-4.0, 4.0) for _ in range(m)),
-        )
-        points = []
-        try:
-            for delta in (0.5, 2.0):
-                qnorm, qnorm_err, pnorm = _dilated_norms(cfg, f, window, delta, 1.0, 1, spec)
-                points.append((delta, qnorm / pnorm, qnorm_err / pnorm))
-        except AccuracyError as exc:
-            return {
-                "alpha": alpha, "beta": beta, "value": exc.value, "err": exc.err,
-                "label": f"{theorem}|UNRESOLVED", "case": "accuracy-error",
-            }
-        (d1, r1, e1), (d2, r2, e2) = points
+        points = [_dilation_row(cfg, fd, mass, delta, 1.0, spec)
+                  for fd, mass, delta in zip(fds, masses, (0.5, 2.0))]
+        for r in points:
+            if r["label"] == "UNRESOLVED":
+                return {
+                    "alpha": alpha, "beta": beta, "value": r["value"], "err": r["err"],
+                    "label": f"{theorem}|UNRESOLVED", "case": "accuracy-error",
+                }
+        (d1, r1, e1), (d2, r2, e2) = ((r["delta"], r["value"], r["err"]) for r in points)
         dlog = math.log2(d2) - math.log2(d1)
         slope = (math.log2(r2) - math.log2(r1)) / dlog
         slope_err = (e1 / r1 + e2 / r2) / (math.log(2.0) * dlog)
@@ -695,13 +671,6 @@ def _frontier_cell(task) -> Dict:
         }
 
     # on the homogeneity line: growth of truncated masses is the witness
-    from .atoms import make_signum_atom
-
-    payload = make_signum_atom(n, m).payload
-    masses = []
-    for radius in DEFAULT_GROWTH_RADII:
-        region = CounterexampleRegion(n=n, m=m, R=radius)
-        masses.append(lq_mass(cfg, payload, region, q, spec))
     incs = [
         (masses[i + 1][0] - masses[i][0], masses[i + 1][1] + masses[i][1])
         for i in range(len(masses) - 1)
@@ -709,8 +678,7 @@ def _frontier_cell(task) -> Dict:
     inc_prev, err_prev = incs[-2]
     inc_last, err_last = incs[-1]
     if inc_prev <= 0:
-        value = 0.0
-        err = 0.0
+        value = err = 0.0
     else:
         value = inc_last / inc_prev
         err = (err_last + err_prev * abs(value)) / inc_prev
@@ -750,10 +718,31 @@ def frontier_map(
     beta_rs = [as_rational(b, "beta") for b in betas]
 
     t0 = time.perf_counter()
-    tasks = [
-        (n, m, rho_r, q_r, a, b, spec) for a in alpha_rs for b in beta_rs
+    cfgs = [ExponentConfig(n=n, m=m, alpha=a, beta=b, rho=rho_r, q=q_r)
+            for a in alpha_rs for b in beta_rs]
+    payload = make_signum_atom(n, m).payload
+    f = indicator_box(n, m, tuple((-1.0, 1.0) for _ in range(n + m)))
+    window = Window(n=n, m=m, box=tuple((2.0, 4.0) for _ in range(n))
+                    + tuple((-4.0, 4.0) for _ in range(m)))
+    # every cell's tasks go to one pool call; cells holds (cfg, fds) as _frontier_cell takes them
+    cells = []
+    tasks = []
+    for cfg in cfgs:
+        if cfg.homogeneity_ratio == 1 - Fraction(1) / q_r:
+            cells.append((cfg, None))
+            tasks += [(cfg, payload, CounterexampleRegion(n=n, m=m, R=r), q_r, spec, None)
+                      for r in DEFAULT_GROWTH_RADII]
+        else:
+            # the slope's source exponent; p = 1 < q, so the config is valid
+            cfg = replace(cfg, p=Fraction(1))
+            fds, cell_tasks = zip(*(_dilated(cfg, f, window, d, 1.0, spec) for d in (0.5, 2.0)))
+            cells.append((cfg, fds))
+            tasks += cell_tasks
+    masses = iter(_run_rows(_mass, tasks, jobs))
+    rows = [
+        _frontier_cell(cfg, fds, [next(masses) for _ in fds or DEFAULT_GROWTH_RADII], spec)
+        for cfg, fds in cells
     ]
-    rows = _run_rows(_frontier_cell, tasks, jobs)
 
     confusion = {
         "bounded|bounded": 0,
@@ -810,14 +799,6 @@ def frontier_map(
 # product-kernel domination
 
 
-def _hls_side(task) -> Tuple[float, float]:
-    """|I f|_q^q over the window: flag kernel, or the product kernel of the pair ab."""
-    cfg, ab, f, window, spec = task
-    if ab is None:
-        return lq_mass(cfg, f, window, cfg.q, spec)
-    return lq_mass_dominating(cfg, ab, f, window, cfg.q, spec)
-
-
 def hls_iteration_check(
     cfg: ExponentConfig,
     f: TestFunction,
@@ -842,8 +823,8 @@ def hls_iteration_check(
     if window is None:
         window = _default_window(cfg, f)
     t0 = time.perf_counter()
-    masses = _run_rows(_hls_side, [(cfg, None, f, window, spec), (cfg, ab, f, window, spec)],
-                       jobs)
+    # the flag kernel, then the product kernel of the pair ab
+    masses = _run_rows(_mass, [(cfg, f, window, cfg.q, spec, k) for k in (None, ab)], jobs)
     (left, left_err), (right, right_err) = (_norm_from_mass(*m, float(cfg.q)) for m in masses)
     ok = left <= right + left_err + right_err
     row = {

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -366,14 +367,6 @@ def test_hls_iteration_check_passes(grid_spec):
     assert doc["a"] == "1/2" and doc["ok"] is True
 
 
-def test_hls_pool_rows_match_the_in_process_rows(grid_spec):
-    # the flag-kernel and dominating-kernel norms are two tasks of one pool
-    serial, pooled = (hls_iteration_check(_scan_cfg(), _payload(), grid_spec, jobs=jobs)
-                      for jobs in (1, 2))
-    assert serial.to_csv_text() == pooled.to_csv_text()
-    assert serial.metadata == pooled.metadata
-
-
 def test_hls_rejects_unsuitable_inputs(grid_spec):
     bad = ExponentConfig(n=1, m=1, alpha=F(3, 10), beta=F(9, 10), rho=F(2),
                          p=F(1), q=F(2))
@@ -424,3 +417,55 @@ def test_scans_are_deterministic(grid_spec):
 def test_pool_size_clamps_jobs(jobs, tasks, cpus, expected):
     # the pure clamp only; no pool is started
     assert experiments._pool_size(jobs, tasks, cpus) == expected
+
+
+# ---------------------------------------------------------------------------
+# pool tasks
+
+
+def _scan_runs(spec):
+    """Each scan by name, as a function of jobs, at a size that runs in seconds."""
+    frontier_grid = ([F(1, 2), F(9, 10)], [F(3, 10), F(1, 2)])
+    return {
+        # a p-norm target the bump's rule cannot meet: every row is UNRESOLVED
+        "dilate": lambda jobs: dilation_scan(
+            _scan_cfg(), smooth_bump(1, 1), [1.0, 2.0], [2.0],
+            replace(spec, target_rel_error=1e-6), jobs=jobs),
+        "counterexample": lambda jobs: counterexample_growth(
+            1, 1, F(2), F(2), [10.0, 100.0], spec, jobs=jobs),
+        # two cells on the homogeneity line, two off it
+        "frontier": lambda jobs: frontier_map(1, 1, F(2), F(2), *frontier_grid, spec,
+                                              jobs=jobs),
+        "shells": lambda jobs: shell_decay_profile(
+            ExponentConfig(n=1, m=1, alpha=F(9, 10), beta=F(3, 10), rho=F(2), q=F(2)),
+            make_signum_atom(1, 1), k_max=1, l_max=1, spec=spec, jobs=jobs),
+        "hls": lambda jobs: hls_iteration_check(_scan_cfg(), _payload(), spec, jobs=jobs),
+    }
+
+
+# shells has its own test above, which also checks the order of its tasks
+@pytest.mark.parametrize("name", ["dilate", "counterexample", "frontier", "hls"])
+def test_pool_rows_match_the_in_process_rows(grid_spec, name):
+    serial, pooled = (_scan_runs(grid_spec)[name](jobs) for jobs in (1, 2))
+    assert serial.to_csv_text() == pooled.to_csv_text()
+    assert serial.metadata == pooled.metadata
+    if name == "dilate":
+        assert serial.metadata["unresolved_rows"] == len(serial.rows) == 3
+        assert {r["label"] for r in serial.rows} == {"UNRESOLVED"}
+    if name == "frontier":
+        assert sorted(r["case"] for r in serial.rows) == ["delta-slope"] * 2 + ["growth"] * 2
+
+
+def test_every_scan_hands_the_pool_mass_tasks(grid_spec, monkeypatch):
+    handed = []
+    run_rows = experiments._run_rows
+
+    def recording(worker, tasks, jobs):
+        handed.append(worker)
+        return run_rows(worker, tasks, jobs)
+
+    monkeypatch.setattr(experiments, "_run_rows", recording)
+    for name, scan in _scan_runs(grid_spec).items():
+        handed.clear()
+        scan(1)
+        assert handed == [experiments._mass], name

@@ -6,7 +6,7 @@ Run it once in a checkout of the parent commit and once in the change, each
 with that checkout's `src` on PYTHONPATH, and `diff` the two outputs: an
 empty diff means every case below gave the same bytes.
 
-Cases: the nine criterion-10 reruns of `tests/test_acceptance.py`, thirteen
+Cases: the nine criterion-10 reruns of `tests/test_acceptance.py`, fourteen
 larger CLI runs, `--help` of the program and of every subcommand, and the
 900-point apply pool of `bench/reference.json` (read, never written), one
 line for payloads moved by translate, dilate and scale_values, one for the
@@ -61,6 +61,9 @@ _LARGER = (
     ("shells-default", ["shells", "--jobs", "2"]),
     ("apply-interior", ["apply", "--x", "0.5", "--y", "0.25"]),
     ("dilate-bump", ["dilate", "--deltas", "1,2", "--lams", "1", "--jobs", "2"]),
+    # a p-norm target the bump's rule cannot meet: UNRESOLVED rows, exit status 1
+    ("dilate-unresolved", ["dilate", "--deltas", "1,2", "--lams", "1,2",
+                           "--target-rel-error", "1e-6", "--jobs", "2"]),
     ("frontier-2x2", ["frontier", "--alphas", "1/2,9/10", "--betas", "3/10,1/2",
                       "--jobs", "2"]),
     ("hls-bump", ["hls", "--payload", "bump"]),
