@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import pickle
 import time
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -195,21 +196,120 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float],
 def _pool_size(jobs: int, tasks: int, cpus: Optional[int]) -> int:
     """Worker processes for a scan: no more than its rows or the cores.
 
-    A fork pool starts all of its workers at the first submit, so an
-    unclamped --jobs would fork that many processes.
+    `_run_rows` forks every worker before it sends the first task, so an
+    unclamped --jobs would fork that many processes. Without `os.fork`
+    every scan runs in-process.
     """
+    if not hasattr(os, "fork"):
+        return 1
     return max(1, min(jobs, tasks, cpus or 1))
 
 
+def _serve(worker, tasks: Sequence, orders, replies) -> None:
+    """A forked worker: run `tasks[i]` for each 4-byte index i read, until EOF.
+
+    Each reply is one pickle of (ok, value or exception); an exception
+    carries the worker's traceback as a note, since pickling drops it.
+    """
+    while len(index := orders.read(4)) == 4:
+        try:
+            reply = pickle.dumps((True, worker(tasks[int.from_bytes(index, "little")])))
+        except Exception as exc:
+            import traceback
+
+            exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                             f"in pool worker {os.getpid()}:\n{traceback.format_exc()}"]
+            reply = pickle.dumps((False, exc))
+        replies.write(reply)
+        replies.flush()
+
+
 def _run_rows(worker, tasks: Sequence, jobs: int) -> List:
+    """`[worker(t) for t in tasks]`, on up to `jobs` forked processes.
+
+    The workers inherit `tasks` and read task indices from a pipe, one task
+    outstanding per worker, sent in task order; the replies come back on a
+    second pipe. After a failed task no more are sent, the replies in flight
+    are collected and the failure of the lowest index is raised, as in
+    process. A worker that dies mid-task raises a RuntimeError naming it.
+    Every child is reaped before this returns or raises. A forked child
+    holds only the calling thread, so no other thread of the caller may
+    hold a lock the workers need.
+    """
     workers = _pool_size(jobs, len(tasks), os.cpu_count())
     if workers == 1:
         return [worker(t) for t in tasks]
-    # imported here: most runs start no pool, and the import takes 10-20 ms
-    from concurrent.futures import ProcessPoolExecutor
+    import select
+    import signal
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+    results: List = [None] * len(tasks)
+    ends: List[int] = []  # pipe ends this process holds
+    children: Dict[int, Tuple[int, int]] = {}  # reply fd -> (pid, order fd)
+    busy: Dict[int, int] = {}  # reply fd -> index of the task in flight
+    poller = select.poll()
+    failed: Optional[Tuple[int, BaseException]] = None
+    done = False
+    try:
+        for _ in range(workers):
+            ends += os.pipe()
+            ends += os.pipe()
+            order_r, order_w, reply_r, reply_w = ends[-4:]
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    # the ends of earlier workers too, or they never see EOF
+                    for fd in ends:
+                        if fd not in (order_r, reply_w):
+                            os.close(fd)
+                    _serve(worker, tasks, open(order_r, "rb"), open(reply_w, "wb"))
+                    status = 0
+                finally:
+                    # no unwinding into the caller, no flush of its buffers
+                    os._exit(status)
+            children[reply_r] = (pid, order_w)
+            for fd in (order_r, reply_w):
+                os.close(fd)
+                ends.remove(fd)
+        replies = {fd: open(fd, "rb", closefd=False) for fd in children}
+        idle = list(children)
+        sent = 0
+        while True:
+            while idle and failed is None and sent < len(tasks):
+                reply_fd = idle.pop()
+                os.write(children[reply_fd][1], sent.to_bytes(4, "little"))
+                busy[reply_fd] = sent
+                poller.register(reply_fd, select.POLLIN)
+                sent += 1
+            if not busy:
+                break
+            for reply_fd, _ in poller.poll():
+                index = busy.pop(reply_fd)
+                poller.unregister(reply_fd)
+                try:
+                    ok, value = pickle.load(replies[reply_fd])
+                except (EOFError, pickle.UnpicklingError):
+                    pid = children.pop(reply_fd)[0]
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    raise RuntimeError(
+                        f"pool worker {pid} exited with status {code} during task {index}"
+                    ) from None
+                if ok:
+                    results[index] = value
+                elif failed is None or index < failed[0]:
+                    failed = (index, value)
+                idle.append(reply_fd)
+        done = True
+    finally:
+        for fd in ends:
+            os.close(fd)
+        for pid, _ in children.values():
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failed is not None:
+        raise failed[1]
+    return results
 
 
 def _cfg_dict(cfg: ExponentConfig) -> Dict:

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ import pytest
 
 from flagint import experiments
 from flagint import (
+    AccuracyError,
     ConfigIncompleteError,
     CounterexampleRegion,
     DecayFit,
@@ -300,20 +303,42 @@ def test_shell_profile_hands_the_gap_first_and_writes_it_last(grid_spec, monkeyp
     assert recorded.rows == serial.rows
 
 
-def test_importing_the_package_loads_no_pool():
-    # the pool's module is imported when a scan starts a pool, so the
-    # package and its CLI load without it; --jobs 2 above gives the rows of
-    # --jobs 1 through it
+def _python(script: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter with this checkout's package."""
     import flagint
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(flagint.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, flagint, flagint.cli; print('concurrent.futures.process' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": src_dir}, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src_dir},
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
+# the modules a pool could bring in; a pooled scan imports only `select`
+# and `signal`, and only once it forks
+_POOL_MODULES = ("concurrent.futures", "multiprocessing", "select", "signal")
+
+
+def test_importing_the_package_loads_no_pool(tmp_path):
+    proc = _python(
+        "import sys, flagint, flagint.cli\n"
+        f"print([m for m in {_POOL_MODULES!r} if m in sys.modules])\n"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+    # a pooled scan forks its workers itself: no executor module is loaded
+    proc = _python(
+        "import os, sys, flagint.cli\n"
+        "os.cpu_count = lambda: 2\n"
+        "flagint.cli.main(['shells', '--k-max', '1', '--l-max', '1', '--jobs', '2',\n"
+        f"                  '--out', {str(tmp_path)!r}])\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing', 'select')\n"
+        "       if m in sys.modules])\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['select']"
+    assert (tmp_path / "shells-0.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +442,128 @@ def test_scans_are_deterministic(grid_spec):
 def test_pool_size_clamps_jobs(jobs, tasks, cpus, expected):
     # the pure clamp only; no pool is started
     assert experiments._pool_size(jobs, tasks, cpus) == expected
+
+
+def test_pool_size_is_one_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert experiments._pool_size(4, 10, 8) == 1
+
+
+# ---------------------------------------------------------------------------
+# the forked workers of _run_rows
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    # two workers on any host, so the pooled path is the one under test
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _assert_all_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _where(task):
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+    return task, os.getpid(), fds
+
+
+def test_pool_tasks_run_in_forked_workers(two_cores):
+    out = experiments._run_rows(_where, list(range(8)), 2)
+    assert [task for task, _, _ in out] == list(range(8))
+    pids = {pid for _, pid, _ in out}
+    assert 1 <= len(pids) <= 2 and os.getpid() not in pids
+    # the second worker closed the first one's pipe ends, so both hold as many
+    assert len({fds for _, _, fds in out}) == 1
+    # replies larger than a pipe's buffer arrive whole
+    assert experiments._run_rows(bytes, [300_000, 5, 200_000], 2) == [
+        bytes(300_000), bytes(5), bytes(200_000)]
+    _assert_all_reaped()
+
+
+def _failing(task):
+    index, failing, directory = task
+    (directory / str(index)).touch()
+    if len(failing) > 1 and index == failing[0]:
+        time.sleep(0.2)  # the lower failure comes back last
+    if index in failing:
+        raise AccuracyError(f"task {index} missed its target", value=index, err=index / 8)
+    return index
+
+
+@pytest.mark.parametrize("failing", [(5,), (2, 3)])
+def test_pool_raises_the_failure_that_runs_in_process_raises(two_cores, tmp_path, failing):
+    raised = []
+    for jobs in (1, 2):
+        ran = tmp_path / str(jobs)
+        ran.mkdir()
+        tasks = [(i, failing, ran) for i in range(10)]
+        with pytest.raises(AccuracyError) as info:
+            experiments._run_rows(_failing, tasks, jobs)
+        raised.append(info.value)
+        _assert_all_reaped()
+    serial, pooled = raised
+    assert type(pooled) is type(serial)
+    assert (str(pooled), pooled.value, pooled.err) == (str(serial), serial.value, serial.err)
+    assert str(serial) == f"task {failing[0]} missed its target"
+    assert "AccuracyError" in pooled.__notes__[-1] and "in pool worker" in pooled.__notes__[-1]
+    if len(failing) > 1:
+        # nothing is sent after task 3 fails, while task 2 is still running
+        assert sorted(int(p.name) for p in (tmp_path / "2").iterdir()) == [0, 1, 2, 3]
+
+
+def test_pool_reports_a_dead_worker_and_kills_on_interrupt():
+    # in a fresh interpreter, with a timeout: a hung dispatcher fails the test
+    proc = _python(
+        "import os, signal, sys, time\n"
+        "from flagint import experiments\n"
+        "os.cpu_count = lambda: 2\n"
+        "def reaped():\n"
+        "    try:\n"
+        "        os.waitpid(-1, os.WNOHANG)\n"
+        "    except ChildProcessError:\n"
+        "        return True\n"
+        "    return False\n"
+        "def die(task):\n"
+        "    if task == 3:\n"
+        "        os._exit(7)\n"
+        "    return task\n"
+        "try:\n"
+        "    experiments._run_rows(die, list(range(10)), 2)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc, reaped())\n"
+        "def interrupt(task):\n"
+        "    if task == 0:\n"
+        "        os.kill(os.getppid(), signal.SIGINT)\n"
+        "    time.sleep(60)\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    experiments._run_rows(interrupt, list(range(4)), 2)\n"
+        "except KeyboardInterrupt:\n"
+        "    print('interrupted', reaped(), time.perf_counter() - start < 30)\n"
+        "print(os.getpid())\n",
+        timeout=50,
+    )
+    assert proc.returncode == 0, proc.stderr
+    died, interrupted, parent = proc.stdout.splitlines()
+    match = re.fullmatch(r"pool worker (\d+) exited with status 7 during task 3 True", died)
+    assert match and match.group(1) != parent
+    assert interrupted == "interrupted True True"
+
+
+def test_buffered_stdout_is_written_once_around_a_pool():
+    # stdout is a pipe here, so the line is still in the buffer at the fork;
+    # the workers leave without flushing it
+    proc = _python(
+        "import os\n"
+        "from flagint import experiments\n"
+        "os.cpu_count = lambda: 2\n"
+        "print('before the pool')\n"
+        "print(experiments._run_rows(abs, [-1, -2, -3], 2))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["before the pool", "[1, 2, 3]"]
 
 
 # ---------------------------------------------------------------------------
