@@ -11,6 +11,7 @@ the output directory and prints a one-line summary. Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -182,6 +183,19 @@ def _build_parser() -> _Parser:
 # config merging
 
 
+def _config_number(key: str, value, kind: type):
+    """A number flag's config value, a number or a numeric string, read with
+    the flag's type; an int flag takes integral values only (int(4.9) is 4)."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):
+            typed = kind(value)
+            if kind is float or not isinstance(value, float) or typed == value:
+                return typed
+        if kind is int:
+            raise UsageError(f"config key {key!r} must be an integer, got {json.dumps(value)}")
+    raise UsageError(f"config key {key!r} must be a number, got {json.dumps(value)}")
+
+
 def _load_config_file(path: str, experiment: str) -> Dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -199,12 +213,10 @@ def _load_config_file(path: str, experiment: str) -> Dict:
             raise UsageError(
                 f"unknown config key {key!r} for experiment {experiment!r}"
             )
-        # a number flag takes a number or a numeric string; null only where
+        # a number flag's value is read with the flag's type; null only where
         # it is the built-in default, so that it means the same as no key
-        if types.get(key) in (int, float) and (
-                isinstance(value, (bool, list, dict))
-                or value is None and defaults.get(key) is not None):
-            raise UsageError(f"config key {key!r} must be a number, got {json.dumps(value)}")
+        if types.get(key) in (int, float) and (value is not None or defaults.get(key) is not None):
+            data[key] = _config_number(key, value, types[key])
         # a choice flag takes one of its choices, and null where that is the default
         if key in choices and value not in choices[key] and (
                 value is not None or defaults.get(key) is not None):
@@ -310,8 +322,8 @@ def _exponent_config(merged: Dict, need_p: bool = False, need_q: bool = False) -
     if need_q and merged.get("q") is None:
         raise UsageError("missing required field 'q'")
     return ExponentConfig(
-        n=int(merged["n"]),
-        m=int(merged["m"]),
+        n=merged["n"],
+        m=merged["m"],
         alpha=as_rational(merged["alpha"], "alpha"),
         beta=as_rational(merged["beta"], "beta"),
         rho=as_rational(merged["rho"], "rho"),
@@ -322,21 +334,16 @@ def _exponent_config(merged: Dict, need_p: bool = False, need_q: bool = False) -
 
 def _quadrature_spec(merged: Dict) -> QuadratureSpec:
     try:
-        return QuadratureSpec(
-            points_per_axis=int(merged["points_per_axis"]),
-            seed=int(merged["seed"]),
-            inner_cutoff=int(merged["inner_cutoff"]),
-            target_rel_error=float(merged["target_rel_error"]),
-        )
+        return QuadratureSpec(**{f.name: merged[f.name] for f in dataclasses.fields(QuadratureSpec)})
     except ValueError as exc:
         # a setting the spec refuses is a bad flag or config value
         raise UsageError(str(exc)) from exc
 
 
 def _jobs(merged: Dict) -> int:
-    if merged.get("jobs") is None:
+    jobs = merged.get("jobs")
+    if jobs is None:
         return os.cpu_count() or 1
-    jobs = int(merged["jobs"])
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
     return jobs
@@ -367,12 +374,11 @@ def _payload_for(merged: Dict, n: int, m: int) -> TestFunction:
         box = _parse_box(merged.get("box"), n + m)
         return indicator_box(n, m, box)
     if kind == "bump":
-        return smooth_bump(n, m, radius=float(given["radius"]))
+        return smooth_bump(n, m, radius=given["radius"])
     if kind == "signum":
-        return signum_atom_at_scale(n, m, int(given["L"])).payload
+        return signum_atom_at_scale(n, m, given["L"]).payload
     if kind == "random-atom":
-        cube = Cube(n=n, m=m, L=int(given["L"]))
-        return make_random_atom(cube, int(given["atom_seed"])).payload
+        return make_random_atom(Cube(n=n, m=m, L=given["L"]), given["atom_seed"]).payload
     raise UsageError(f"unknown payload kind {kind!r}")
 
 
@@ -396,18 +402,12 @@ def _run_check(merged: Dict, spec: QuadratureSpec):
     if not rows:
         raise UsageError("check needs q (and optionally p)")
     summary = "; ".join(f"{r['formula']}: {r['label']}" for r in rows)
-    metadata = {"seed": spec.seed, "summary": summary}
+    metadata = {"summary": summary}
     if cfg.alpha * cfg.m >= cfg.beta * cfg.n:
         ab = derive_ab(cfg)
         metadata["derived"] = {"a": str(ab.a), "b": str(ab.b)}
-    result = ScanResult(
-        experiment="check",
-        columns=("formula", "value", "err", "label", "case"),
-        rows=rows,
-        metadata=metadata,
-    )
-    status = 0 if all(r["value"] for r in rows) else 2
-    return result, summary, status
+    result = _rows_result("check", rows, spec, **metadata)
+    return result, summary, 0 if all(r["value"] for r in rows) else 2
 
 
 def _point_query(merged: Dict, cfg: ExponentConfig):
@@ -420,10 +420,11 @@ def _point_query(merged: Dict, cfg: ExponentConfig):
     return point_pair(x, y), cells
 
 
-def _one_row(experiment: str, row: Dict, spec: QuadratureSpec) -> ScanResult:
-    return ScanResult(
-        experiment=experiment, columns=tuple(row), rows=[row], metadata={"seed": spec.seed},
-    )
+def _rows_result(experiment: str, rows: List[Dict], spec: QuadratureSpec,
+                 **metadata) -> ScanResult:
+    """The result of rows that share their keys, with the metadata after the seed."""
+    return ScanResult(experiment=experiment, columns=tuple(rows[0]), rows=rows,
+                      metadata={"seed": spec.seed, **metadata})
 
 
 def _run_kernel(merged: Dict, spec: QuadratureSpec):
@@ -431,7 +432,7 @@ def _run_kernel(merged: Dict, spec: QuadratureSpec):
     pt, cells = _point_query(merged, cfg)
     value = kernel_eval(FlagKernel(cfg), pt)
     row = {**cells, "value": value, "err": 0.0, "label": "kernel", "case": ""}
-    return _one_row("kernel", row, spec), f"kernel value {value!r}", 0
+    return _rows_result("kernel", [row], spec), f"kernel value {value!r}", 0
 
 
 def _run_apply(merged: Dict, spec: QuadratureSpec):
@@ -446,7 +447,7 @@ def _run_apply(merged: Dict, spec: QuadratureSpec):
         value, err, label, case = exc.value, exc.err, "UNRESOLVED", "accuracy-error"
         status = 1
     row = {**cells, "value": float(value), "err": float(err), "label": label, "case": case}
-    result = _one_row("apply", row, spec)
+    result = _rows_result("apply", [row], spec)
     summary = f"operator value {value!r} +/- {err!r}" + (
         " UNRESOLVED" if status else ""
     )
@@ -454,7 +455,7 @@ def _run_apply(merged: Dict, spec: QuadratureSpec):
 
 
 def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
-    n, m = int(merged["n"]), int(merged["m"])
+    n, m = merged["n"], merged["m"]
     path = merged.get("atom_json")
     if path is not None and not isinstance(path, str):
         raise UsageError(f"'atom_json' must be a path string, got {json.dumps(path)}")
@@ -465,21 +466,16 @@ def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
         except OSError as exc:
             raise UsageError(f"cannot read atom file: {exc}") from exc
     elif merged["atom"] == "signum":
-        atom = signum_atom_at_scale(n, m, int(merged["L"]))
+        atom = signum_atom_at_scale(n, m, merged["L"])
     else:
-        atom = make_random_atom(Cube(n=n, m=m, L=int(merged["L"])), int(merged["atom_seed"]))
+        atom = make_random_atom(Cube(n=n, m=m, L=merged["L"]), merged["atom_seed"])
     report = validate_atom(atom, normalization=merged.get("normalization"))
     rows = [
         {"property": name, "value": getattr(report, name), "err": None,
          "label": "atom-validate", "case": report.normalization}
         for name in ("support_ok", "bound_ok", "mean_ok", "mean", "sup")
     ]
-    result = ScanResult(
-        experiment="atom-validate",
-        columns=("property", "value", "err", "label", "case"),
-        rows=rows,
-        metadata={"seed": spec.seed, "report": dataclasses.asdict(report)},
-    )
+    result = _rows_result("atom-validate", rows, spec, report=dataclasses.asdict(report))
     verdict = "VALID" if report.ok else "INVALID"
     summary = (
         f"atom {verdict} (support {report.support_ok}, bound {report.bound_ok}, "
@@ -490,19 +486,19 @@ def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
 
 def _run_shells(merged: Dict, spec: QuadratureSpec):
     cfg = _exponent_config(merged, need_q=True)
-    L = int(merged["L"])
+    L = merged["L"]
     kind = merged["payload"]
     if kind == "signum":
         subject = signum_atom_at_scale(cfg.n, cfg.m, L)
     elif kind == "indicator":
         subject = noncancelling_counterpart(signum_atom_at_scale(cfg.n, cfg.m, L))
     elif kind == "bump":
-        subject = smooth_bump(cfg.n, cfg.m, radius=float(merged["radius"]))
+        subject = smooth_bump(cfg.n, cfg.m, radius=merged["radius"])
     else:
         raise UsageError(f"unknown payload kind {kind!r}")
     result = shell_decay_profile(
-        cfg, subject, int(merged["k_max"]), int(merged["l_max"]), spec,
-        burn_in=int(merged["burn_in"]), jobs=_jobs(merged),
+        cfg, subject, merged["k_max"], merged["l_max"], spec,
+        burn_in=merged["burn_in"], jobs=_jobs(merged),
     )
     fit = result.metadata.get("k_fit")
     tail = result.metadata.get("tail_fraction")
@@ -545,7 +541,7 @@ def _run_dilate(merged: Dict, spec: QuadratureSpec):
 
 def _run_counterexample(merged: Dict, spec: QuadratureSpec):
     result = counterexample_growth(
-        int(merged["n"]), int(merged["m"]), merged["rho"], merged["q"],
+        merged["n"], merged["m"], merged["rho"], merged["q"],
         _float_list(merged["radii"], "radii"), spec,
         alpha=merged.get("alpha"), beta=merged.get("beta"),
         jobs=_jobs(merged),
@@ -564,7 +560,7 @@ def _run_counterexample(merged: Dict, spec: QuadratureSpec):
 
 def _run_frontier(merged: Dict, spec: QuadratureSpec):
     result = frontier_map(
-        int(merged["n"]), int(merged["m"]), merged["rho"], merged["q"],
+        merged["n"], merged["m"], merged["rho"], merged["q"],
         _rational_list(merged["alphas"], "alphas"),
         _rational_list(merged["betas"], "betas"),
         spec, jobs=_jobs(merged),
@@ -627,8 +623,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         runner = _RUNNERS[merged["experiment"]]
         t0 = time.perf_counter()
         result, summary, status = runner(merged, spec)
-        if result.wall_time_s == 0.0:
-            result.wall_time_s = time.perf_counter() - t0
+        result.wall_time_s = time.perf_counter() - t0
         csv_path, json_path = _write_artifacts(result, merged, spec)
         print(summary)
         print(f"wrote {csv_path} and {json_path}", file=sys.stderr)

@@ -2,11 +2,13 @@
 the boundedness frontier, and the product-kernel domination check.
 
 Every experiment returns a ScanResult whose rows are a pure function of
-(config, quadrature spec); the seed only names the output files, and
-wall-clock timing lives outside the rows, so emitted CSV bytes are stable
-run to run. Every pool task is one mass, `_mass`: a scan builds its tasks,
-the pool returns their (mass, err) pairs in task order, and the scan does
-its arithmetic on them, so aggregation never depends on scheduling.
+(config, quadrature spec); the seed only names the output files, so
+emitted CSV bytes are stable run to run. A scan's metadata opens with its
+config, spec and seed (`_scan_result`). No scan times itself: the CLI
+times the whole run, and a library call leaves `wall_time_s` at 0.0.
+Every pool task is one mass, `_mass`: a scan builds its tasks, the pool
+returns their (mass, err) pairs in task order, and the scan does its
+arithmetic on them, so aggregation never depends on scheduling.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import json
 import math
 import os
 import pickle
-import time
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -102,7 +103,7 @@ class ScanResult:
     """Rows plus metadata for one experiment run.
 
     Rows are deterministic given (config, spec); the seed only names the
-    files. Timing is kept on the side and only ever written into the JSON
+    files. wall_time_s, which the CLI sets, is only ever written into the JSON
     timestamp field.
     """
 
@@ -324,8 +325,11 @@ def _cfg_dict(cfg: ExponentConfig) -> Dict:
     }
 
 
-def _spec_dict(spec: QuadratureSpec) -> Dict:
-    return asdict(spec)
+def _scan_result(experiment: str, columns: Tuple[str, ...], rows: List[Dict], config: Dict,
+                 spec: QuadratureSpec, **metadata) -> ScanResult:
+    """A scan's result, its metadata opening with the config, the spec and the seed."""
+    return ScanResult(experiment=experiment, columns=columns, rows=rows, metadata={
+        "config": config, "spec": asdict(spec), "seed": spec.seed, **metadata})
 
 
 def _norm_from_mass(mass: float, err: float, q: float) -> Tuple[float, float]:
@@ -344,13 +348,13 @@ def _default_window(cfg: ExponentConfig, f: TestFunction) -> Window:
 def _mass(task) -> Tuple[float, float]:
     """The one pool task of every scan: (mass, err) of |I f|^q over a region.
 
-    task is (cfg, f, region, q, spec, ab); with ab set the product kernel
-    of the pair ab takes the place of the flag kernel.
+    task is (cfg, f, region, spec, ab), and q is cfg.q; with ab set the
+    product kernel of the pair ab takes the place of the flag kernel.
     """
-    cfg, f, region, q, spec, ab = task
+    cfg, f, region, spec, ab = task
     if ab is None:
-        return lq_mass(cfg, f, region, q, spec)
-    return lq_mass_dominating(cfg, ab, f, region, q, spec)
+        return lq_mass(cfg, f, region, cfg.q, spec)
+    return lq_mass_dominating(cfg, ab, f, region, cfg.q, spec)
 
 
 def _dilated(cfg: ExponentConfig, f: TestFunction, window: Window, delta: float, lam: float,
@@ -358,7 +362,7 @@ def _dilated(cfg: ExponentConfig, f: TestFunction, window: Window, delta: float,
     """f_dl, and the mass task of |I f_dl|^q over the window dilated with it."""
     rho = float(cfg.rho)
     fd = f.dilate(delta, lam, rho)
-    return fd, (cfg, fd, window.dilated(delta, lam, rho), cfg.q, spec, None)
+    return fd, (cfg, fd, window.dilated(delta, lam, rho), spec, None)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +421,6 @@ def dilation_scan(
     if window is None:
         window = _default_window(cfg, f)
 
-    t0 = time.perf_counter()
     pairs = list(dict.fromkeys([(float(d), 1.0) for d in deltas]
                                + [(1.0, float(l)) for l in lams]))
     if (1.0, 1.0) not in pairs:
@@ -472,28 +475,18 @@ def dilation_scan(
         f"delta secant {delta_secant!r} (predicted {predicted_delta_slope!r}); "
         f"lambda lower bound {predicted_lambda_lower!r}"
     )
-    metadata = {
-        "config": _cfg_dict(cfg),
-        "spec": _spec_dict(spec),
-        "seed": spec.seed,
-        "window": list(window.box),
-        "predicted_delta_slope": predicted_delta_slope,
-        "predicted_lambda_slope_lower": predicted_lambda_lower,
-        "delta_fit": delta_fit,
-        "delta_secant": delta_secant,
-        "lambda_secants": lambda_secants,
-        "unresolved_rows": unresolved,
-        "summary": summary,
-    }
-    return ScanResult(
-        experiment="dilate",
-        columns=(
-            "delta", "lambda", "qnorm", "qnorm_err", "pnorm", "value", "err",
-            "label", "case",
-        ),
-        rows=rows,
-        metadata=metadata,
-        wall_time_s=time.perf_counter() - t0,
+    return _scan_result(
+        "dilate",
+        ("delta", "lambda", "qnorm", "qnorm_err", "pnorm", "value", "err", "label", "case"),
+        rows, _cfg_dict(cfg), spec,
+        window=list(window.box),
+        predicted_delta_slope=predicted_delta_slope,
+        predicted_lambda_slope_lower=predicted_lambda_lower,
+        delta_fit=delta_fit,
+        delta_secant=delta_secant,
+        lambda_secants=lambda_secants,
+        unresolved_rows=unresolved,
+        summary=summary,
     )
 
 
@@ -551,9 +544,7 @@ def counterexample_growth(
     all_radii = sorted(set(user_radii) | set(fill))
 
     payload = make_signum_atom(n, m).payload
-    t0 = time.perf_counter()
-    tasks = [(cfg, payload, CounterexampleRegion(n=n, m=m, R=r), q_r, spec, None)
-             for r in all_radii]
+    tasks = [(cfg, payload, CounterexampleRegion(n=n, m=m, R=r), spec, None) for r in all_radii]
     rows = [
         {"R": r, "value": mass, "err": err,
          "label": "growth" if r in user_radii else "decade-fill", "case": case}
@@ -589,24 +580,15 @@ def counterexample_growth(
         f"F increasing: {increasing}; decade fit slope "
         f"{None if fit is None else fit.slope!r}; fit residual ok: {fit_ok}"
     )
-    metadata = {
-        "config": _cfg_dict(cfg),
-        "spec": _spec_dict(spec),
-        "seed": spec.seed,
-        "case": case,
-        "increasing": increasing,
-        "increments": increments,
-        "decade_fit": None if fit is None else fit.as_dict(),
-        "decade_fit_ok": fit_ok,
-        "last_increment_fraction": last_fraction,
-        "summary": summary,
-    }
-    return ScanResult(
-        experiment="counterexample",
-        columns=("R", "value", "err", "label", "case"),
-        rows=rows,
-        metadata=metadata,
-        wall_time_s=time.perf_counter() - t0,
+    return _scan_result(
+        "counterexample", ("R", "value", "err", "label", "case"), rows, _cfg_dict(cfg), spec,
+        case=case,
+        increasing=increasing,
+        increments=increments,
+        decade_fit=None if fit is None else fit.as_dict(),
+        decade_fit_ok=fit_ok,
+        last_increment_fraction=last_fraction,
+        summary=summary,
     )
 
 
@@ -660,12 +642,11 @@ def shell_decay_profile(
     if payload.n != cfg.n or payload.m != cfg.m:
         raise ValueError("payload dimensions must match the configuration")
 
-    t0 = time.perf_counter()
     # the gap row is handed to the pool first and written last, and the
     # (0,0) cube, the costliest task, second: the gap is the next costliest,
     # so the two workers start on the two largest tasks
     regions = [GapRegion(cfg.n, cfg.m, L)] + shell_family(cfg.n, cfg.m, L, k_max, l_max)
-    masses = _run_rows(_mass, [(cfg, payload, r, cfg.q, spec, None) for r in regions], jobs)
+    masses = _run_rows(_mass, [(cfg, payload, r, spec, None) for r in regions], jobs)
     gap, *rows = (_region_row(cfg, r, *mass) for r, mass in zip(regions, masses))
     rows.append(gap)
 
@@ -713,27 +694,18 @@ def shell_decay_profile(
         f"aggregated k-slope {None if fit is None else fit.slope!r} "
         f"(decay target <= {-q_float + 0.5!r}); tail fraction {tail_fraction!r}"
     )
-    metadata = {
-        "config": _cfg_dict(cfg),
-        "spec": _spec_dict(spec),
-        "seed": spec.seed,
-        "L": L,
-        "burn_in": burn_in,
-        "aggregated_mass_by_k": {str(k): agg[k] for k in ks},
-        "k_fit": None if fit is None else fit.as_dict(),
-        "k_fit_error": fit_error,
-        "case2_fit": case2_fit,
-        "per_l_fits": per_l_fits,
-        "total_shell_mass": total,
-        "tail_fraction": tail_fraction,
-        "summary": summary,
-    }
-    return ScanResult(
-        experiment="shells",
-        columns=("k", "l", "value", "err", "label", "case"),
-        rows=rows,
-        metadata=metadata,
-        wall_time_s=time.perf_counter() - t0,
+    return _scan_result(
+        "shells", ("k", "l", "value", "err", "label", "case"), rows, _cfg_dict(cfg), spec,
+        L=L,
+        burn_in=burn_in,
+        aggregated_mass_by_k={str(k): agg[k] for k in ks},
+        k_fit=None if fit is None else fit.as_dict(),
+        k_fit_error=fit_error,
+        case2_fit=case2_fit,
+        per_l_fits=per_l_fits,
+        total_shell_mass=total,
+        tail_fraction=tail_fraction,
+        summary=summary,
     )
 
 
@@ -817,7 +789,6 @@ def frontier_map(
     alpha_rs = [as_rational(a, "alpha") for a in alphas]
     beta_rs = [as_rational(b, "beta") for b in betas]
 
-    t0 = time.perf_counter()
     cfgs = [ExponentConfig(n=n, m=m, alpha=a, beta=b, rho=rho_r, q=q_r)
             for a in alpha_rs for b in beta_rs]
     payload = make_signum_atom(n, m).payload
@@ -830,7 +801,7 @@ def frontier_map(
     for cfg in cfgs:
         if cfg.homogeneity_ratio == 1 - Fraction(1) / q_r:
             cells.append((cfg, None))
-            tasks += [(cfg, payload, CounterexampleRegion(n=n, m=m, R=r), q_r, spec, None)
+            tasks += [(cfg, payload, CounterexampleRegion(n=n, m=m, R=r), spec, None)
                       for r in DEFAULT_GROWTH_RADII]
         else:
             # the slope's source exponent; p = 1 < q, so the config is valid
@@ -869,29 +840,21 @@ def frontier_map(
         f"{resolved} resolved cells, {confusion['unresolved']} unresolved, "
         f"{off_diagonal} off-diagonal"
     )
-    metadata = {
-        "config": {
-            "n": n, "m": m, "rho": str(rho_r), "q": str(q_r),
-            "alphas": [str(a) for a in alpha_rs],
-            "betas": [str(b) for b in beta_rs],
-        },
-        "spec": _spec_dict(spec),
-        "seed": spec.seed,
-        "confusion": confusion,
-        "off_diagonal": off_diagonal,
-        "thresholds": {
+    config = {
+        "n": n, "m": m, "rho": str(rho_r), "q": str(q_r),
+        "alphas": [str(a) for a in alpha_rs],
+        "betas": [str(b) for b in beta_rs],
+    }
+    return _scan_result(
+        "frontier", ("alpha", "beta", "value", "err", "label", "case"), rows, config, spec,
+        confusion=confusion,
+        off_diagonal=off_diagonal,
+        thresholds={
             "delta_slope_tol": DELTA_SLOPE_TOL,
             "growth_ratio_unbounded": GROWTH_RATIO_UNBOUNDED,
             "growth_ratio_bounded": GROWTH_RATIO_BOUNDED,
         },
-        "summary": summary,
-    }
-    return ScanResult(
-        experiment="frontier",
-        columns=("alpha", "beta", "value", "err", "label", "case"),
-        rows=rows,
-        metadata=metadata,
-        wall_time_s=time.perf_counter() - t0,
+        summary=summary,
     )
 
 
@@ -922,9 +885,8 @@ def hls_iteration_check(
     ab = derive_ab(cfg)
     if window is None:
         window = _default_window(cfg, f)
-    t0 = time.perf_counter()
     # the flag kernel, then the product kernel of the pair ab
-    masses = _run_rows(_mass, [(cfg, f, window, cfg.q, spec, k) for k in (None, ab)], jobs)
+    masses = _run_rows(_mass, [(cfg, f, window, spec, k) for k in (None, ab)], jobs)
     (left, left_err), (right, right_err) = (_norm_from_mass(*m, float(cfg.q)) for m in masses)
     ok = left <= right + left_err + right_err
     row = {
@@ -939,5 +901,4 @@ def hls_iteration_check(
         columns=tuple(row),
         rows=[row],
         metadata={"seed": spec.seed, "report": report},
-        wall_time_s=time.perf_counter() - t0,
     )

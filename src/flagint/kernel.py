@@ -12,7 +12,7 @@ functions here all evaluate through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,11 +66,9 @@ class Kernel:
         """Whether the kernel blows up on v = 0 (only the product kernel does)."""
         return self.kind == "product"
 
-    def of_norms(self, sn: np.ndarray, tn: Optional[np.ndarray] = None) -> np.ndarray:
-        """Kernel value from the factor norms |u| and |v|; both broadcast."""
+    def of_norms(self, sn: np.ndarray, tn: np.ndarray) -> np.ndarray:
+        """Flag or product kernel value from the factor norms |u| and |v|; both broadcast."""
         su = sn ** (self.u_power - self.n)
-        if self.kind == "riesz":
-            return su
         if self.kind == "flag":
             return su * (sn ** self.rho + tn) ** (self.v_power - self.m)
         return su * tn ** (self.v_power - self.m)

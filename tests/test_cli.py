@@ -198,6 +198,11 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
     ("kernel", {"n": None}, "config key 'n' must be a number, got null"),
     ("kernel", {"seed": True}, "config key 'seed' must be a number, got true"),
     ("dilate", {"radius": {"r": 1}}, 'config key \'radius\' must be a number, got {"r": 1}'),
+    # int(4.9) would run k_max 4, and int(1.5) n 1, while run_config echoed 4.9 and 1.5
+    ("shells", {"k_max": 4.9}, "config key 'k_max' must be an integer, got 4.9"),
+    ("kernel", {"n": 1.5, "x": "2", "y": "3"}, "config key 'n' must be an integer, got 1.5"),
+    ("apply", {"inner_cutoff": "-20.5", "x": "3", "y": "3"},
+     'config key \'inner_cutoff\' must be an integer, got "-20.5"'),
 ])
 def test_config_file_rejects_a_number_flag_of_the_wrong_type(
         tmp_path, capsys, experiment, doc, message):
@@ -274,6 +279,26 @@ def test_config_file_keeps_numeric_strings_floats_and_default_nulls(tmp_path, ca
     assert status == 0
     assert out.startswith("operator value ")
     assert (tmp_path / "apply-3.csv").exists()
+    # the sidecar echoes the typed values that ran
+    _, payload = read_artifacts(tmp_path, "apply", seed=3)
+    echo = payload["metadata"]["run_config"]
+    assert (echo["n"], echo["seed"]) == (1, 3)
+    assert type(echo["n"]) is type(echo["seed"]) is int
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--alpha", "9/10", "--beta", "3/10", "--q", "2"),
+    ("kernel", "--x", "2", "--y", "3"),
+    ("apply", "--x", "3", "--y", "3"),
+    ("atom-validate",),
+    ("shells", "--k-max", "1", "--l-max", "1", "--jobs", "1"),
+], ids=lambda argv: argv[0])
+def test_every_run_is_timed_by_the_cli(tmp_path, capsys, argv):
+    # the CLI times the whole run, whichever runner built the result
+    status, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert status in (0, 2)
+    _, payload = read_artifacts(tmp_path, argv[0])
+    assert payload["timestamp"]["wall_time_s"] > 0.0
 
 
 def test_seed_env_var_names_artifacts(tmp_path, capsys, monkeypatch):

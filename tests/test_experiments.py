@@ -596,6 +596,8 @@ def test_pool_rows_match_the_in_process_rows(grid_spec, name):
     serial, pooled = (_scan_runs(grid_spec)[name](jobs) for jobs in (1, 2))
     assert serial.to_csv_text() == pooled.to_csv_text()
     assert serial.metadata == pooled.metadata
+    # only the CLI times a run
+    assert serial.wall_time_s == pooled.wall_time_s == 0.0
     if name == "dilate":
         assert serial.metadata["unresolved_rows"] == len(serial.rows) == 3
         assert {r["label"] for r in serial.rows} == {"UNRESOLVED"}
