@@ -124,6 +124,7 @@ _COMMON_DEFAULTS = {
     "rho": "2",
     "out": ".",
     "jobs": None,
+    "seed": 0,
     **{f.name: f.default for f in dataclasses.fields(QuadratureSpec)},
 }
 
@@ -156,8 +157,13 @@ _EXPERIMENT_DEFAULTS: Dict[str, Dict] = {
 
 _REQUIRED: Dict[str, Tuple[str, ...]] = {
     "check": ("alpha", "beta"),
-    "kernel": ("x", "y"),
-    "apply": ("x", "y"),
+    "kernel": ("x", "y", "alpha", "beta"),
+    "apply": ("x", "y", "alpha", "beta"),
+    "shells": ("alpha", "beta", "q"),
+    "dilate": ("alpha", "beta", "p", "q"),
+    "counterexample": ("q",),
+    "frontier": ("q",),
+    "hls": ("alpha", "beta", "p", "q"),
 }
 
 
@@ -213,17 +219,20 @@ def _load_config_file(path: str, experiment: str) -> Dict:
             raise UsageError(
                 f"unknown config key {key!r} for experiment {experiment!r}"
             )
-        # a number flag's value is read with the flag's type; null only where
-        # it is the built-in default, so that it means the same as no key
-        if types.get(key) in (int, float) and (value is not None or defaults.get(key) is not None):
+        # null only where it is the built-in default, so that it means the
+        # same as no key
+        if value is None and defaults.get(key) is None:
+            continue
+        # a number flag's value is read with the flag's type
+        if types.get(key) in (int, float):
             data[key] = _config_number(key, value, types[key])
-        # a choice flag takes one of its choices, and null where that is the default
-        if key in choices and value not in choices[key] and (
-                value is not None or defaults.get(key) is not None):
+        if key in choices and value not in choices[key]:
             raise UsageError(
                 f"config key {key!r} must be one of {', '.join(choices[key])}, "
                 f"got {json.dumps(value)}"
             )
+        if key in ("out", "atom_json") and not isinstance(value, str):
+            raise UsageError(f"{key!r} must be a path string, got {json.dumps(value)}")
     declared = data.get("experiment")
     if declared is not None and declared != experiment:
         raise UsageError(
@@ -255,6 +264,16 @@ def _merge_config(args: argparse.Namespace) -> Dict:
     for key in _REQUIRED.get(experiment, ()):
         if merged.get(key) is None:
             raise UsageError(f"missing required field {key!r} for {experiment!r}")
+    if not 0 <= merged["seed"] < 2 ** 64:
+        raise UsageError("seed must be a 64-bit unsigned integer")
+    # each rational is typed once; alpha, beta, p and q may be unset, rho has a default
+    for key in ("alpha", "beta", "p", "q"):
+        if merged.get(key) is not None:
+            merged[key] = as_rational(merged[key], key)
+    merged["rho"] = as_rational(merged["rho"], "rho")
+    for key in ("alphas", "betas"):
+        if key in merged:
+            merged[key] = _rational_list(merged[key], key)
     merged["experiment"] = experiment
     return merged
 
@@ -313,23 +332,8 @@ def _parse_box(value, dim: int, name: str = "box"):
     return box
 
 
-def _exponent_config(merged: Dict, need_p: bool = False, need_q: bool = False) -> ExponentConfig:
-    for key in ("alpha", "beta"):
-        if merged.get(key) is None:
-            raise UsageError(f"missing required field {key!r}")
-    if need_p and merged.get("p") is None:
-        raise UsageError("missing required field 'p'")
-    if need_q and merged.get("q") is None:
-        raise UsageError("missing required field 'q'")
-    return ExponentConfig(
-        n=merged["n"],
-        m=merged["m"],
-        alpha=as_rational(merged["alpha"], "alpha"),
-        beta=as_rational(merged["beta"], "beta"),
-        rho=as_rational(merged["rho"], "rho"),
-        p=None if merged.get("p") is None else as_rational(merged["p"], "p"),
-        q=None if merged.get("q") is None else as_rational(merged["q"], "q"),
-    )
+def _exponent_config(merged: Dict) -> ExponentConfig:
+    return ExponentConfig(**{f.name: merged.get(f.name) for f in dataclasses.fields(ExponentConfig)})
 
 
 def _quadrature_spec(merged: Dict) -> QuadratureSpec:
@@ -347,18 +351,6 @@ def _jobs(merged: Dict) -> int:
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
     return jobs
-
-
-def _config_echo(merged: Dict) -> Dict:
-    echo = {}
-    for key, value in sorted(merged.items()):
-        if key in ("alpha", "beta", "rho", "p", "q") and value is not None:
-            echo[key] = str(as_rational(value, key))
-        elif key in ("alphas", "betas") and value is not None:
-            echo[key] = [str(r) for r in _rational_list(value, key)]
-        else:
-            echo[key] = value
-    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +398,7 @@ def _run_check(merged: Dict, spec: QuadratureSpec):
     if cfg.alpha * cfg.m >= cfg.beta * cfg.n:
         ab = derive_ab(cfg)
         metadata["derived"] = {"a": str(ab.a), "b": str(ab.b)}
-    result = _rows_result("check", rows, spec, **metadata)
+    result = _rows_result("check", rows, **metadata)
     return result, summary, 0 if all(r["value"] for r in rows) else 2
 
 
@@ -420,11 +412,10 @@ def _point_query(merged: Dict, cfg: ExponentConfig):
     return point_pair(x, y), cells
 
 
-def _rows_result(experiment: str, rows: List[Dict], spec: QuadratureSpec,
-                 **metadata) -> ScanResult:
-    """The result of rows that share their keys, with the metadata after the seed."""
+def _rows_result(experiment: str, rows: List[Dict], **metadata) -> ScanResult:
+    """The result of rows that share their keys."""
     return ScanResult(experiment=experiment, columns=tuple(rows[0]), rows=rows,
-                      metadata={"seed": spec.seed, **metadata})
+                      metadata=metadata)
 
 
 def _run_kernel(merged: Dict, spec: QuadratureSpec):
@@ -432,7 +423,7 @@ def _run_kernel(merged: Dict, spec: QuadratureSpec):
     pt, cells = _point_query(merged, cfg)
     value = kernel_eval(FlagKernel(cfg), pt)
     row = {**cells, "value": value, "err": 0.0, "label": "kernel", "case": ""}
-    return _rows_result("kernel", [row], spec), f"kernel value {value!r}", 0
+    return _rows_result("kernel", [row]), f"kernel value {value!r}", 0
 
 
 def _run_apply(merged: Dict, spec: QuadratureSpec):
@@ -447,7 +438,7 @@ def _run_apply(merged: Dict, spec: QuadratureSpec):
         value, err, label, case = exc.value, exc.err, "UNRESOLVED", "accuracy-error"
         status = 1
     row = {**cells, "value": float(value), "err": float(err), "label": label, "case": case}
-    result = _rows_result("apply", [row], spec)
+    result = _rows_result("apply", [row])
     summary = f"operator value {value!r} +/- {err!r}" + (
         " UNRESOLVED" if status else ""
     )
@@ -457,8 +448,6 @@ def _run_apply(merged: Dict, spec: QuadratureSpec):
 def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
     n, m = merged["n"], merged["m"]
     path = merged.get("atom_json")
-    if path is not None and not isinstance(path, str):
-        raise UsageError(f"'atom_json' must be a path string, got {json.dumps(path)}")
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -475,7 +464,7 @@ def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
          "label": "atom-validate", "case": report.normalization}
         for name in ("support_ok", "bound_ok", "mean_ok", "mean", "sup")
     ]
-    result = _rows_result("atom-validate", rows, spec, report=dataclasses.asdict(report))
+    result = _rows_result("atom-validate", rows, report=dataclasses.asdict(report))
     verdict = "VALID" if report.ok else "INVALID"
     summary = (
         f"atom {verdict} (support {report.support_ok}, bound {report.bound_ok}, "
@@ -485,7 +474,7 @@ def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
 
 
 def _run_shells(merged: Dict, spec: QuadratureSpec):
-    cfg = _exponent_config(merged, need_q=True)
+    cfg = _exponent_config(merged)
     L = merged["L"]
     kind = merged["payload"]
     if kind == "signum":
@@ -519,7 +508,7 @@ def _run_shells(merged: Dict, spec: QuadratureSpec):
 
 
 def _run_dilate(merged: Dict, spec: QuadratureSpec):
-    cfg = _exponent_config(merged, need_p=True, need_q=True)
+    cfg = _exponent_config(merged)
     f = _payload_for(merged, cfg.n, cfg.m)
     deltas = _float_list(merged["deltas"], "deltas")
     lams = _float_list(merged["lams"], "lams")
@@ -561,9 +550,7 @@ def _run_counterexample(merged: Dict, spec: QuadratureSpec):
 def _run_frontier(merged: Dict, spec: QuadratureSpec):
     result = frontier_map(
         merged["n"], merged["m"], merged["rho"], merged["q"],
-        _rational_list(merged["alphas"], "alphas"),
-        _rational_list(merged["betas"], "betas"),
-        spec, jobs=_jobs(merged),
+        merged["alphas"], merged["betas"], spec, jobs=_jobs(merged),
     )
     meta = result.metadata
     accuracy_failures = sum(1 for r in result.rows if r["case"] == "accuracy-error")
@@ -578,7 +565,7 @@ def _run_frontier(merged: Dict, spec: QuadratureSpec):
 
 
 def _run_hls(merged: Dict, spec: QuadratureSpec):
-    cfg = _exponent_config(merged, need_p=True, need_q=True)
+    cfg = _exponent_config(merged)
     f = _payload_for(merged, cfg.n, cfg.m)
     result = hls_iteration_check(cfg, f, spec, jobs=_jobs(merged))
     row = result.rows[0]
@@ -600,11 +587,11 @@ _RUNNERS = {
 }
 
 
-def _write_artifacts(result: ScanResult, merged: Dict, spec: QuadratureSpec) -> Tuple[str, str]:
-    out_dir = str(merged.get("out") or ".")
+def _write_artifacts(result: ScanResult, merged: Dict) -> Tuple[str, str]:
+    out_dir = merged["out"] or "."  # an empty path is the working directory
     os.makedirs(out_dir, exist_ok=True)
-    result.metadata["run_config"] = _config_echo(merged)
-    base = os.path.join(out_dir, f"{result.experiment}-{spec.seed}")
+    result.metadata["run_config"] = dict(sorted(merged.items()))
+    base = os.path.join(out_dir, f"{result.experiment}-{merged['seed']}")
     csv_path = base + ".csv"
     json_path = base + ".json"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -624,7 +611,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         t0 = time.perf_counter()
         result, summary, status = runner(merged, spec)
         result.wall_time_s = time.perf_counter() - t0
-        csv_path, json_path = _write_artifacts(result, merged, spec)
+        csv_path, json_path = _write_artifacts(result, merged)
         print(summary)
         print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
         return status

@@ -261,9 +261,6 @@ class Window:
             if not lo < hi:
                 raise ValueError("window intervals must be nonempty")
 
-    def bounds(self) -> Bounds:
-        return self.box
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ok = np.ones(pts.shape[0], dtype=bool)

@@ -2,10 +2,10 @@
 the boundedness frontier, and the product-kernel domination check.
 
 Every experiment returns a ScanResult whose rows are a pure function of
-(config, quadrature spec); the seed only names the output files, so
-emitted CSV bytes are stable run to run. A scan's metadata opens with its
-config, spec and seed (`_scan_result`). No scan times itself: the CLI
-times the whole run, and a library call leaves `wall_time_s` at 0.0.
+(config, quadrature spec), so emitted CSV bytes are stable run to run. A
+scan's metadata opens with its config and spec (`_scan_result`). No scan
+times itself: the CLI times the whole run, and a library call leaves
+`wall_time_s` at 0.0.
 Every pool task is one mass, `_mass`: a scan builds its tasks, the pool
 returns their (mass, err) pairs in task order, and the scan does its
 arithmetic on them, so aggregation never depends on scheduling.
@@ -102,9 +102,8 @@ def _jsonable(value):
 class ScanResult:
     """Rows plus metadata for one experiment run.
 
-    Rows are deterministic given (config, spec); the seed only names the
-    files. wall_time_s, which the CLI sets, is only ever written into the JSON
-    timestamp field.
+    Rows are deterministic given (config, spec). wall_time_s, which the CLI
+    sets, is only ever written into the JSON timestamp field.
     """
 
     experiment: str
@@ -327,9 +326,9 @@ def _cfg_dict(cfg: ExponentConfig) -> Dict:
 
 def _scan_result(experiment: str, columns: Tuple[str, ...], rows: List[Dict], config: Dict,
                  spec: QuadratureSpec, **metadata) -> ScanResult:
-    """A scan's result, its metadata opening with the config, the spec and the seed."""
+    """A scan's result, its metadata opening with the config and the spec."""
     return ScanResult(experiment=experiment, columns=columns, rows=rows, metadata={
-        "config": config, "spec": asdict(spec), "seed": spec.seed, **metadata})
+        "config": config, "spec": asdict(spec), **metadata})
 
 
 def _norm_from_mass(mass: float, err: float, q: float) -> Tuple[float, float]:
@@ -896,9 +895,5 @@ def hls_iteration_check(
     }
     report = {k: row[k] for k in ("left", "left_err", "right", "right_err")}
     report.update(a=str(ab.a), b=str(ab.b), ok=ok, gap=right - left)
-    return ScanResult(
-        experiment="hls",
-        columns=tuple(row),
-        rows=[row],
-        metadata={"seed": spec.seed, "report": report},
-    )
+    return ScanResult(experiment="hls", columns=tuple(row), rows=[row],
+                      metadata={"report": report})

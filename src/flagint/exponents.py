@@ -127,17 +127,6 @@ class ExponentConfig:
             )
         return replace(self, p=1 / inv_p)
 
-    def with_q_from_p(self) -> "ExponentConfig":
-        """Fill in q from p via the homogeneity equation."""
-        if self.p is None:
-            raise ConfigIncompleteError("p is required to derive q")
-        inv_q = 1 / self.p - self.homogeneity_ratio
-        if inv_q <= 0 or inv_q >= 1:
-            raise RegionError(
-                f"derived 1/q = {inv_q} is outside (0, 1); no admissible q exists"
-            )
-        return replace(self, q=1 / inv_q)
-
 
 @dataclass(frozen=True)
 class DerivedExponents:

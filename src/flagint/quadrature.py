@@ -311,19 +311,17 @@ class QuadratureSpec:
     at the nodes nearest the point (their squared distance underflows
     below about 2^-537) raises UsageError.
 
-    The grid is deterministic; seed only names a run's output files.
+    The grid is deterministic. A run's seed is no engine setting: the CLI
+    names the output files from it.
     """
 
     points_per_axis: int = 4
-    seed: int = 0
     inner_cutoff: int = -20
     target_rel_error: float = 1e-3
 
     def __post_init__(self) -> None:
         if not (4 <= self.points_per_axis <= MAX_POINTS_PER_AXIS):
             raise ValueError(f"points_per_axis must lie in [4, {MAX_POINTS_PER_AXIS}]")
-        if not (0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
         if not (-1060 <= self.inner_cutoff <= -1):
             raise ValueError("inner_cutoff must be a negative dyadic exponent >= -1060")
         if not self.target_rel_error > 0:
@@ -390,10 +388,6 @@ class _AxisPlan:
     weights: np.ndarray
     core: np.ndarray      # per-node: node lies in a cell touching the center
     has_core: bool        # some node does
-
-    @property
-    def cell_count(self) -> int:
-        return len(self.breaks) - 1
 
 
 @lru_cache(maxsize=_AXIS_PLAN_CACHE)

@@ -26,12 +26,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def grid_spec():
-    return QuadratureSpec(
-        points_per_axis=4,
-        seed=0,
-        inner_cutoff=-20,
-        target_rel_error=1e-3,
-    )
+    return QuadratureSpec(points_per_axis=4, inner_cutoff=-20, target_rel_error=1e-3)
 
 
 def _columns(f, i, plan):

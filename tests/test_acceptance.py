@@ -58,10 +58,7 @@ def report(request):
 
 
 def _default_spec(**overrides):
-    base = dict(
-        points_per_axis=4, seed=0,
-        inner_cutoff=-20, target_rel_error=1e-3,
-    )
+    base = dict(points_per_axis=4, inner_cutoff=-20, target_rel_error=1e-3)
     base.update(overrides)
     return QuadratureSpec(**base)
 

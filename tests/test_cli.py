@@ -270,6 +270,34 @@ def test_config_file_keeps_a_null_choice_where_the_default_is_null(tmp_path, cap
     assert out.startswith("atom VALID")
 
 
+@pytest.mark.parametrize("value, shown", [(5, "5"), (False, "false")], ids=["number", "false"])
+def test_config_file_rejects_an_out_that_is_no_path_string(
+        tmp_path, capsys, monkeypatch, value, shown):
+    # str(5) would write into a directory 5, and a falsy false into the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"out": value}))
+    status, out, err = run_cli(capsys, "check", "--alpha", "9/10", "--beta", "3/10", "--q", "2",
+                               "--config", str(cfg))
+    assert status == 1
+    assert out == ""
+    assert err == f"usage error: 'out' must be a path string, got {shown}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_file_keeps_a_null_atom_path_where_the_default_is_null(tmp_path, capsys):
+    # a null atom_json means no key: the signum atom is validated
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"atom_json": None}))
+    status, out, _ = run_cli(capsys, "atom-validate", "--config", str(cfg),
+                             "--out", str(tmp_path / "null"))
+    assert status == 0
+    assert out.startswith("atom VALID")
+    run_cli(capsys, "atom-validate", "--out", str(tmp_path / "unset"))
+    assert (read_artifacts(tmp_path / "null", "atom-validate")[0]
+            == read_artifacts(tmp_path / "unset", "atom-validate")[0])
+
+
 def test_config_file_keeps_numeric_strings_floats_and_default_nulls(tmp_path, capsys):
     # jobs defaults to null, and L has no default under apply
     cfg = tmp_path / "run.json"
@@ -308,7 +336,7 @@ def test_seed_env_var_names_artifacts(tmp_path, capsys, monkeypatch):
     )
     assert status == 0
     _, payload = read_artifacts(tmp_path, "kernel", seed=77)
-    assert payload["metadata"]["seed"] == 77
+    assert payload["metadata"]["run_config"]["seed"] == 77
 
 
 def test_seed_flag_beats_env_var(tmp_path, capsys, monkeypatch):
@@ -319,8 +347,24 @@ def test_seed_flag_beats_env_var(tmp_path, capsys, monkeypatch):
     )
     assert status == 0
     _, payload = read_artifacts(tmp_path, "kernel", seed=5)
-    assert payload["metadata"]["seed"] == 5
+    assert payload["metadata"]["run_config"]["seed"] == 5
     assert not (tmp_path / "kernel-77.csv").exists()
+
+
+def test_seed_only_names_files(tmp_path, capsys):
+    # the engine takes no seed: the rows and the sidecar are the same at any seed
+    artifacts = {}
+    for seed in ("0", "7"):
+        status, _, _ = run_cli(capsys, "shells", "--k-max", "1", "--l-max", "1", "--jobs", "1",
+                               "--seed", seed, "--out", str(tmp_path))
+        assert status in (0, 2)
+        artifacts[seed] = read_artifacts(tmp_path, "shells", seed=int(seed))
+    (csv_0, doc_0), (csv_7, doc_7) = artifacts["0"], artifacts["7"]
+    assert csv_0 == csv_7
+    seeds = [doc["metadata"]["run_config"].pop("seed") for doc in (doc_0, doc_7)]
+    assert seeds == [0, 7]
+    del doc_0["timestamp"], doc_7["timestamp"]
+    assert doc_0 == doc_7
 
 
 def test_seed_env_var_rejects_garbage(tmp_path, capsys, monkeypatch):
@@ -389,7 +433,8 @@ def test_a_flag_value_of_zero_is_that_value(tmp_path, capsys, argv, status):
     ("--points-per-axis", "100000",
      f"points_per_axis must lie in [4, {quadrature.MAX_POINTS_PER_AXIS}]"),
     ("--inner-cutoff", "5", "inner_cutoff must be a negative dyadic exponent >= -1060"),
-], ids=["points-per-axis", "inner-cutoff"])
+    ("--seed", "-1", "seed must be a 64-bit unsigned integer"),
+], ids=["points-per-axis", "inner-cutoff", "seed"])
 def test_points_per_axis_beyond_the_cap_is_refused_before_any_rule(tmp_path, capsys, flag,
                                                                    value, message):
     # leggauss(100000) alone would form an 80 GB matrix; every setting the

@@ -163,7 +163,7 @@ def test_shell_family_enumeration():
 
 def test_window_basics():
     w = centered_window(1, 1, 2.0, 3.0)
-    assert w.bounds() == ((-2.0, 2.0), (-3.0, 3.0))
+    assert w.box == ((-2.0, 2.0), (-3.0, 3.0))
     assert w.volume() == 24.0
     assert bool(w.contains(np.array([[1.0, -2.5]]))[0])
     assert not bool(w.contains(np.array([[2.5, 0.0]]))[0])

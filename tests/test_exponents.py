@@ -132,10 +132,6 @@ def test_with_p_from_q_and_back():
     filled = cfg.with_p_from_q()
     assert filled.p == F(1)
     assert check_formula_one(filled)
-    again = ExponentConfig(
-        n=1, m=1, alpha=F(9, 10), beta=F(3, 10), rho=F(2), p=F(1)
-    ).with_q_from_p()
-    assert again.q == F(2)
 
 
 def test_with_p_from_q_rejects_inadmissible():

@@ -345,7 +345,6 @@ def test_dilate_tracks_both_axes():
     "kwargs",
     [
         {"points_per_axis": 3},
-        {"seed": -1},
         {"inner_cutoff": 0},
         {"inner_cutoff": -2000},
         {"target_rel_error": 0.0},
@@ -797,7 +796,8 @@ def test_axis_plans_are_cached_and_read_only():
     assert lo.breaks is hi.breaks
     assert not lo.breaks.flags.writeable
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
-    assert (len(hi.nodes), len(lo.nodes)) == (4 * hi.cell_count, 3 * hi.cell_count)
+    cells = len(hi.breaks) - 1
+    assert (len(hi.nodes), len(lo.nodes)) == (4 * cells, 3 * cells)
 
 
 @pytest.mark.parametrize("cutoff", [-40, -56, -200])
