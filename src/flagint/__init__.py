@@ -3,145 +3,72 @@
 Exact rational bookkeeping for the exponent conditions, a singularity-aware
 quadrature engine for the convolution operator, atom construction and
 validation, and the scan experiments behind the boundedness frontier.
+
+`import flagint` loads no numpy: the names of errors and exponents are bound
+at import, and every other public name is looked up in its module on first
+use (PEP 562), which loads the engine then.
 """
 
-from .errors import (
-    AccuracyError,
-    ConfigIncompleteError,
-    ExponentRangeError,
-    FitWindowError,
-    FlagIntError,
-    PreconditionError,
-    RegionError,
-    SingularityError,
-    UsageError,
-)
-from .exponents import (
-    DerivedExponents,
-    ExponentConfig,
-    as_rational,
-    check_formula_one,
-    check_formula_two,
-    derive_ab,
-    heisenberg_map,
-    strict_consequences,
-)
-from .kernel import (
-    FlagKernel,
-    PointPair,
-    dominating_kernel_eval,
-    kernel_eval,
-    point_pair,
-    product_kernel_points,
-)
-from .domain import (
-    CounterexampleRegion,
-    Cube,
-    GapRegion,
-    Shell,
-    ShellCase,
-    Window,
-    centered_window,
-    shell_case,
-    shell_contains,
-    shell_family,
-)
-from .quadrature import (
-    QuadratureSpec,
-    TestFunction,
-    apply_operator,
-    apply_riesz_1d,
-    indicator_box,
-    lp_norm,
-    lq_mass,
-    lq_mass_dominating,
-    piecewise_constant,
-    smooth_bump,
-    sufficient_inner_cutoff,
-)
-from .atoms import (
-    Atom,
-    AtomReport,
-    atom_from_json,
-    atom_to_json,
-    make_random_atom,
-    make_signum_atom,
-    noncancelling_counterpart,
-    signum_atom_at_scale,
-    validate_atom,
-)
-from .experiments import (
-    DecayFit,
-    ScanResult,
-    counterexample_growth,
-    dilation_scan,
-    fit_loglog,
-    frontier_map,
-    hls_iteration_check,
-    shell_decay_profile,
-)
+import importlib
+
+from . import errors, exponents
+
+# each public name, by the module that defines it
+_EXPORTS = {
+    "errors": (
+        "AccuracyError", "ConfigIncompleteError", "ExponentRangeError", "FitWindowError",
+        "FlagIntError", "PreconditionError", "RegionError", "SingularityError", "UsageError",
+    ),
+    "exponents": (
+        "DerivedExponents", "ExponentConfig", "as_rational", "check_formula_one",
+        "check_formula_two", "derive_ab", "heisenberg_map", "strict_consequences",
+    ),
+    "spec": ("QuadratureSpec",),
+    "kernel": (
+        "FlagKernel", "PointPair", "dominating_kernel_eval", "kernel_eval", "point_pair",
+        "product_kernel_points",
+    ),
+    "domain": (
+        "CounterexampleRegion", "Cube", "GapRegion", "Shell", "ShellCase", "Window",
+        "centered_window", "shell_case", "shell_contains", "shell_family",
+    ),
+    "quadrature": (
+        "TestFunction", "apply_operator", "apply_riesz_1d", "indicator_box", "lp_norm",
+        "lq_mass", "lq_mass_dominating", "piecewise_constant", "smooth_bump",
+        "sufficient_inner_cutoff",
+    ),
+    "atoms": (
+        "Atom", "AtomReport", "atom_from_json", "atom_to_json", "make_random_atom",
+        "make_signum_atom", "noncancelling_counterpart", "signum_atom_at_scale",
+        "validate_atom",
+    ),
+    "experiments": (
+        "DecayFit", "ScanResult", "counterexample_growth", "dilation_scan", "fit_loglog",
+        "frontier_map", "hls_iteration_check", "shell_decay_profile",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError",
-    "Atom",
-    "AtomReport",
-    "ConfigIncompleteError",
-    "CounterexampleRegion",
-    "Cube",
-    "DecayFit",
-    "DerivedExponents",
-    "ExponentConfig",
-    "ExponentRangeError",
-    "FitWindowError",
-    "FlagIntError",
-    "FlagKernel",
-    "GapRegion",
-    "PointPair",
-    "PreconditionError",
-    "QuadratureSpec",
-    "RegionError",
-    "ScanResult",
-    "Shell",
-    "ShellCase",
-    "SingularityError",
-    "TestFunction",
-    "UsageError",
-    "Window",
-    "apply_operator",
-    "apply_riesz_1d",
-    "as_rational",
-    "atom_from_json",
-    "atom_to_json",
-    "centered_window",
-    "check_formula_one",
-    "check_formula_two",
-    "counterexample_growth",
-    "derive_ab",
-    "dilation_scan",
-    "dominating_kernel_eval",
-    "fit_loglog",
-    "frontier_map",
-    "heisenberg_map",
-    "hls_iteration_check",
-    "indicator_box",
-    "kernel_eval",
-    "lp_norm",
-    "lq_mass",
-    "lq_mass_dominating",
-    "make_random_atom",
-    "make_signum_atom",
-    "noncancelling_counterpart",
-    "piecewise_constant",
-    "point_pair",
-    "product_kernel_points",
-    "shell_case",
-    "shell_contains",
-    "shell_decay_profile",
-    "shell_family",
-    "signum_atom_at_scale",
-    "smooth_bump",
-    "sufficient_inner_cutoff",
-    "validate_atom",
-]
+# neither module imports numpy, so their names are bound now
+globals().update({name: getattr(globals()[module], name)
+                  for module in ("errors", "exponents") for name in _EXPORTS[module]})
+
+
+def __getattr__(name: str):
+    # an engine name is looked up in its module on every access and never
+    # bound here, so that whoever rebinds it in that module (bench/tracing.py
+    # wraps it while tracing) is seen here, and undone here too
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -18,25 +18,9 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .atoms import (
-    atom_from_json,
-    make_random_atom,
-    noncancelling_counterpart,
-    signum_atom_at_scale,
-    validate_atom,
-)
-from .domain import Cube
 from .errors import AccuracyError, FlagIntError, UsageError
-from .experiments import (
-    ScanResult,
-    counterexample_growth,
-    dilation_scan,
-    frontier_map,
-    hls_iteration_check,
-    shell_decay_profile,
-)
 from .exponents import (
     ExponentConfig,
     as_rational,
@@ -44,14 +28,13 @@ from .exponents import (
     check_formula_two,
     derive_ab,
 )
-from .kernel import FlagKernel, kernel_eval, point_pair
-from .quadrature import (
-    QuadratureSpec,
-    TestFunction,
-    apply_operator,
-    indicator_box,
-    smooth_bump,
-)
+from .spec import QuadratureSpec
+
+# the engine (numpy and all) is imported by the runners that use it, so that
+# --help and every refusal of a flag, config file or spec return before it loads
+if TYPE_CHECKING:
+    from .experiments import ScanResult
+    from .quadrature import TestFunction
 
 # the flags every experiment takes, after --config, as (config key, argparse
 # options); each flag is --key with underscores as dashes
@@ -155,6 +138,9 @@ _EXPERIMENT_DEFAULTS: Dict[str, Dict] = {
     },
 }
 
+# the exponents, read as exact rationals
+_RATIONALS = ("alpha", "beta", "rho", "p", "q")
+
 _REQUIRED: Dict[str, Tuple[str, ...]] = {
     "check": ("alpha", "beta"),
     "kernel": ("x", "y", "alpha", "beta"),
@@ -223,6 +209,8 @@ def _load_config_file(path: str, experiment: str) -> Dict:
         # same as no key
         if value is None and defaults.get(key) is None:
             continue
+        if value is None and key in _RATIONALS:
+            raise UsageError(f"config key {key!r} must be a rational, got null")
         # a number flag's value is read with the flag's type
         if types.get(key) in (int, float):
             data[key] = _config_number(key, value, types[key])
@@ -267,10 +255,9 @@ def _merge_config(args: argparse.Namespace) -> Dict:
     if not 0 <= merged["seed"] < 2 ** 64:
         raise UsageError("seed must be a 64-bit unsigned integer")
     # each rational is typed once; alpha, beta, p and q may be unset, rho has a default
-    for key in ("alpha", "beta", "p", "q"):
+    for key in _RATIONALS:
         if merged.get(key) is not None:
             merged[key] = as_rational(merged[key], key)
-    merged["rho"] = as_rational(merged["rho"], "rho")
     for key in ("alphas", "betas"):
         if key in merged:
             merged[key] = _rational_list(merged[key], key)
@@ -358,6 +345,10 @@ def _jobs(merged: Dict) -> int:
 
 
 def _payload_for(merged: Dict, n: int, m: int) -> TestFunction:
+    from .atoms import make_random_atom, signum_atom_at_scale
+    from .domain import Cube
+    from .quadrature import indicator_box, smooth_bump
+
     # apply's L, radius and atom_seed are null unless given
     given = {"L": 0, "radius": 1.0, "atom_seed": 0,
              **{key: value for key, value in merged.items() if value is not None}}
@@ -404,6 +395,8 @@ def _run_check(merged: Dict, spec: QuadratureSpec):
 
 def _point_query(merged: Dict, cfg: ExponentConfig):
     """The point --x, --y, and the row cells that echo it."""
+    from .kernel import point_pair
+
     x = _float_list(merged.get("x"), "x")
     y = _float_list(merged.get("y"), "y")
     if len(x) != cfg.n or len(y) != cfg.m:
@@ -414,11 +407,15 @@ def _point_query(merged: Dict, cfg: ExponentConfig):
 
 def _rows_result(experiment: str, rows: List[Dict], **metadata) -> ScanResult:
     """The result of rows that share their keys."""
+    from .experiments import ScanResult
+
     return ScanResult(experiment=experiment, columns=tuple(rows[0]), rows=rows,
                       metadata=metadata)
 
 
 def _run_kernel(merged: Dict, spec: QuadratureSpec):
+    from .kernel import FlagKernel, kernel_eval
+
     cfg = _exponent_config(merged)
     pt, cells = _point_query(merged, cfg)
     value = kernel_eval(FlagKernel(cfg), pt)
@@ -427,6 +424,8 @@ def _run_kernel(merged: Dict, spec: QuadratureSpec):
 
 
 def _run_apply(merged: Dict, spec: QuadratureSpec):
+    from .quadrature import apply_operator
+
     cfg = _exponent_config(merged)
     pt, cells = _point_query(merged, cfg)
     f = _payload_for(merged, cfg.n, cfg.m)
@@ -446,6 +445,9 @@ def _run_apply(merged: Dict, spec: QuadratureSpec):
 
 
 def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
+    from .atoms import atom_from_json, make_random_atom, signum_atom_at_scale, validate_atom
+    from .domain import Cube
+
     n, m = merged["n"], merged["m"]
     path = merged.get("atom_json")
     if path:
@@ -474,6 +476,10 @@ def _run_atom_validate(merged: Dict, spec: QuadratureSpec):
 
 
 def _run_shells(merged: Dict, spec: QuadratureSpec):
+    from .atoms import noncancelling_counterpart, signum_atom_at_scale
+    from .experiments import shell_decay_profile
+    from .quadrature import smooth_bump
+
     cfg = _exponent_config(merged)
     L = merged["L"]
     kind = merged["payload"]
@@ -508,6 +514,8 @@ def _run_shells(merged: Dict, spec: QuadratureSpec):
 
 
 def _run_dilate(merged: Dict, spec: QuadratureSpec):
+    from .experiments import dilation_scan
+
     cfg = _exponent_config(merged)
     f = _payload_for(merged, cfg.n, cfg.m)
     deltas = _float_list(merged["deltas"], "deltas")
@@ -529,6 +537,8 @@ def _run_dilate(merged: Dict, spec: QuadratureSpec):
 
 
 def _run_counterexample(merged: Dict, spec: QuadratureSpec):
+    from .experiments import counterexample_growth
+
     result = counterexample_growth(
         merged["n"], merged["m"], merged["rho"], merged["q"],
         _float_list(merged["radii"], "radii"), spec,
@@ -548,6 +558,8 @@ def _run_counterexample(merged: Dict, spec: QuadratureSpec):
 
 
 def _run_frontier(merged: Dict, spec: QuadratureSpec):
+    from .experiments import frontier_map
+
     result = frontier_map(
         merged["n"], merged["m"], merged["rho"], merged["q"],
         merged["alphas"], merged["betas"], spec, jobs=_jobs(merged),
@@ -565,6 +577,8 @@ def _run_frontier(merged: Dict, spec: QuadratureSpec):
 
 
 def _run_hls(merged: Dict, spec: QuadratureSpec):
+    from .experiments import hls_iteration_check
+
     cfg = _exponent_config(merged)
     f = _payload_for(merged, cfg.n, cfg.m)
     result = hls_iteration_check(cfg, f, spec, jobs=_jobs(merged))
@@ -602,9 +616,9 @@ def _write_artifacts(result: ScanResult, merged: Dict) -> Tuple[str, str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # no name holds the parser, so a run does not keep it alive
+        args = _build_parser().parse_args(argv)
         merged = _merge_config(args)
         spec = _quadrature_spec(merged)
         runner = _RUNNERS[merged["experiment"]]

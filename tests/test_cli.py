@@ -261,6 +261,41 @@ def test_config_file_rejects_a_value_outside_its_choices(
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+_CHECK = ("check", "--alpha", "9/10", "--beta", "3/10", "--q", "2")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (_CHECK, "rho"),
+    (("shells",), "alpha"),
+    (("dilate",), "beta"),
+    (("hls",), "p"),
+    (("frontier",), "q"),
+], ids=["rho", "alpha", "beta", "p", "q"])
+def test_config_file_rejects_a_null_rational_where_the_default_is_not_null(
+        tmp_path, capsys, argv, key):
+    # a null rho reached the exponent checks, which refused None as no rational
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: None}))
+    status, out, err = run_cli(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path))
+    assert status == 1
+    assert out == ""
+    assert err == f"usage error: config key {key!r} must be a rational, got null\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_file_keeps_a_null_rational_where_the_default_is_null(tmp_path, capsys):
+    # check has no default alpha: a null one is no key, so the flag still sets it
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"alpha": None}))
+    status, out, _ = run_cli(capsys, *_CHECK, "--config", str(cfg), "--out", str(tmp_path))
+    assert status == 0
+    assert out.strip() == "formula-two: SATISFIED"
+    status, _, err = run_cli(capsys, "check", "--beta", "3/10", "--q", "2",
+                             "--config", str(cfg), "--out", str(tmp_path))
+    assert status == 1
+    assert err == "usage error: missing required field 'alpha' for 'check'\n"
+
+
 def test_config_file_keeps_a_null_choice_where_the_default_is_null(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"normalization": None}))

@@ -320,12 +320,27 @@ _POOL_MODULES = ("concurrent.futures", "multiprocessing", "select", "signal")
 
 
 def test_importing_the_package_loads_no_pool(tmp_path):
+    # nor numpy: the package, --help, a bad flag, an unknown config key and
+    # a spec the CLI refuses all return before the engine loads; a run loads it
+    cfg = tmp_path / "unknown.json"
+    cfg.write_text(json.dumps({"samples": 100}))
+    boundary = [["shells", "--help"], ["shells", "--k-max", "x"],
+                ["shells", "--config", str(cfg)], ["shells", "--points-per-axis", "100"]]
+    loaded = f"print([m for m in {_POOL_MODULES + ('numpy',)!r} if m in sys.modules])\n"
     proc = _python(
-        "import sys, flagint, flagint.cli\n"
-        f"print([m for m in {_POOL_MODULES!r} if m in sys.modules])\n"
+        "import contextlib, io, sys, flagint, flagint.cli\n"
+        + loaded
+        + f"for argv in {boundary!r}:\n"
+        "    with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        "        flagint.cli.main(argv)\n"
+        "    " + loaded
+        + "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    flagint.cli.main(['apply', '--x', '3', '--y', '3', '--out', {str(tmp_path)!r}])\n"
+        "print('numpy' in sys.modules)\n"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]"] * 5 + ["True"]
+    assert (tmp_path / "apply-0.csv").exists()
 
     # a pooled scan forks its workers itself: no executor module is loaded
     proc = _python(

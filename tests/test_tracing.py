@@ -53,6 +53,22 @@ def test_engine_calls_no_public_kernel_evaluator():
     assert metrics["kernel.calls"] == 0
 
 
+def test_a_traced_package_call_leaves_no_wrapper_behind():
+    # the package looks engine names up in their modules on each access and
+    # binds none, so the tracer's wrappers go when it uninstalls
+    tracing = _tracing()
+    cfg = ExponentConfig(n=1, m=1, alpha=Fraction(1, 2), beta=Fraction(1, 2), rho=Fraction(2))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert getattr(flagint.apply_operator, "__bench_traced__", False)
+        flagint.apply_operator(cfg, smooth_bump(1, 1), point_pair(2.0, 0.5), QuadratureSpec())
+    assert tracing.leftover_wrappers() == []
+    engine = {name for name in flagint.__all__
+              if getattr(flagint, name).__module__ not in ("flagint.errors", "flagint.exponents")}
+    assert "apply_operator" in engine
+    assert engine.isdisjoint(vars(flagint))
+
+
 @pytest.mark.parametrize("x, y", [(2.0, 0.5), (0.01, 0.3), (0.3, 0.2)])
 def test_payload_nodes_count_both_inner_orders_of_apply(x, y):
     # exterior, near-line and interior: a grid pass takes the payload per
