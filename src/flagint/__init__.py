@@ -29,8 +29,8 @@ _EXPORTS = {
         "product_kernel_points",
     ),
     "domain": (
-        "CounterexampleRegion", "Cube", "GapRegion", "Shell", "ShellCase", "Window",
-        "centered_window", "shell_case", "shell_contains", "shell_family",
+        "CounterexampleRegion", "Cube", "GapRegion", "Shell", "Window", "centered_window",
+        "shell_case", "shell_family",
     ),
     "quadrature": (
         "TestFunction", "apply_operator", "apply_riesz_1d", "indicator_box", "lp_norm",

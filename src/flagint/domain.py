@@ -1,15 +1,13 @@
 """Cubes, dyadic shells, and the experiment regions.
 
-Every region is a list of boxes with disjoint interiors, each of sign +1,
-plus a membership test: `signed_boxes()` is that list (the grid integrates
-it box by box), `contains(points)` tests membership, and `volume()` and
-`sample(rng, count)` (uniform points) both come from the list. So every
-region measures its factors with the max norm |.|_inf: a max-norm annulus
-is a union of boxes, a Euclidean one is not.
+A region is its list of boxes with disjoint interiors, each of sign +1:
+`signed_boxes()` is that list, and the grid integrates it box by box. So
+every region measures its factors with the max norm |.|_inf: a max-norm
+annulus is a union of boxes, a Euclidean one is not.
 
-No engine path draws points. `sample()` stays because the benchmark's
-tracer (bench/tracing.py) wraps it by name on every region, and the tests
-use it to check membership.
+No engine path draws points. `sample(rng, count)` (uniform points in the
+boxes) stays only because the benchmark's tracer (bench/tracing.py) wraps it
+by name on every region.
 
 The kernel keeps its Euclidean factor norms, and the max-norm regions
 answer the same questions. The truncation {|y|_inf <= R} sits between the
@@ -22,17 +20,13 @@ with the same exponents. On a 1-d factor the two norms agree.
 
 from __future__ import annotations
 
-import math
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import RegionError
-from .exponents import ExponentConfig
-from .kernel import PointPair
 
 Bounds = Tuple[Tuple[float, float], ...]
 SignedBox = Tuple[Bounds, float]
@@ -53,16 +47,6 @@ def _max_norm_annulus(dim: int, lo: float, hi: float) -> List[Bounds]:
         for i in range(dim)
         for side in ((-hi, -lo), (lo, hi))
     ]
-
-
-def _max_norms(points: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per point, the max norms of its x and y factors."""
-    pts = np.abs(np.atleast_2d(np.asarray(points, dtype=float)))
-    return np.max(pts[:, :n], axis=1), np.max(pts[:, n:], axis=1)
-
-
-def _boxes_volume(boxes: List[SignedBox]) -> float:
-    return math.fsum(sign * math.prod(hi - lo for lo, hi in box) for box, sign in boxes)
 
 
 def _sample_boxes(boxes: List[SignedBox], rng: np.random.Generator,
@@ -117,12 +101,9 @@ class Cube:
         h = self.half_side
         return tuple((-h, h) for _ in range(self.n + self.m))
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.max(np.abs(pts), axis=1) <= self.half_side
-
     def volume(self) -> float:
-        return _boxes_volume(self.signed_boxes())
+        # exact: the side is 2^L and _check_dyadic keeps 2^((n+m)L) normal
+        return self.side ** (self.n + self.m)
 
     def signed_boxes(self) -> List[SignedBox]:
         return [(self.bounds(), 1.0)]
@@ -169,17 +150,6 @@ class Shell:
         lo = 0.0 if self.l == 0 else 2.0 ** (self.L + self.l - 1)
         return lo, hi
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        if self.is_cube:
-            return Cube(self.n, self.m, self.L).contains(points)
-        xn, yn = _max_norms(points, self.n)
-        x_lo, x_hi = self.x_range()
-        y_lo, y_hi = self.y_range()
-        return (xn >= x_lo) & (xn < x_hi) & (yn >= y_lo) & (yn < y_hi)
-
-    def volume(self) -> float:
-        return _boxes_volume(self.signed_boxes())
-
     def signed_boxes(self) -> List[SignedBox]:
         if self.is_cube:
             return Cube(self.n, self.m, self.L).signed_boxes()
@@ -191,46 +161,13 @@ class Shell:
         return _sample_boxes(self.signed_boxes(), rng, count)
 
 
-def shell_contains(s: Shell, pt: PointPair) -> bool:
-    """Membership of a single point pair in the shell (cube for (0,0))."""
-    if pt.x.size != s.n or pt.y.size != s.m:
-        raise ValueError(
-            f"point has dims ({pt.x.size},{pt.y.size}), shell needs ({s.n},{s.m})"
-        )
-    return bool(s.contains(pt.coords()[None, :])[0])
-
-
-@dataclass(frozen=True)
-class ShellCase:
-    """Case label for a shell plus the branch predicates the estimates split on."""
-
-    label: str
-    flags: Dict[str, bool] = field(default_factory=dict)
-
-
-def shell_case(s: Shell, cfg: ExponentConfig) -> ShellCase:
-    """Classify a shell: Case1 (k=l=0), Case2 (k,l>0), Case3 (k>0,l=0), Case4 (k=0,l>0).
-
-    The flags record, exactly over the rationals, the inequalities the
-    per-case estimates branch on.
-    """
-    rho = cfg.rho
-    k, l, L = Fraction(s.k), Fraction(s.l), Fraction(s.L)
-    flags = {
-        "rho(k+L)>=l+L": rho * (k + L) >= l + L,
-        "k+L>=0": k + L >= 0,
-        "l>=k": l >= k,
-        "l>=(rho-1)L": l >= (rho - 1) * L,
-    }
+def shell_case(s: Shell) -> str:
+    """Classify a shell: Case1 (k=l=0), Case2 (k,l>0), Case3 (k>0,l=0), Case4 (k=0,l>0)."""
     if s.k == 0 and s.l == 0:
-        label = "Case1"
-    elif s.k > 0 and s.l > 0:
-        label = "Case2"
-    elif s.k > 0:
-        label = "Case3"
-    else:
-        label = "Case4"
-    return ShellCase(label=label, flags=flags)
+        return "Case1"
+    if s.k > 0 and s.l > 0:
+        return "Case2"
+    return "Case3" if s.k > 0 else "Case4"
 
 
 def shell_family(n: int, m: int, L: int, k_max: int, l_max: int) -> List[Shell]:
@@ -260,16 +197,6 @@ class Window:
         for lo, hi in self.box:
             if not lo < hi:
                 raise ValueError("window intervals must be nonempty")
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for i, (lo, hi) in enumerate(self.box):
-            ok &= (pts[:, i] >= lo) & (pts[:, i] <= hi)
-        return ok
-
-    def volume(self) -> float:
-        return _boxes_volume(self.signed_boxes())
 
     def signed_boxes(self) -> List[SignedBox]:
         return [(self.box, 1.0)]
@@ -312,14 +239,6 @@ class CounterexampleRegion:
     def x_bounds(self) -> Bounds:
         return tuple((2.0, 4.0) for _ in range(self.n))
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(points, dtype=float))[:, : self.n]
-        ok = np.all((xs >= 2.0) & (xs <= 4.0), axis=1)
-        return ok & (_max_norms(points, self.n)[1] <= self.R)
-
-    def volume(self) -> float:
-        return _boxes_volume(self.signed_boxes())
-
     def signed_boxes(self) -> List[SignedBox]:
         return [(self.x_bounds() + ((-self.R, self.R),) * self.m, 1.0)]
 
@@ -343,13 +262,6 @@ class GapRegion:
 
     def __post_init__(self) -> None:
         Shell(self.n, self.m, 0, 0, self.L)  # the cube, and the box (-2^L, 2^L)^(n+m)
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        z = np.max(np.abs(np.atleast_2d(np.asarray(points, dtype=float))), axis=1)
-        return (z < 2.0 ** self.L) & ~Cube(self.n, self.m, self.L).contains(points)
-
-    def volume(self) -> float:
-        return _boxes_volume(self.signed_boxes())
 
     def signed_boxes(self) -> List[SignedBox]:
         h = Cube(self.n, self.m, self.L).half_side

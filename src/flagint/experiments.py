@@ -313,15 +313,7 @@ def _run_rows(worker, tasks: Sequence, jobs: int) -> List:
 
 
 def _cfg_dict(cfg: ExponentConfig) -> Dict:
-    return {
-        "n": cfg.n,
-        "m": cfg.m,
-        "alpha": str(cfg.alpha),
-        "beta": str(cfg.beta),
-        "rho": str(cfg.rho),
-        "p": None if cfg.p is None else str(cfg.p),
-        "q": None if cfg.q is None else str(cfg.q),
-    }
+    return _jsonable(asdict(cfg))
 
 
 def _scan_result(experiment: str, columns: Tuple[str, ...], rows: List[Dict], config: Dict,
@@ -595,12 +587,12 @@ def counterexample_growth(
 # shell decay profile
 
 
-def _region_row(cfg: ExponentConfig, region, mass: float, err: float) -> Dict:
+def _region_row(region, mass: float, err: float) -> Dict:
     if isinstance(region, GapRegion):
         return {"k": None, "l": None, "value": mass, "err": err,
                 "label": "gap", "case": ""}
     return {"k": region.k, "l": region.l, "value": mass, "err": err,
-            "label": "shell", "case": shell_case(region, cfg).label}
+            "label": "shell", "case": shell_case(region)}
 
 
 def _k_fit(mass_by_k: Dict[int, float], burn_in: int) -> DecayFit:
@@ -646,7 +638,7 @@ def shell_decay_profile(
     # so the two workers start on the two largest tasks
     regions = [GapRegion(cfg.n, cfg.m, L)] + shell_family(cfg.n, cfg.m, L, k_max, l_max)
     masses = _run_rows(_mass, [(cfg, payload, r, spec, None) for r in regions], jobs)
-    gap, *rows = (_region_row(cfg, r, *mass) for r, mass in zip(regions, masses))
+    gap, *rows = (_region_row(r, *mass) for r, mass in zip(regions, masses))
     rows.append(gap)
 
     agg: Dict[int, float] = {}

@@ -91,7 +91,9 @@ class TestFunction:
         for lo, hi in self.support:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError("support intervals must be finite and nonempty")
-        for box, _ in self.cells:
+        for box, value in self.cells:
+            if not math.isfinite(value):
+                raise ValueError(f"cell values must be finite, got {value}")
             if not all(s_lo <= lo and hi <= s_hi
                        for (lo, hi), (s_lo, s_hi) in zip(box, self.support)):
                 raise ValueError("every cell must lie within the support")

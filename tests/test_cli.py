@@ -634,6 +634,13 @@ def test_atom_validate_reads_json_file(tmp_path, capsys):
     ({"n": 1, "m": 1.5, "L": 1, "cells": []}, "error: atom JSON 'm' must be an integer, not 1.5"),
     ({"n": 1, "m": 1, "L": "1", "cells": []}, "error: atom JSON 'L' must be an integer, not \"1\""),
     ({"n": 1, "m": 1, "L": True, "cells": []}, "error: atom JSON 'L' must be an integer, not true"),
+    # json writes and reads these as Infinity, -Infinity and NaN
+    ({"n": 1, "m": 1, "L": 1, "cells": [{"box": [[-0.5, 0.5], [-0.5, 0.5]], "value": float("inf")}]},
+     "error: cell values must be finite, got inf"),
+    ({"n": 1, "m": 1, "L": 1, "cells": [{"box": [[-0.5, 0.5], [-0.5, 0.5]], "value": -float("inf")}]},
+     "error: cell values must be finite, got -inf"),
+    ({"n": 1, "m": 1, "L": 1, "cells": [{"box": [[-0.5, 0.5], [-0.5, 0.5]], "value": float("nan")}]},
+     "error: cell values must be finite, got nan"),
 ])
 def test_atom_validate_rejects_malformed_json_file(tmp_path, capsys, doc, message):
     atom_file = tmp_path / "atom.json"

@@ -331,6 +331,16 @@ def test_piecewise_constant_rejects_overlap():
         )
 
 
+def test_payloads_refuse_cell_values_that_are_not_finite():
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    with pytest.raises(ValueError, match="cell values must be finite, got inf"):
+        smooth_bump(1, 1, amplitude=float("inf"))
+    with pytest.raises(ValueError, match="cell values must be finite, got nan"):
+        piecewise_constant(1, 1, [(box, float("nan"))])
+    with pytest.raises(ValueError, match="cell values must be finite, got -inf"):
+        quadrature.TestFunction(n=1, m=1, support=box, cells=((box, -math.inf),))
+
+
 def test_dilate_tracks_both_axes():
     f = indicator_box(1, 1, ((-1.0, 1.0), (-1.0, 1.0)))
     g = f.dilate(2.0, 3.0, 2.0)
