@@ -210,8 +210,6 @@ def atom_from_json(text: str) -> Atom:
         raise ValueError("atom JSON cells must be objects with a box and a value") from exc
     payload = piecewise_constant(n, m, cells)
     cube = Cube(n=n, m=m, L=L)
-    slop = _EDGE_RTOL * cube.side
-    strict_support = _support_within(payload, cube.half_side / 2.0, slop)
-    strict_bound = payload.sup_bound() <= (1.0 / cube.volume()) * (1.0 + _EDGE_RTOL)
-    normalization = "strict" if (strict_support and strict_bound) else "relaxed"
+    strict = validate_atom(Atom(cube=cube, payload=payload, normalization="strict"))
+    normalization = "strict" if strict.support_ok and strict.bound_ok else "relaxed"
     return Atom(cube=cube, payload=payload, normalization=normalization)

@@ -176,17 +176,15 @@ def _least_squares(xs: Sequence[float], ys: Sequence[float],
                     residual=residual, window=window)
 
 
-def fit_loglog(xs: Sequence[float], ys: Sequence[float],
-               drop_first: bool = True) -> DecayFit:
+def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> DecayFit:
     """Fit log2(y) against log2(x), dropping the first (transient) point."""
     if any(v <= 0 for v in xs) or any(v <= 0 for v in ys):
         raise ValueError("log-log fit needs positive data")
-    start = 1 if drop_first else 0
-    if len(xs) - start < 4:
+    if len(xs) < 5:
         raise FitWindowError("log-log fit needs at least 4 points after the transient")
-    lx = [math.log2(v) for v in xs[start:]]
-    ly = [math.log2(v) for v in ys[start:]]
-    return _least_squares(lx, ly, (start, len(xs) - 1))
+    lx = [math.log2(v) for v in xs[1:]]
+    ly = [math.log2(v) for v in ys[1:]]
+    return _least_squares(lx, ly, (1, len(xs) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +361,13 @@ def _dilated(cfg: ExponentConfig, f: TestFunction, window: Window, delta: float,
 def _dilation_row(cfg: ExponentConfig, fd: TestFunction, mass: Tuple[float, float],
                   delta: float, lam: float, spec: QuadratureSpec) -> Dict:
     """The row of r = |I f_dl|_q / |f_dl|_p from the mass of f_dl = fd."""
+    # every pair is (delta, 1) or (1, lambda)
     if lam == 1.0 and delta == 1.0:
         case = "baseline"
     elif lam == 1.0:
         case = "delta"
-    elif delta == 1.0:
-        case = "lambda"
     else:
-        case = "mixed"
+        case = "lambda"
     try:
         pnorm = lp_norm(fd, cfg.p, spec)
     except AccuracyError as exc:
@@ -857,13 +854,13 @@ def hls_iteration_check(
     cfg: ExponentConfig,
     f: TestFunction,
     spec: QuadratureSpec,
-    window: Optional[Window] = None,
     jobs: int = 1,
 ) -> ScanResult:
     """Check that the flag kernel's image is dominated by the product kernel's.
 
     The flag kernel is bounded pointwise by |x|^{a-n}|y|^{b-m} with (a, b)
-    the derived pair, so for f >= 0 the q-norms over any window are ordered.
+    the derived pair, so for f >= 0 the q-norms over any window are ordered;
+    they are taken over the default window, twice as wide as supp f.
     Both numbers are reported with their quadrature errors, in one row whose
     value is right - left.
     """
@@ -874,8 +871,7 @@ def hls_iteration_check(
     if not f.is_nonnegative():
         raise PreconditionError("domination needs a nonnegative test function")
     ab = derive_ab(cfg)
-    if window is None:
-        window = _default_window(cfg, f)
+    window = _default_window(cfg, f)
     # the flag kernel, then the product kernel of the pair ab
     masses = _run_rows(_mass, [(cfg, f, window, spec, k) for k in (None, ab)], jobs)
     (left, left_err), (right, right_err) = (_norm_from_mass(*m, float(cfg.q)) for m in masses)

@@ -142,12 +142,6 @@ class FlagKernel:
     def m(self) -> int:
         return self.cfg.m
 
-    @property
-    def scaling_exponent(self) -> float:
-        """Exponent of the non-isotropic homogeneity: -(n-alpha) - rho(m-beta)."""
-        cfg = self.cfg
-        return -(cfg.n - float(cfg.alpha)) - float(cfg.rho) * (cfg.m - float(cfg.beta))
-
     def eval_norms(self, x_norm: np.ndarray, y_norm: np.ndarray) -> np.ndarray:
         """Kernel value from the two factor norms; both arrays broadcast."""
         xn = np.asarray(x_norm, dtype=float)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +94,8 @@ class TestFunction:
         for box, value in self.cells:
             if not math.isfinite(value):
                 raise ValueError(f"cell values must be finite, got {value}")
+            if not all(lo < hi for lo, hi in box):
+                raise ValueError("cell intervals must be nonempty")
             if not all(s_lo <= lo and hi <= s_hi
                        for (lo, hi), (s_lo, s_hi) in zip(box, self.support)):
                 raise ValueError("every cell must lie within the support")
@@ -206,16 +208,6 @@ class TestFunction:
         edges = self._cell_table[0][axis]
         return (np.searchsorted(edges, z, side="right") - 1) % len(edges)
 
-    def _moved(self, move: Callable[[int, float], float],
-               radius: Tuple[float, ...]) -> "TestFunction":
-        """The payload with every coordinate z on axis i (support, cells, center) at move(i, z)."""
-        def moved(box: Bounds) -> Bounds:
-            return tuple((move(i, lo), move(i, hi)) for i, (lo, hi) in enumerate(box))
-        return replace(self, support=moved(self.support),
-                       cells=tuple((moved(box), v) for box, v in self.cells),
-                       center=tuple(move(i, c) for i, c in enumerate(self.center)),
-                       radius=radius)
-
     def dilate(self, delta: float, lam: float = 1.0, rho: float = 1.0) -> "TestFunction":
         """The payload u -> f(u/delta, v/(delta^rho lam)); values unchanged."""
         sx = float(delta)
@@ -223,27 +215,13 @@ class TestFunction:
         if not (sx > 0 and sy > 0):
             raise ValueError("dilation factors must be positive")
         factors = [sx] * self.n + [sy] * self.m
-        return self._moved(lambda i, z: z * factors[i],
-                           tuple(r * factors[i] for i, r in enumerate(self.radius)))
 
-    def translate(self, shift: Sequence[float]) -> "TestFunction":
-        sh = tuple(float(s) for s in shift)
-        if len(sh) != self.dim:
-            raise ValueError("shift must have n+m components")
-        return self._moved(lambda i, z: z + sh[i], self.radius)
-
-    def scale_values(self, factor: float) -> "TestFunction":
-        c = float(factor)
-        return replace(self, cells=tuple((box, v * c) for box, v in self.cells))
-
-    def exact_lp_mass(self, p: float) -> float:
-        """Integral of |f|^p, closed form; payloads without a profile only."""
-        if self.radius:
-            raise ValueError("no closed form for the smooth bump")
-        total = 0.0
-        for box, v in self.cells:
-            total += abs(v) ** p * math.prod(hi - lo for lo, hi in box)
-        return total
+        def moved(box: Bounds) -> Bounds:
+            return tuple((lo * factors[i], hi * factors[i]) for i, (lo, hi) in enumerate(box))
+        return replace(self, support=moved(self.support),
+                       cells=tuple((moved(box), v) for box, v in self.cells),
+                       center=tuple(c * factors[i] for i, c in enumerate(self.center)),
+                       radius=tuple(r * factors[i] for i, r in enumerate(self.radius)))
 
 
 def indicator_box(n: int, m: int, box: Bounds, value: float = 1.0) -> TestFunction:

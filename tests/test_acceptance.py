@@ -193,7 +193,9 @@ def test_criterion_02_kernel_homogeneity(report):
     yn = rng.uniform(0.0, 8.0, size=10_000)
     delta = 2.0 ** rng.uniform(-6.0, 6.0, size=10_000)
     lhs = k.eval_norms(delta * xn, delta ** 2 * yn)
-    rhs = delta ** k.scaling_exponent * k.eval_norms(xn, yn)
+    # the homogeneity exponent -(n - alpha) - rho (m - beta) at n = m = 1, rho = 2
+    exponent = -(1 - float(cfg.alpha)) - 2.0 * (1 - float(cfg.beta))
+    rhs = delta ** exponent * k.eval_norms(xn, yn)
     max_dev = float(np.max(np.abs(lhs / rhs - 1.0)))
     pts = np.column_stack([xn, yn])
     dominated = bool(

@@ -1,5 +1,6 @@
 """Atom construction, the three validity conditions, and serialization."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -85,8 +86,12 @@ def test_noncancelling_counterpart_shares_geometry():
     assert g.support == a.payload.support
     assert g.sup_bound() == a.payload.sup_bound()
     assert g.is_nonnegative()
-    # same size and sup but a full positive mean: not an atom
-    assert g.exact_lp_mass(1.0) == 4.0
+    # same size and sup but a full positive mean: not an atom; its L1 mass
+    # is the sum of |v| (hi - lo) over its cells, the sup times [-1, 1]^2
+    mass = 0.0
+    for box, v in g.cells:
+        mass += abs(v) * math.prod(hi - lo for lo, hi in box)
+    assert mass == 4.0
 
 
 def test_json_round_trip_is_exact():

@@ -127,6 +127,17 @@ def test_kernel_missing_coordinate_is_usage_error(tmp_path, capsys):
     assert err.strip() == "usage error: missing required field 'x' for 'kernel'"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("kernel", "--x", "1,2", "--y", "3"), "need 1 x-coordinates and 1 y-coordinates"),
+    (("dilate", "--deltas", " , "), "'deltas' is empty"),
+], ids=["kernel-two-x", "dilate-empty-deltas"])
+def test_coordinate_and_list_shapes_are_usage_errors(tmp_path, capsys, argv, message):
+    status, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert status == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
 def test_unrecognized_flag_maps_to_exit_one(tmp_path, capsys):
     status, _, err = run_cli(
         capsys, "kernel", "--x", "2", "--y", "3", "--frequency", "9",
@@ -641,6 +652,12 @@ def test_atom_validate_reads_json_file(tmp_path, capsys):
      "error: cell values must be finite, got -inf"),
     ({"n": 1, "m": 1, "L": 1, "cells": [{"box": [[-0.5, 0.5], [-0.5, 0.5]], "value": float("nan")}]},
      "error: cell values must be finite, got nan"),
+    # the second cell's x interval runs backwards
+    ({"n": 1, "m": 1, "L": 1, "cells": [{"box": [[-0.25, 0], [-0.25, 0.25]], "value": 0.25},
+                                        {"box": [[0.25, 0], [-0.25, 0.25]], "value": 0.25}]},
+     "error: cell intervals must be nonempty"),
+    ({"n": 1, "m": 1, "L": 1, "cells": [{"box": [[-0.5, 0.5], [-0.5, 0.5]]}]},
+     "error: atom JSON cells must be objects with a box and a value"),
 ])
 def test_atom_validate_rejects_malformed_json_file(tmp_path, capsys, doc, message):
     atom_file = tmp_path / "atom.json"

@@ -115,16 +115,18 @@ def test_fit_loglog_recovers_exact_power():
 def test_fit_loglog_transient_handling():
     xs = [1.0, 2.0, 4.0, 8.0, 16.0]
     ys = [100.0, 4.0, 1.0, 0.25, 0.0625]  # first point off the line
-    dropped = fit_loglog(xs, ys)
-    assert math.isclose(dropped.slope, -2.0, abs_tol=1e-12)
-    kept = fit_loglog(xs, ys, drop_first=False)
-    assert kept.residual > 1.0
+    # the first point is dropped: the rest lie on 16 x^-2 exactly
+    fit = fit_loglog(xs, ys)
+    assert math.isclose(fit.slope, -2.0, abs_tol=1e-12)
+    assert math.isclose(fit.intercept, 4.0, abs_tol=1e-12)
+    assert fit.residual < 1e-12
+    assert fit.window == (1, 4)
 
 
 def test_fit_loglog_window_too_small():
     with pytest.raises(FitWindowError):
         fit_loglog([1.0, 2.0, 4.0, 8.0], [1.0, 1.0, 1.0, 1.0])  # 3 after drop
-    fit_loglog([1.0, 2.0, 4.0, 8.0], [1.0, 1.0, 1.0, 1.0], drop_first=False)
+    assert fit_loglog([1.0, 2.0, 4.0, 8.0, 16.0], [1.0] * 5).window == (1, 4)
 
 
 def test_fit_loglog_rejects_nonpositive_data():

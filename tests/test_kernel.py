@@ -77,7 +77,9 @@ def test_homogeneity_over_seeded_samples():
         yn = rng.uniform(0.0, 8.0, size=2000)
         delta = 2.0 ** rng.uniform(-6, 6, size=2000)
         lhs = k.eval_norms(delta * xn, delta ** float(rho) * yn)
-        rhs = delta ** k.scaling_exponent * k.eval_norms(xn, yn)
+        # K(delta x, delta^rho y) = delta^{-(n - alpha) - rho (m - beta)} K(x, y), n = m = 1
+        exponent = -(1 - float(alpha)) - float(rho) * (1 - float(beta))
+        rhs = delta ** exponent * k.eval_norms(xn, yn)
         assert np.max(np.abs(lhs / rhs - 1.0)) < 1e-12
 
 

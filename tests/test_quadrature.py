@@ -152,19 +152,19 @@ def test_apply_linearity_is_exact_on_grid(grid_spec):
     f = indicator_box(1, 1, ((-1.0, 1.0), (-1.0, 1.0)))
     pt = point_pair(10.0, 0.0)
     v1, e1 = apply_operator(cfg, f, pt, grid_spec)
-    v2, e2 = apply_operator(cfg, f.scale_values(2.0), pt, grid_spec)
+    doubled = indicator_box(1, 1, ((-1.0, 1.0), (-1.0, 1.0)), value=2.0)
+    v2, e2 = apply_operator(cfg, doubled, pt, grid_spec)
     assert v2 == 2.0 * v1
     assert e2 == 2.0 * e1
 
 
 def test_apply_translation_covariance(grid_spec):
     cfg = _cfg(alpha=F(9, 10), beta=F(3, 10))
+    # the payload and the point, both shifted by (0.5, 0.25)
     f = indicator_box(1, 1, ((-1.0, 1.0), (-1.0, 1.0)))
-    shift = (0.5, 0.25)
-    pt = point_pair(10.0, 0.0)
-    moved = point_pair(10.5, 0.25)
-    v0, _ = apply_operator(cfg, f, pt, grid_spec)
-    v1, _ = apply_operator(cfg, f.translate(shift), moved, grid_spec)
+    shifted = indicator_box(1, 1, ((-0.5, 1.5), (-0.75, 1.25)))
+    v0, _ = apply_operator(cfg, f, point_pair(10.0, 0.0), grid_spec)
+    v1, _ = apply_operator(cfg, shifted, point_pair(10.5, 0.25), grid_spec)
     assert math.isclose(v0, v1, rel_tol=1e-12)
 
 
@@ -263,13 +263,11 @@ def test_lq_mass_requires_q_above_one(grid_spec):
 def test_lp_norm_indicator(grid_spec):
     f = indicator_box(1, 1, ((-1.0, 1.0), (-1.0, 1.0)))
     assert math.isclose(lp_norm(f, 2, grid_spec), 2.0, rel_tol=1e-12)
-    assert f.exact_lp_mass(2.0) == 4.0
 
 
 def test_lp_norm_signed_cells(grid_spec):
     f = _sgn_payload()
     assert math.isclose(lp_norm(f, 3, grid_spec), 4.0 ** (1.0 / 3.0), rel_tol=1e-12)
-    assert f.exact_lp_mass(3.0) == 4.0
     assert not f.is_nonnegative()
 
 
@@ -339,6 +337,15 @@ def test_payloads_refuse_cell_values_that_are_not_finite():
         piecewise_constant(1, 1, [(box, float("nan"))])
     with pytest.raises(ValueError, match="cell values must be finite, got -inf"):
         quadrature.TestFunction(n=1, m=1, support=box, cells=((box, -math.inf),))
+
+
+def test_payloads_refuse_a_cell_interval_that_runs_backwards():
+    with pytest.raises(ValueError, match="cell intervals must be nonempty"):
+        piecewise_constant(1, 1, [(((-0.25, 0.0), (-0.25, 0.25)), 0.25),
+                                  (((0.25, 0.0), (-0.25, 0.25)), 0.25)])
+    with pytest.raises(ValueError, match="cell intervals must be nonempty"):
+        quadrature.TestFunction(n=1, m=1, support=((-1.0, 1.0), (-1.0, 1.0)),
+                                cells=((((0.5, 0.5), (-1.0, 1.0)), 1.0),))
 
 
 def test_dilate_tracks_both_axes():
@@ -1142,8 +1149,8 @@ def test_apply_queries_in_two_threads_match_their_serial_values():
 # the engine sums at most 32 bump nodes into one slot (31), or at most 8
 # cell nodes into at most 4 slots (7 + 3). At d <= 4 that is at most
 # (25 + 13 + 31 + 4 * 31) / 2 = 97 eps times the sum of |terms|. Against
-# exact_lp_mass of a 32-cell atom at d = 5 (d + 1 per cell, 31 for its sum)
-# it is (16 + 5 * 10 + 6 + 31) / 2 = 52 eps.
+# the closed form sum |v|^p prod(hi - lo) of a 32-cell atom at d = 5 (d + 1
+# per cell, 31 for its sum) it is (16 + 5 * 10 + 6 + 31) / 2 = 52 eps.
 _LP_ROUNDING = 128 * np.finfo(float).eps
 
 _LP_PAYLOADS = {
@@ -1210,7 +1217,9 @@ def test_lp_norm_in_five_dimensions_forms_no_tensor():
             want = 1.75 ** p * math.prod(radius) * one_d ** 5
             assert abs(lp_norm(bump, p, spec) ** p - want) <= spec.target_rel_error * want
         for p in (1, F(5, 4), 2, 5):
-            want = atom.exact_lp_mass(float(p))
+            want = 0.0
+            for box, v in atom.cells:
+                want += abs(v) ** float(p) * math.prod(hi - lo for lo, hi in box)
             # the p-th power of the root adds p + 1 roundings
             got = lp_norm(atom, p, spec) ** float(p)
             assert abs(got - want) <= (_LP_ROUNDING + (float(p) + 1) * eps) * want, (p, got)

@@ -9,8 +9,8 @@ empty diff means every case below gave the same bytes.
 Cases: the nine criterion-10 reruns of `tests/test_acceptance.py`, fourteen
 larger CLI runs, `--help` of the program and of every subcommand, and the
 900-point apply pool of `bench/reference.json` (read, never written), one
-line for payloads moved by translate, dilate and scale_values, one for the
-inner axis plans, and one for the breakpoints of random axes.
+line for payloads moved by successive dilations, one for the inner axis
+plans, and one for the breakpoints of random axes.
 Each CLI case prints one line: the case name, the exit status, and the SHA-256 of the
 CSV bytes, of the JSON sidecar without its `timestamp` block (with the output
 directory masked), and of stdout. The apply-pool line also counts the
@@ -18,7 +18,8 @@ queries whose value and err equal the reference bit for bit, and gives the
 largest |value - reference value| / reference err and |err - reference err|
 / reference err over the pool, so that a change of algorithm shows its size.
 The payload line hashes the support, sup_bound() and the bytes of evaluate
-on a fixed grid, for a bump and a random (2, 1) atom after each move. The
+on a fixed grid, for a bump and a random (2, 1) atom after each of three
+successive dilations, each with its own delta, lambda and rho. The
 plans line hashes the offsets, weights and core flags of the bump's inner
 plans of orders 4 and 3, at an interior centre, a support-edge centre and an
 outside centre, each at cutoffs -20, -40 and -56. The breaks line hashes the
@@ -167,10 +168,8 @@ def _payload_line():
     digest = hashlib.sha256()
     for f in (flagint.smooth_bump(2, 1, (0.25, -0.5, 0.0), (1.0, 0.75, 1.5), -1.75),
               flagint.make_random_atom(flagint.Cube(2, 1, 1), seed=3).payload):
-        for step in (lambda g: g.translate((0.5, -0.25, 0.125)),
-                     lambda g: g.dilate(1.5, 2.0, 2.0),
-                     lambda g: g.scale_values(-3.0)):
-            f = step(f)
+        for delta, lam, rho in ((1.5, 2.0, 3.0), (0.75, 0.5, 1.5), (2.0, 1.25, 0.5)):
+            f = f.dilate(delta, lam, rho)
             digest.update(repr((f.support, f.sup_bound())).encode())
             digest.update(f.evaluate(points).tobytes())
     return f"payload-moves support+sup+values={digest.hexdigest()}"
