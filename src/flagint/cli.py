@@ -141,15 +141,12 @@ _EXPERIMENT_DEFAULTS: Dict[str, Dict] = {
 # the exponents, read as exact rationals
 _RATIONALS = ("alpha", "beta", "rho", "p", "q")
 
+# the keys no default fills; every other rational an experiment reads has a
+# default, which a null in a config file cannot clear
 _REQUIRED: Dict[str, Tuple[str, ...]] = {
     "check": ("alpha", "beta"),
-    "kernel": ("x", "y", "alpha", "beta"),
-    "apply": ("x", "y", "alpha", "beta"),
-    "shells": ("alpha", "beta", "q"),
-    "dilate": ("alpha", "beta", "p", "q"),
-    "counterexample": ("q",),
-    "frontier": ("q",),
-    "hls": ("alpha", "beta", "p", "q"),
+    "kernel": ("x", "y"),
+    "apply": ("x", "y"),
 }
 
 

@@ -390,14 +390,14 @@ def dilation_scan(
     deltas: Sequence[float],
     lams: Sequence[float],
     spec: QuadratureSpec,
-    window: Optional[Window] = None,
     jobs: int = 1,
 ) -> ScanResult:
     """Measure r(delta, lambda) = |I f_dl|_q(window) / |f_dl|_p along both axes.
 
-    Each delta is scanned at lambda = 1 and each lambda at delta = 1; the
-    window is carried along with the dilation, so the ratio obeys the exact
-    scaling identity: the log-log delta slope equals
+    The window is the centered box twice as wide as supp f. Each delta is
+    scanned at lambda = 1 and each lambda at delta = 1; the window is
+    carried along with the dilation, so the ratio obeys the exact scaling
+    identity: the log-log delta slope equals
     (alpha + rho beta) + (n + rho m)(1/q - 1/p), zero under the balance
     condition. For lambda > 1 and f >= 0 the ratio is bounded below by
     lambda^{beta + m/q - m/p} times the baseline.
@@ -406,8 +406,7 @@ def dilation_scan(
         raise ConfigIncompleteError("dilation_scan needs both p and q")
     if not f.is_nonnegative():
         raise PreconditionError("dilation_scan takes a nonnegative test function")
-    if window is None:
-        window = _default_window(cfg, f)
+    window = _default_window(cfg, f)
 
     pairs = list(dict.fromkeys([(float(d), 1.0) for d in deltas]
                                + [(1.0, float(l)) for l in lams]))

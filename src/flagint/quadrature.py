@@ -301,18 +301,13 @@ def sufficient_inner_cutoff(alpha: float, dim: int, target_rel_error: float) -> 
 
 
 @lru_cache(maxsize=64)
-def _leggauss(g: int) -> Tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(g)
-    return nodes, weights
-
-
-@lru_cache(maxsize=64)
 def _gauss_rules(orders: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
     """The nodes and the weights of the Gauss rules of the orders, each joined in one array.
 
     The arrays are cached and shared, so they are read-only.
     """
-    rules = tuple(np.concatenate(rule) for rule in zip(*map(_leggauss, orders)))
+    rules = tuple(np.concatenate(rule)
+                  for rule in zip(*map(np.polynomial.legendre.leggauss, orders)))
     for arr in rules:
         arr.flags.writeable = False
     return rules
@@ -434,7 +429,7 @@ def _axis_plan(
 ) -> _AxisPlan:
     cuts, breaks = _axis_breaks(lo, hi, center, finest, extra, max_cell, split_within)
     dist, weights, nodes, cell_core = _cell_nodes(cuts[:-1], cuts[1:], center, finest,
-                                                  *_leggauss(g))
+                                                  *_gauss_rules((g,)))
     offsets, weights, nodes, core = (dist.ravel(), weights.ravel(), nodes.ravel(),
                                      np.repeat(cell_core, g))
     if cuts[0] < 0.0 < cuts[-1]:
@@ -499,13 +494,14 @@ def _tensor_weights(weights: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.multiply.outer, weights)
 
 
-def _core_groups(kernel: Kernel) -> Tuple[Tuple[range, bool], ...]:
-    """The u axes and the v axes, each with whether it may exclude a core.
+def _core_groups(kernel: Kernel) -> Tuple[Tuple[range, bool, float], ...]:
+    """The u axes and the v axes, each with whether it may exclude a core and its power.
 
     Only a kernel singular on v = 0 excludes a v core.
     """
     n, m = kernel.n, kernel.m
-    return (range(0, n), True), (range(n, n + m), kernel.v_singular)
+    return ((range(0, n), True, kernel.u_power),
+            (range(n, n + m), kernel.v_singular, kernel.v_power))
 
 
 def _core_flags(kernel: Kernel, has_core: Sequence) -> List:
@@ -516,12 +512,8 @@ def _core_flags(kernel: Kernel, has_core: Sequence) -> List:
     """
     return [
         singular and reduce(np.logical_and, [has_core[i] for i in axes], True)
-        for axes, singular in _core_groups(kernel)
+        for axes, singular, _ in _core_groups(kernel)
     ]
-
-
-def _core_eps(f: TestFunction, spec: QuadratureSpec, axes: range) -> float:
-    return max(_resolved(f, spec, i) for i in axes)
 
 
 @dataclass(eq=False)
@@ -690,7 +682,7 @@ def _block_values(kernel: Kernel, table: np.ndarray, block: Sequence[_Run]) -> n
         for i in reversed(range(len(block))):
             t *= u * scales[i] if i == kernel.n - 1 else scales[i]
             t = np.add.reduceat(t, block[i].starts, axis=i)
-        for axes, singular in _core_groups(kernel):
+        for axes, singular, _ in _core_groups(kernel):
             if singular:
                 np.copyto(t, 0.0, where=reduce(np.logical_and, [cores[i] for i in axes]))
         t *= table[tuple(_axis_views([r.slots for r in block]))]
@@ -742,35 +734,6 @@ def _grid_conv_values(
     return out, core_u, core_v
 
 
-def _core_error(
-    kernel: Kernel,
-    f: TestFunction,
-    pt: Sequence[float],
-    spec: QuadratureSpec,
-    core_u: bool,
-    core_v: bool,
-) -> float:
-    if not (core_u or core_v):
-        return 0.0
-    sup = f.sup_bound()
-    err = 0.0
-    u_axes, v_axes = (axes for axes, _ in _core_groups(kernel))
-    if core_u:
-        s_mass = _power_mass_bound(kernel.n, kernel.u_power, _core_eps(f, spec, u_axes))
-        if kernel.m == 0:
-            tail = 1.0
-        else:
-            v_box = f.support[kernel.n:]
-            tail = _box_tail_bound(v_box, pt[kernel.n:], kernel.v_power, kernel.m)
-        err += s_mass * sup * tail
-    if core_v:
-        s_mass = _power_mass_bound(kernel.m, kernel.v_power, _core_eps(f, spec, v_axes))
-        u_box = f.support[: kernel.n]
-        tail = _box_tail_bound(u_box, pt[: kernel.n], kernel.u_power, kernel.n)
-        err += s_mass * sup * tail
-    return err
-
-
 def _grid_inner(
     kernel: Kernel,
     f: TestFunction,
@@ -779,15 +742,28 @@ def _grid_inner(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The inner value, its err and its core part, each in the shape of the outer tensor.
 
-    err is the rule disagreement plus the analytic core bound.
+    err is the rule disagreement plus the core part, the analytic bound of
+    the excluded cores. One rule bounds the core of either group: the
+    power mass of its own factor over the core's box, times sup |f|, times
+    the tail of the other group's factor over the payload's box on the
+    other axes (1 when there are none).
     """
     g = spec.points_per_axis
-    (hi, lo), core_u, core_v = _grid_conv_values(kernel, f, outer_axes, spec, (g, g - 1))
+    (hi, lo), *excluded = _grid_conv_values(kernel, f, outer_axes, spec, (g, g - 1))
     core = np.zeros(hi.shape)
-    for node in zip(*np.nonzero(core_u | core_v)):
-        # the bound takes the point's numpy coordinates, and with them numpy's power
-        pt = [axis[i] for axis, i in zip(outer_axes, node)]
-        core[node] = _core_error(kernel, f, pt, spec, core_u[node], core_v[node])
+    groups = _core_groups(kernel)
+    for (own, _, power), (other, _, other_power), flags in zip(groups, groups[::-1], excluded):
+        # a group with no excluded node adds nothing; the riesz kernel's v group has no axes
+        if not flags.any():
+            continue
+        eps = max(_resolved(f, spec, i) for i in own)
+        mass = _power_mass_bound(len(own), power, eps) * f.sup_bound()
+        box = [f.support[i] for i in other]
+        for node in zip(*np.nonzero(flags)):
+            # the tail takes the point's numpy coordinates, and with them numpy's power
+            pt = [outer_axes[i][node[i]] for i in other]
+            core[node] += mass * (_box_tail_bound(box, pt, other_power, len(other))
+                                  if other else 1.0)
     return hi, np.abs(hi - lo) + core, core
 
 

@@ -127,6 +127,13 @@ def test_kernel_missing_coordinate_is_usage_error(tmp_path, capsys):
     assert err.strip() == "usage error: missing required field 'x' for 'kernel'"
 
 
+def test_apply_missing_coordinate_is_usage_error(tmp_path, capsys):
+    status, _, err = run_cli(capsys, "apply", "--y", "0.25", "--out", str(tmp_path))
+    assert status == 1
+    assert err.strip() == "usage error: missing required field 'x' for 'apply'"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, message", [
     (("kernel", "--x", "1,2", "--y", "3"), "need 1 x-coordinates and 1 y-coordinates"),
     (("dilate", "--deltas", " , "), "'deltas' is empty"),

@@ -25,7 +25,6 @@ from flagint import (
     PreconditionError,
     ScanResult,
     UsageError,
-    Window,
     counterexample_growth,
     dilation_scan,
     fit_loglog,
@@ -51,10 +50,6 @@ def _scan_cfg():
 
 def _payload():
     return indicator_box(1, 1, ((-1.0, 1.0), (-1.0, 1.0)))
-
-
-def _window():
-    return Window(n=1, m=1, box=((2.0, 4.0), (-4.0, 4.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +140,11 @@ def test_decay_fit_window_validation():
 
 def test_dilation_scan_structure(grid_spec):
     result = dilation_scan(
-        _scan_cfg(), _payload(), [0.25, 0.5, 2.0, 4.0], [2.0], grid_spec,
-        window=_window(), jobs=JOBS,
+        _scan_cfg(), _payload(), [0.25, 0.5, 2.0, 4.0], [2.0], grid_spec, jobs=JOBS,
     )
     assert result.experiment == "dilate"
+    # the window is twice supp f = [-1, 1]^2 in each factor
+    assert result.metadata["window"] == [(-2.0, 2.0), (-2.0, 2.0)]
     assert [(r["delta"], r["lambda"], r["case"]) for r in result.rows] == [
         (1.0, 1.0, "baseline"),
         (0.25, 1.0, "delta"),

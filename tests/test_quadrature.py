@@ -827,7 +827,7 @@ def test_core_cells_are_exact_at_deep_cutoffs(cutoff, center):
     spec = QuadratureSpec(inner_cutoff=cutoff)
     g = spec.points_per_axis
     finest = 2.0 ** cutoff * 2.0
-    nodes, _ = quadrature._leggauss(g)
+    nodes, _ = np.polynomial.legendre.leggauss(g)
     # a core cell's Gauss nodes, as distances from the point
     want = np.sort(0.5 * finest + 0.5 * finest * nodes)
     for plans in _inner_plans(f, [[center], [center]], spec, g):
@@ -851,6 +851,37 @@ def test_deeper_cutoffs_resolve_the_bump_within_the_core_bound():
     (v40, e40, _), (v56, e56, core56), (v80, _, _) = inner[-40], inner[-56], inner[-80]
     assert abs(v56 - v40) <= e40 + e56
     assert 0.0 < core56 and abs(v80 - v56) <= core56
+
+
+@pytest.mark.parametrize("kind, n, m, pt, d, side, power, tail", [
+    # the flag kernel's u core: the tail is that of |v|^(beta - m), beta = 3/10,
+    # over [-0.5, 0.5] from -0.25, and over [-1, 1.5] from 0.75
+    ("flag", 1, 1, (0.25, -0.25), 1, 2.0, 0.9, 2 * 0.75 ** 0.3 / 0.3),
+    ("flag", 2, 1, (0.25, -0.125, 0.75), 2, 2.0, 0.9, 2 * 1.75 ** 0.3 / 0.3),
+    # the product kernel's v core, (a, b) = (3/10, 3/5): x = 1.5 lies 0.5 outside
+    # [-1, 1], so the tail of |u|^(a - n) is also at most 2 * 0.5^(a - n)
+    ("product", 1, 2, (1.5, 0.25, -0.125), 2, 2.5, 0.6,
+     min(2 * 2.5 ** 0.3 / 0.3, 2 * 0.5 ** (0.3 - 1))),
+    # the riesz kernel has no other factor
+    ("riesz", 1, 0, (0.25,), 1, 2.0, 0.9, 1.0),
+], ids=["flag-u-11", "flag-u-21", "product-v-12", "riesz"])
+def test_core_part_is_the_closed_form_bound(kind, n, m, pt, d, side, power, tail, grid_spec):
+    # one excluded core of d axes bounds as d 2^d eps^power / power (the
+    # mass of |z|^(power - d) over |z|_inf <= eps, eps the resolved distance
+    # on its widest axis) times sup |f| times the tail of the other factor
+    # over the payload's box on the other axes
+    sides = ((-0.5, 0.5), (-1.0, 1.5))[:n + m - 1]
+    f = piecewise_constant(n, m, [(((-1.0, 0.0),) + sides, 1.5),
+                                  (((0.0, 1.0),) + sides, -2.25)])
+    if kind == "riesz":
+        kernel = riesz_kernel(0.9)
+    else:
+        cfg = ExponentConfig(n=n, m=m, alpha=F(9, 10), beta=F(3, 10), rho=F(2))
+        kernel = flag_kernel(cfg) if kind == "flag" else product_kernel(cfg, derive_ab(cfg))
+    eps = 2.0 ** grid_spec.inner_cutoff * side
+    want = d * 2.0 ** d * eps ** power / power * 2.25 * tail
+    core = quadrature._grid_inner(kernel, f, [[x] for x in pt], grid_spec)[2].item()
+    assert abs(core - want) <= 1e-12 * want, (core, want)
 
 
 @pytest.mark.parametrize("n, m, cutoff, refused", [
@@ -1247,9 +1278,7 @@ def _reference_lq_mass(desc, f, region, q, spec, inner):
         rows = []
         for pt in pts_hi:
             (v_hi, b_hi), (v_lo, b_lo) = inner(pt, g), inner(pt, g - 1)
-            core_err = quadrature._core_error(
-                desc, f, pt, spec, *_reference_core_flags(desc, f, pt, spec, g)
-            )
+            core_err = quadrature._grid_inner(desc, f, [[x] for x in pt], spec)[2].item()
             rows.append((v_hi, b_hi, abs(v_hi - v_lo) + core_err, b_hi + b_lo))
         mass_hi = math.fsum(w * abs(v) ** q for w, (v, _, _, _) in zip(w_hi, rows))
         prop = math.fsum(w * gap(v, e, q) for w, (v, _, e, _) in zip(w_hi, rows))

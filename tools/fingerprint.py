@@ -26,7 +26,12 @@ outside centre, each at cutoffs -20, -40 and -56. The breaks line hashes the
 cuts and breaks of `_axis_breaks` over 2,000 seeded random axes: centres
 inside, on the ends of and up to two sides outside the interval, finest cells
 down to 2^-300 of the side, payload edges including -0.0, and wide cells cut
-everywhere, within part of the interval or not at all.
+everywhere, within part of the interval or not at all. The core line hashes
+the value, err and core part of `_grid_inner` over a batched outer tensor,
+for the flag and the product kernel at (n, m) = (1, 1), (2, 1) and (1, 2),
+and for the riesz kernel at m = 0: on every axis the tensor has coordinates
+inside and outside the payload's support, so its nodes exclude u cores, v
+cores (the product kernel's), both, or none.
 """
 
 from __future__ import annotations
@@ -220,6 +225,33 @@ def _breaks_line():
     return f"breaks cuts+breaks={digest.hexdigest()}"
 
 
+def _core_line():
+    import flagint
+    from flagint import quadrature
+    from flagint.kernel import flag_kernel, product_kernel, riesz_kernel
+
+    spec = flagint.QuadratureSpec()
+    digest = hashlib.sha256()
+
+    def update(kernel, f, outer):
+        for arr in quadrature._grid_inner(kernel, f, outer, spec):
+            digest.update(arr.tobytes())
+
+    for n, m in ((1, 1), (2, 1), (1, 2)):
+        cfg = flagint.ExponentConfig(n=n, m=m, alpha=Fraction(9, 10), beta=Fraction(3, 10),
+                                     rho=Fraction(2))
+        # two cells of different values, the second axis half as wide as the others
+        rest = tuple((-0.5, 0.5) if i == 1 else (-1.0, 1.0) for i in range(1, n + m))
+        f = flagint.piecewise_constant(n, m, [(((-1.0, 0.0),) + rest, 1.5),
+                                              (((0.0, 1.0),) + rest, -2.25)])
+        outer = [[-0.25, 0.125, 1.5] for _ in range(n + m)]
+        for kernel in (flag_kernel(cfg), product_kernel(cfg, flagint.derive_ab(cfg))):
+            update(kernel, f, outer)
+    update(riesz_kernel(0.5), flagint.indicator_box(1, 0, ((-1.0, 1.0),), -1.25),
+           [[-0.25, 0.0, 0.5, 1.5]])
+    return f"core value+err+core={digest.hexdigest()}"
+
+
 def main() -> int:
     from flagint import cli
 
@@ -235,6 +267,7 @@ def main() -> int:
     print(_payload_line())
     print(_plans_line())
     print(_breaks_line())
+    print(_core_line())
     return 0
 
 
